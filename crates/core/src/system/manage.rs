@@ -658,10 +658,10 @@ impl J2eeApp {
     pub(crate) fn on_detector_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let timeout = self.cfg.jade.failure_timeout;
-        let failed: Vec<ServerId> = self
-            .legacy
-            .server_ids()
-            .into_iter()
+        // Walk the dense server table by index; removed servers read as
+        // `Err` and repairs only run once the scan is over.
+        let failed: Vec<ServerId> = (0..self.legacy.server_index_bound())
+            .map(|i| ServerId(jade_sim::id_u32(i)))
             .filter(|&s| {
                 let Ok(sv) = self.legacy.server(s) else {
                     return false;

@@ -552,6 +552,22 @@ impl PsCpu {
         self.util.busy_time(now)
     }
 
+    /// True when the CPU holds nothing — no resident, aborted-but-unswept
+    /// or undelivered job — and has logged no busy time since the last
+    /// sample, so [`PsCpu::sample_utilization`] is a no-op that reads
+    /// exactly `0.0`. A quiet CPU stays quiet until the next `submit`.
+    pub fn is_quiet(&self) -> bool {
+        self.heap.is_empty() && self.completed.is_empty() && self.util.is_quiet()
+    }
+
+    /// Brings a quiet CPU to the state sampling it at every instant up to
+    /// `now` would have left: the utilization window restarts at `now`.
+    pub fn rebase_idle_window(&mut self, now: SimTime) {
+        debug_assert!(self.is_quiet() && now >= self.last_update);
+        self.last_update = now;
+        self.util.rebase_idle_window(now);
+    }
+
     // ------------------------------------------------------------------
     // Slab + heap plumbing (packed entries, intrusive free list, lazy
     // cancellation — the event queue's design, keyed by f64 bits).

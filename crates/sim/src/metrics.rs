@@ -443,6 +443,21 @@ impl UtilizationTracker {
             (busy_delta.as_secs_f64() / window.as_secs_f64()).min(1.0)
         }
     }
+
+    /// True when the resource is idle and has accumulated no busy time
+    /// since the last `sample`: every further `sample(t)` reads exactly
+    /// `0.0` and only moves the window start to `t`.
+    pub fn is_quiet(&self) -> bool {
+        self.busy_since.is_none() && self.busy_at_last_sample == self.busy_accum
+    }
+
+    /// Moves the window start of a quiet tracker to `t` — the state any
+    /// number of `sample` calls ending at `t` would have left — so a
+    /// periodic probe may skip a quiet resource and catch up later.
+    pub fn rebase_idle_window(&mut self, t: SimTime) {
+        debug_assert!(self.is_quiet() && t >= self.last_sample_at);
+        self.last_sample_at = t;
+    }
 }
 
 /// Fixed-bucket latency histogram with quantile queries.

@@ -262,9 +262,6 @@ impl CjdbcController {
     }
 
     /// Active backends in id order.
-    // jade-audit: allow(hot-alloc): a read routes over the snapshot so a
-    // backend disabled mid-iteration cannot shift the rotation; its length
-    // is the replica count (single digits), not the request count.
     pub fn active_backends(&self) -> Vec<ServerId> {
         self.backends
             .iter()
@@ -290,33 +287,33 @@ impl CjdbcController {
     // Request routing
     // ------------------------------------------------------------------
 
-    /// Routes a read to one active backend according to the policy.
-    // jade-audit: allow(hot-panic): all three arms index modulo/below
-    // active.len(), which the emptiness guard above ensures is nonzero,
-    // and chosen was just drawn from that same backend map.
+    /// Routes a read to one active backend according to the policy,
+    /// choosing over the backend map in id order without materializing
+    /// the active set. Least-pending takes the first backend with the
+    /// fewest pending in one pass; round robin and random take the n-th
+    /// active one, where n depends on the active count (a count, then a
+    /// partial pass). Random draws once, and only if a backend is active.
     pub fn route_read(&mut self, rng: &mut SimRng) -> Result<ServerId, CjdbcError> {
-        let active = self.active_backends();
-        if active.is_empty() {
-            return Err(CjdbcError::NoActiveBackend);
-        }
         let chosen = match self.policy {
-            ReadPolicy::RoundRobin => {
-                let id = active[self.rr_cursor % active.len()];
-                self.rr_cursor = (self.rr_cursor + 1) % active.len().max(1);
-                id
+            ReadPolicy::LeastPending => {
+                active_mut(&mut self.backends).min_by_key(|(_, b)| b.pending)
             }
-            ReadPolicy::Random => active[rng.below(active.len())],
-            ReadPolicy::LeastPending => active
-                .iter()
-                .copied()
-                .min_by_key(|id| self.backends[id].pending)
-                .expect("active is non-empty"),
+            ReadPolicy::RoundRobin => match self.active_count() {
+                0 => None,
+                n_active => {
+                    let n = self.rr_cursor % n_active;
+                    self.rr_cursor = (self.rr_cursor + 1) % n_active;
+                    active_mut(&mut self.backends).nth(n)
+                }
+            },
+            ReadPolicy::Random => match self.active_count() {
+                0 => None,
+                n_active => active_mut(&mut self.backends).nth(rng.below(n_active)),
+            },
         };
-        self.backends
-            .get_mut(&chosen)
-            .expect("chosen is known")
-            .pending += 1;
-        Ok(chosen)
+        let (&id, backend) = chosen.ok_or(CjdbcError::NoActiveBackend)?;
+        backend.pending += 1;
+        Ok(id)
     }
 
     /// The deterministic write primary: the first active backend in id
@@ -416,6 +413,16 @@ impl CjdbcController {
     }
 }
 
+/// The active backends in id order, mutably (a free function so callers
+/// can keep using the controller's other fields).
+fn active_mut(
+    backends: &mut BTreeMap<ServerId, Backend>,
+) -> impl Iterator<Item = (&ServerId, &mut Backend)> {
+    backends
+        .iter_mut()
+        .filter(|(_, b)| b.status == BackendStatus::Active)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +485,67 @@ mod tests {
         c.note_complete(first);
         c.note_complete(second);
         assert_eq!(c.pending(first), 0);
+    }
+
+    /// `route_read` as it was written over a materialized snapshot of
+    /// the active set: the reference the allocation-free choice must match.
+    fn snapshot_choice(c: &CjdbcController, rng: &mut SimRng) -> Option<ServerId> {
+        let active = c.active_backends();
+        if active.is_empty() {
+            return None;
+        }
+        Some(match c.policy {
+            ReadPolicy::RoundRobin => active[c.rr_cursor % active.len()],
+            ReadPolicy::Random => active[rng.below(active.len())],
+            ReadPolicy::LeastPending => active
+                .iter()
+                .copied()
+                .min_by_key(|id| c.backends[id].pending)
+                .unwrap(),
+        })
+    }
+
+    #[test]
+    fn route_read_matches_the_snapshot_based_choice() {
+        for policy in [
+            ReadPolicy::RoundRobin,
+            ReadPolicy::Random,
+            ReadPolicy::LeastPending,
+        ] {
+            let mut c = controller_with_active(5);
+            c.set_policy(policy);
+            let mut driver = SimRng::seed_from_u64(42);
+            // Twin streams: one drawn by `route_read`, one by the reference.
+            let (mut rng, mut ref_rng) = (SimRng::seed_from_u64(9), SimRng::seed_from_u64(9));
+            for step in 0..2000 {
+                let id = ServerId(jade_sim::id_u32(driver.below(5)));
+                match driver.below(8) {
+                    0 => {
+                        let _ = c.disable_backend(id);
+                    }
+                    1 => {
+                        let _ = c.fail_backend(id);
+                    }
+                    2 | 3 if c.begin_enable(id).is_ok() => {
+                        c.finish_replay(id).unwrap();
+                    }
+                    4 => c.note_complete(id),
+                    _ => {}
+                }
+                let expect = snapshot_choice(&c, &mut ref_rng).ok_or(CjdbcError::NoActiveBackend);
+                let expect_pending = expect.clone().map(|id| c.pending(id) + 1);
+                let expect_cursor = match (policy, c.active_count()) {
+                    (ReadPolicy::RoundRobin, n @ 1..) => (c.rr_cursor + 1) % n,
+                    _ => c.rr_cursor,
+                };
+                let got = c.route_read(&mut rng);
+                assert_eq!(got, expect, "{policy:?} step {step}");
+                assert_eq!(got.map(|id| c.pending(id)), expect_pending);
+                assert_eq!(c.rr_cursor, expect_cursor);
+            }
+            // Same number of draws on both streams (one per Random read).
+            assert_eq!(rng.below(1 << 30), ref_rng.below(1 << 30));
+        }
     }
 
     #[test]

@@ -206,8 +206,9 @@ pub struct LegacyLayer {
     pub sis: SoftwareInstallationService,
     /// Per-node configuration artifacts.
     pub configs: crate::config::ConfigStore,
-    servers: BTreeMap<ServerId, LegacyServer>,
-    next_server: u32,
+    /// Dense table indexed by `ServerId.0`; a removed server leaves a
+    /// `None` (ids are never recycled), so index order is creation order.
+    servers: Vec<Option<LegacyServer>>,
     outbox: Vec<(SimDuration, LegacyEvent)>,
     pending_replays: BTreeMap<(ServerId, ServerId), SyncPlan>,
     /// Base database image restored into every new MySQL replica before
@@ -234,8 +235,7 @@ impl LegacyLayer {
             net,
             sis,
             configs: crate::config::ConfigStore::new(),
-            servers: BTreeMap::new(),
-            next_server: 0,
+            servers: Vec::new(),
             outbox: Vec::new(),
             pending_replays: BTreeMap::new(),
             mysql_base: crate::storage::Database::new(crate::sql::Schema::empty()),
@@ -268,20 +268,32 @@ impl LegacyLayer {
         Ok(())
     }
 
-    /// Assigns the next server id. Ids are sequential and never recycled,
-    /// so `ServerId.0` doubles as a small dense index interned at
-    /// create-server time: per-server side tables (e.g. the app layer's
-    /// accept queues) can be flat `Vec`s indexed by it instead of maps.
-    fn fresh_id(&mut self) -> ServerId {
-        let id = ServerId(self.next_server);
-        self.next_server += 1;
+    /// The id the next created server gets. Ids are sequential and never
+    /// recycled, so `ServerId.0` doubles as a small dense index interned
+    /// at create-server time: the server table here and per-server side
+    /// tables (e.g. the app layer's accept queues) are flat `Vec`s indexed
+    /// by it instead of maps.
+    fn fresh_id(&self) -> ServerId {
+        ServerId(jade_sim::id_u32(self.servers.len()))
+    }
+
+    /// Appends a server built with [`LegacyLayer::fresh_id`] to the table.
+    fn insert(&mut self, server: LegacyServer) -> ServerId {
+        let id = server.process().id;
+        debug_assert_eq!(id, self.fresh_id());
+        self.servers.push(Some(server));
         id
+    }
+
+    /// Servers that have not been removed, in id (= creation) order.
+    fn live_servers(&self) -> impl Iterator<Item = &LegacyServer> {
+        self.servers.iter().flatten()
     }
 
     /// One past the largest `ServerId.0` ever assigned — the length a
     /// dense `Vec` indexed by server id must have to cover every server.
     pub fn server_index_bound(&self) -> usize {
-        self.next_server as usize
+        self.servers.len()
     }
 
     /// Drains deferred events; the simulation schedules them.
@@ -296,17 +308,13 @@ impl LegacyLayer {
     /// Creates a stopped Apache process on `node`.
     pub fn create_apache(&mut self, name: &str, node: NodeId) -> ServerId {
         let id = self.fresh_id();
-        self.servers
-            .insert(id, LegacyServer::Apache(ApacheServer::new(id, name, node)));
-        id
+        self.insert(LegacyServer::Apache(ApacheServer::new(id, name, node)))
     }
 
     /// Creates a stopped Tomcat process on `node`.
     pub fn create_tomcat(&mut self, name: &str, node: NodeId) -> ServerId {
         let id = self.fresh_id();
-        self.servers
-            .insert(id, LegacyServer::Tomcat(TomcatServer::new(id, name, node)));
-        id
+        self.insert(LegacyServer::Tomcat(TomcatServer::new(id, name, node)))
     }
 
     /// Creates a stopped MySQL process on `node`, restoring the base
@@ -315,50 +323,37 @@ impl LegacyLayer {
         let id = self.fresh_id();
         let mut server = MysqlServer::new(id, name, node);
         server.db = self.mysql_base.clone();
-        self.servers.insert(id, LegacyServer::Mysql(server));
-        id
+        self.insert(LegacyServer::Mysql(server))
     }
 
     /// Creates a stopped C-JDBC controller on `node`.
     pub fn create_cjdbc(&mut self, name: &str, node: NodeId, policy: ReadPolicy) -> ServerId {
         let id = self.fresh_id();
-        self.servers.insert(
-            id,
-            LegacyServer::Cjdbc {
-                process: ServerProcess::new(id, name, node, Tier::Balancer),
-                port: 25322,
-                ctrl: CjdbcController::new(policy, Arc::clone(&self.schema)),
-                routing_demand: SimDuration::from_micros(200),
-            },
-        );
-        id
+        self.insert(LegacyServer::Cjdbc {
+            process: ServerProcess::new(id, name, node, Tier::Balancer),
+            port: 25322,
+            ctrl: CjdbcController::new(policy, Arc::clone(&self.schema)),
+            routing_demand: SimDuration::from_micros(200),
+        })
     }
 
     /// Creates a stopped PLB load balancer on `node`.
     pub fn create_plb(&mut self, name: &str, node: NodeId, policy: BalancePolicy) -> ServerId {
         let id = self.fresh_id();
-        self.servers.insert(
-            id,
-            LegacyServer::Plb {
-                process: ServerProcess::new(id, name, node, Tier::Balancer),
-                port: 8080,
-                balancer: HttpBalancer::new(policy),
-            },
-        );
-        id
+        self.insert(LegacyServer::Plb {
+            process: ServerProcess::new(id, name, node, Tier::Balancer),
+            port: 8080,
+            balancer: HttpBalancer::new(policy),
+        })
     }
 
     /// Creates a stopped L4 switch on `node`.
     pub fn create_l4switch(&mut self, name: &str, node: NodeId, policy: BalancePolicy) -> ServerId {
         let id = self.fresh_id();
-        self.servers.insert(
-            id,
-            LegacyServer::L4Switch {
-                process: ServerProcess::new(id, name, node, Tier::Balancer),
-                balancer: HttpBalancer::new(policy),
-            },
-        );
-        id
+        self.insert(LegacyServer::L4Switch {
+            process: ServerProcess::new(id, name, node, Tier::Balancer),
+            balancer: HttpBalancer::new(policy),
+        })
     }
 
     /// Destroys a stopped server process.
@@ -368,7 +363,9 @@ impl LegacyLayer {
         if state != ServerState::Stopped && state != ServerState::Failed {
             return Err(LegacyError::BadState(id, state));
         }
-        self.servers.remove(&id);
+        if let Some(slot) = self.servers.get_mut(id.0 as usize) {
+            *slot = None;
+        }
         Ok(())
     }
 
@@ -378,30 +375,25 @@ impl LegacyLayer {
 
     /// Shared access to a server.
     pub fn server(&self, id: ServerId) -> Result<&LegacyServer, LegacyError> {
-        self.servers.get(&id).ok_or(LegacyError::NoSuchServer(id))
+        self.servers
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(LegacyError::NoSuchServer(id))
     }
 
     /// Mutable access to a server.
     pub fn server_mut(&mut self, id: ServerId) -> Result<&mut LegacyServer, LegacyError> {
         self.servers
-            .get_mut(&id)
+            .get_mut(id.0 as usize)
+            .and_then(Option::as_mut)
             .ok_or(LegacyError::NoSuchServer(id))
-    }
-
-    /// All server ids, in creation order.
-    // jade-audit: allow(hot-alloc): snapshot taken once per detector
-    // period (seconds of simulated time) so repairs can mutate the server
-    // map while the detector iterates; length is the server count.
-    pub fn server_ids(&self) -> Vec<ServerId> {
-        self.servers.keys().copied().collect()
     }
 
     /// Running servers of a tier.
     pub fn running_servers_of(&self, tier: Tier) -> Vec<ServerId> {
-        self.servers
-            .iter()
-            .filter(|(_, s)| s.process().tier == tier && s.process().state.is_running())
-            .map(|(&id, _)| id)
+        self.live_servers()
+            .filter(|s| s.process().tier == tier && s.process().state.is_running())
+            .map(|s| s.process().id)
             .collect()
     }
 
@@ -419,8 +411,7 @@ impl LegacyLayer {
     pub fn nodes_of_tier_into(&self, tier: Tier, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
-            self.servers
-                .values()
+            self.live_servers()
                 .filter(|s| s.process().tier == tier && s.process().state.is_running())
                 .map(|s| s.process().node),
         );
@@ -431,8 +422,7 @@ impl LegacyLayer {
     /// Number of running servers of a tier, without materializing the id
     /// list.
     pub fn running_count_of(&self, tier: Tier) -> usize {
-        self.servers
-            .values()
+        self.live_servers()
             .filter(|s| s.process().tier == tier && s.process().state.is_running())
             .count()
     }
@@ -573,10 +563,9 @@ impl LegacyLayer {
     #[cold]
     pub fn crash_node(&mut self, node: NodeId, now: SimTime) -> Vec<jade_sim::JobId> {
         let victims: Vec<ServerId> = self
-            .servers
-            .iter()
-            .filter(|(_, s)| s.process().node == node)
-            .map(|(&id, _)| id)
+            .live_servers()
+            .filter(|s| s.process().node == node)
+            .map(|s| s.process().id)
             .collect();
         for id in victims {
             let _ = self.fail_server(id);
@@ -1178,5 +1167,14 @@ mod tests {
         l.stop_server(t).unwrap();
         l.remove_server(t).unwrap();
         assert!(l.server(t).is_err());
+        // The id is not recycled: the table keeps a hole that lookups and
+        // tier queries skip.
+        let t2 = l.create_tomcat("Tomcat2", NodeId(0));
+        assert_eq!(t2, ServerId(t.0 + 1));
+        assert!(matches!(l.server_mut(t), Err(LegacyError::NoSuchServer(_))));
+        l.start_server(t2).unwrap();
+        l.finish_boot(t2).unwrap();
+        assert_eq!(l.running_servers_of(Tier::Application), vec![t2]);
+        assert_eq!(l.server_index_bound(), 2);
     }
 }

@@ -132,36 +132,83 @@ fn ring_retention_is_a_suffix() {
     });
 }
 
-/// The probe tick's dense spatial averages — samples in a flat array
-/// indexed by node id, summed over sorted tier node lists — are
-/// byte-identical to the `BTreeMap` path they replaced. Two identical
-/// clusters receive the same random job load; one is sampled through
-/// `sample_cpus_into` + dense indexing, the other node-by-node into a
-/// `BTreeMap` consumed by `NaiveObservation::spatial_avg`.
+/// The probe tick — `sample_cpus_into`, which visits only the nodes that
+/// did something since the last probe, plus dense indexing over sorted
+/// tier node lists — is bit-identical to sampling every node on every
+/// tick into a `BTreeMap` consumed by `NaiveObservation::spatial_avg`.
+///
+/// Two identical clusters receive the same random interleaving of
+/// allocate / release / submit / abort / collect / crash / repair. `lazy`
+/// is probed through `sample_cpus_into`; `eager` never is, so all its
+/// nodes stay listed as dirty and sampling each through `node_mut` is the
+/// every-node-every-tick oracle. Ticks are irregularly spaced, repeat at
+/// the same instant, and land exactly on completion-timer instants.
 #[test]
 fn probe_tick_spatial_avg_matches_btreemap() {
-    run("probe_tick_spatial_avg_matches_btreemap", 128, |g| {
+    run("probe_tick_spatial_avg_matches_btreemap", 192, |g| {
         let nodes = g.usize(2..40);
         let spec = NodeSpec::default();
-        let mut dense_cm = ClusterManager::homogeneous(nodes, spec, 64);
-        let mut map_cm = ClusterManager::homogeneous(nodes, spec, 64);
+        let mut lazy = ClusterManager::homogeneous(nodes, spec, 64);
+        let mut eager = ClusterManager::homogeneous(nodes, spec, 64);
         let mut samples: Vec<f64> = Vec::new();
         let mut job = 0u64;
         let mut t = 0u64;
-        for _ in 0..g.usize(1..20) {
-            // Load both clusters identically (sampling resets each
-            // node's utilization window, so the twins must see the same
-            // submissions *and* the same sample times).
-            for _ in 0..g.usize(0..30) {
-                let n = NodeId(g.u32(0..nodes as u32));
-                let demand = SimDuration::from_micros(g.u64(1..5_000_000));
+        for _ in 0..g.usize(1..40) {
+            // Most ticks are idle for most nodes: few operations, on few
+            // nodes, so nodes do go clean and are later woken up.
+            for _ in 0..g.usize(0..8) {
+                if g.bool() {
+                    t += g.u64(0..400_000);
+                }
                 let at = SimTime::from_micros(t);
-                job += 1;
-                for cm in [&mut dense_cm, &mut map_cm] {
-                    cm.node_mut(n).unwrap().cpu.submit(at, JobId(job), demand);
+                let n = NodeId(g.u32(0..nodes as u32));
+                let op = g.weighted(&[8, 2, 4, 2, 2, 1, 2]);
+                let demand = SimDuration::from_micros(g.u64(0..2_000_000));
+                let victim = JobId(g.u64(0..job + 1));
+                if op == 0 {
+                    job += 1;
+                }
+                for cm in [&mut lazy, &mut eager] {
+                    match op {
+                        0 => cm.node_mut(n).unwrap().cpu.submit(at, JobId(job), demand),
+                        1 => {
+                            cm.node_mut(n).unwrap().cpu.abort(at, victim);
+                        }
+                        2 => {
+                            cm.node_mut(n).unwrap().cpu.collect_completions(at);
+                        }
+                        3 => {
+                            let _ = cm.allocate();
+                        }
+                        4 => {
+                            let _ = cm.release(n);
+                        }
+                        5 => {
+                            cm.node_mut(n).unwrap().crash(at);
+                        }
+                        _ => {
+                            if !cm.node(n).unwrap().is_up() {
+                                cm.node_mut(n).unwrap().repair();
+                            }
+                        }
+                    }
                 }
             }
-            t += g.u64(1..3_000_000);
+            match g.weighted(&[2, 1, 5]) {
+                // Tick at the instant a node's completion timer would fire.
+                0 => {
+                    let n = NodeId(g.u32(0..nodes as u32));
+                    let at = SimTime::from_micros(t);
+                    let next = lazy.node_mut(n).unwrap().cpu.next_completion(at);
+                    assert_eq!(next, eager.node_mut(n).unwrap().cpu.next_completion(at));
+                    if let Some(done) = next {
+                        t = done.as_micros();
+                    }
+                }
+                // Tick at the instant of the last operation or tick.
+                1 => {}
+                _ => t += g.u64(1..3_000_000),
+            }
             let now = SimTime::from_micros(t);
 
             // Random tier partition, sorted like the legacy registry's
@@ -170,7 +217,8 @@ fn probe_tick_spatial_avg_matches_btreemap() {
                 (0..nodes as u32).filter(|_| g.bool()).map(NodeId).collect();
             tier.sort_unstable();
 
-            dense_cm.sample_cpus_into(now, &mut samples);
+            lazy.sample_cpus_into(now, &mut samples);
+            assert_eq!(samples.len(), nodes);
             let dense = if tier.is_empty() {
                 0.0
             } else {
@@ -181,7 +229,14 @@ fn probe_tick_spatial_avg_matches_btreemap() {
             let mut map: BTreeMap<NodeId, f64> = BTreeMap::new();
             for i in 0..nodes as u32 {
                 let n = NodeId(i);
-                map.insert(n, map_cm.node_mut(n).unwrap().sample_cpu(now));
+                let v = eager.node_mut(n).unwrap().sample_cpu(now);
+                assert_eq!(
+                    samples[i as usize].to_bits(),
+                    v.to_bits(),
+                    "node {i} at t={t}: lazy {} != eager {v}",
+                    samples[i as usize]
+                );
+                map.insert(n, v);
             }
             let naive = NaiveObservation::spatial_avg(&map, &tier);
             let all: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
@@ -189,6 +244,15 @@ fn probe_tick_spatial_avg_matches_btreemap() {
 
             assert_eq!(dense.to_bits(), naive.to_bits());
             assert_eq!(dense_all.to_bits(), naive_all.to_bits());
+        }
+        let end = SimTime::from_micros(t + g.u64(0..2_000_000));
+        for i in 0..nodes as u32 {
+            let n = NodeId(i);
+            assert_eq!(
+                lazy.node_mut(n).unwrap().cpu_busy_time(end),
+                eager.node_mut(n).unwrap().cpu_busy_time(end),
+                "busy time of node {i}"
+            );
         }
     });
 }
