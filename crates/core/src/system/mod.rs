@@ -20,7 +20,7 @@ use jade_cluster::SoftwareRepository;
 use jade_cluster::{ClusterManager, Network, NodeId, SoftwareInstallationService};
 use jade_fractal::{ComponentId, InterfaceDecl, Registry};
 use jade_rubis::{dataset_statements, rubis_schema, EmulatedClient, KeySpace, StatsCollector};
-use jade_sim::{App, Ctx, EventToken, GenSlab, JobId, SimDuration, SimTime, SlabKey};
+use jade_sim::{App, Ctx, GenSlab, JobId, SimDuration, SimTime, SlabKey};
 use jade_tiers::wrappers::{BalancerWrapper, CjdbcWrapper, MysqlWrapper, TomcatWrapper};
 use jade_tiers::{LegacyEvent, LegacyLayer, RequestId, ServerId, SqlOp};
 use std::collections::{BTreeMap, VecDeque};
@@ -113,9 +113,6 @@ pub struct J2eeApp {
 
     /// CPU-job owners in a generational slab keyed by the packed `JobId`.
     pub(crate) job_owner: GenSlab<JobOwner>,
-    /// Pending `CpuComplete` timer per node, indexed densely by
-    /// `NodeId.0` (the node pool is fixed at configuration time).
-    pub(crate) cpu_timers: Vec<Option<EventToken>>,
     /// Recycled buffer for draining CPU completions on each timer fire
     /// (the hottest per-event path), so the drain never allocates.
     pub(crate) completion_scratch: Vec<JobId>,
@@ -312,7 +309,6 @@ impl J2eeApp {
             accept_queues: Vec::new(),
             next_request_seq: 0,
             job_owner: GenSlab::new(),
-            cpu_timers: Vec::new(),
             completion_scratch: Vec::new(),
             sql_recycle: Vec::new(),
             param_recycle: Vec::new(),
@@ -433,15 +429,9 @@ impl J2eeApp {
         self.last_heartbeat[slot] = Some(now);
     }
 
-    /// Cancels and clears the pending CPU timer of `node`, if any.
+    /// Clears the pending CPU timer of `node`, if any.
     pub(crate) fn cancel_cpu_timer(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId) {
-        if let Some(tok) = self
-            .cpu_timers
-            .get_mut(node.0 as usize)
-            .and_then(Option::take)
-        {
-            ctx.cancel(tok);
-        }
+        ctx.disarm_timer(node.0);
     }
 
     // ------------------------------------------------------------------
@@ -471,25 +461,19 @@ impl J2eeApp {
         self.rearm_cpu(ctx, node);
     }
 
-    // jade-audit: allow(hot-panic): the resize on the preceding line
-    // guarantees slot < cpu_timers.len().
+    /// Moves `node`'s one `CpuComplete` timer (keyed by `NodeId.0` in
+    /// the kernel's keyed lane) to the CPU's next completion instant, or
+    /// clears it when the CPU has nothing left to finish.
     pub(crate) fn rearm_cpu(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId) {
-        let slot = node.0 as usize;
-        if slot >= self.cpu_timers.len() {
-            self.cpu_timers.resize(slot + 1, None);
-        }
-        if let Some(tok) = self.cpu_timers[slot].take() {
-            ctx.cancel(tok);
-        }
         let next = self
             .legacy
             .cluster
             .node_mut(node)
             .ok()
             .and_then(|n| n.cpu.next_completion(ctx.now()));
-        if let Some(t) = next {
-            let tok = ctx.send_at(t, jade_sim::Addr::ROOT, Msg::CpuComplete(node));
-            self.cpu_timers[slot] = Some(tok);
+        match next {
+            Some(t) => ctx.arm_timer(node.0, t, jade_sim::Addr::ROOT, Msg::CpuComplete(node)),
+            None => ctx.disarm_timer(node.0),
         }
     }
 

@@ -61,8 +61,9 @@
 //!
 //! The owner (a server actor) drives the model: it calls [`PsCpu::submit`]
 //! on arrival, asks for [`PsCpu::next_completion`], arms one timer with the
-//! engine, and on the timer calls [`PsCpu::collect_completions`]. Re-arming
-//! uses the event queue's lazy cancellation.
+//! engine, and on the timer calls [`PsCpu::collect_completions`]. The timer
+//! moves on every arrival and departure, so the owner keeps it in the event
+//! queue's keyed lane ([`crate::Ctx::arm_timer`]), which re-arms in place.
 
 // jade-audit: allow-file(hot-panic): hand-audited slab/heap core — every
 // index is a heap position < heap.len() maintained by sift_down/min_child,

@@ -94,6 +94,21 @@ impl<'a, M> Ctx<'a, M> {
         self.queue.cancel(token);
     }
 
+    /// Sets the one timer of `key` to deliver `msg` to `dst` at absolute
+    /// time `at` (clamped to now), replacing whatever the key had armed.
+    /// Delivery order is that of a [`Ctx::send_at`] issued at this point;
+    /// see [`EventQueue::arm`]. For timers re-armed more often than they
+    /// fire; keys index a dense table, so keep them small.
+    pub fn arm_timer(&mut self, key: u32, at: SimTime, dst: Addr, msg: M) {
+        let at = at.max(self.now);
+        self.queue.arm(key, at, (dst, msg));
+    }
+
+    /// Clears the timer of `key` (no-op if none is armed).
+    pub fn disarm_timer(&mut self, key: u32) {
+        self.queue.disarm(key);
+    }
+
     /// The run's metrics sink.
     pub fn metrics(&mut self) -> &mut MetricsHub {
         self.metrics
@@ -209,11 +224,18 @@ impl<A: App> Engine<A> {
         let Some((t, (dst, msg))) = self.queue.pop() else {
             return false;
         };
+        self.deliver(t, dst, msg);
+        true
+    }
+
+    /// Advances the clock to `t` and hands one popped event to the app.
+    #[inline]
+    fn deliver(&mut self, t: SimTime, dst: Addr, msg: A::Msg) {
         debug_assert!(t >= self.time, "time must be monotone");
         self.time = t;
         self.events_processed += 1;
         let mut ctx = Ctx {
-            now: self.time,
+            now: t,
             queue: &mut self.queue,
             metrics: &mut self.metrics,
             rng: &mut self.rng,
@@ -221,7 +243,6 @@ impl<A: App> Engine<A> {
             stop_requested: &mut self.stop_requested,
         };
         self.app.handle(&mut ctx, dst, msg);
-        true
     }
 
     /// Runs until the horizon `until` (inclusive), the queue drains, or a
@@ -245,18 +266,7 @@ impl<A: App> Engine<A> {
                 self.time = until;
                 return RunOutcome::HorizonReached;
             };
-            debug_assert!(t >= self.time, "time must be monotone");
-            self.time = t;
-            self.events_processed += 1;
-            let mut ctx = Ctx {
-                now: self.time,
-                queue: &mut self.queue,
-                metrics: &mut self.metrics,
-                rng: &mut self.rng,
-                tracer: &mut self.tracer,
-                stop_requested: &mut self.stop_requested,
-            };
-            self.app.handle(&mut ctx, dst, msg);
+            self.deliver(t, dst, msg);
         }
     }
 
@@ -382,6 +392,40 @@ mod tests {
         eng.schedule(SimTime::ZERO, Addr(0), M::Arm);
         eng.run_until(SimTime::from_secs(100));
         assert!(!eng.app().fired);
+    }
+
+    #[test]
+    fn keyed_timers_via_ctx_rearm_clamp_and_disarm() {
+        struct Timers {
+            fired: Vec<(SimTime, u8)>,
+        }
+        enum M {
+            Start,
+            Fire(u8),
+        }
+        impl App for Timers {
+            type Msg = M;
+            fn handle(&mut self, ctx: &mut Ctx<'_, M>, dst: Addr, msg: M) {
+                match msg {
+                    M::Start => {
+                        ctx.arm_timer(0, SimTime::from_secs(5), dst, M::Fire(1));
+                        ctx.arm_timer(0, SimTime::from_secs(3), dst, M::Fire(2)); // replaces
+                        ctx.arm_timer(1, SimTime::ZERO, dst, M::Fire(3)); // past: clamped
+                        ctx.arm_timer(2, SimTime::from_secs(4), dst, M::Fire(4));
+                        ctx.disarm_timer(2);
+                        ctx.disarm_timer(9); // never armed
+                    }
+                    M::Fire(n) => self.fired.push((ctx.now(), n)),
+                }
+            }
+        }
+        let mut eng = Engine::new(Timers { fired: vec![] }, 1);
+        eng.schedule(SimTime::from_secs(1), Addr(0), M::Start);
+        assert_eq!(eng.run_until(SimTime::from_secs(100)), RunOutcome::Drained);
+        assert_eq!(
+            eng.app().fired,
+            [(SimTime::from_secs(1), 3), (SimTime::from_secs(3), 2)]
+        );
     }
 
     #[test]

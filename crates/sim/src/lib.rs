@@ -5,10 +5,11 @@
 //!
 //! * a virtual clock with microsecond resolution ([`SimTime`],
 //!   [`SimDuration`]),
-//! * a pending-event set with FIFO tie-breaking and lazy cancellation
-//!   ([`queue::EventQueue`]), backed by a slab min-heap for precise
-//!   events and a hierarchical timer wheel ([`wheel`]) for the coarse
-//!   deadlines that dominate at million-client scale,
+//! * a pending-event set with FIFO tie-breaking ([`queue::EventQueue`]):
+//!   a slab min-heap with lazy cancellation for precise one-shot events,
+//!   a hierarchical timer wheel ([`wheel`]) for the coarse deadlines that
+//!   dominate at million-client scale, and a keyed lane for timers that
+//!   are re-armed in place, all merged by one `(time, seq)` order,
 //! * a generational slab arena for O(1) id-addressed state with stale-id
 //!   detection ([`slab::GenSlab`]),
 //! * an application-routing engine ([`Engine`], [`App`], [`Ctx`]),

@@ -23,13 +23,35 @@
 //!   performs no per-event allocation once the high-water mark is reached.
 //!
 //! Cancellation stays *lazy*: [`EventQueue::cancel`] marks the slot and the
-//! entry is dropped when it reaches the head of the heap — the standard DES
-//! technique for timers that are frequently re-armed (e.g. the
-//! processor-sharing CPU model re-arms its next-completion timer on every
-//! arrival and departure). To bound the garbage a cancel-heavy workload can
-//! accumulate, the queue *compacts* (filters cancelled entries and
-//! re-heapifies in O(n)) whenever more than half of a non-trivial heap is
-//! dead.
+//! entry is dropped when it reaches the head of the heap — right for
+//! one-shot events that are rarely cancelled. To bound the garbage a
+//! cancel-heavy workload can accumulate, the queue *compacts* (filters
+//! cancelled entries and re-heapifies in O(n)) whenever more than half of
+//! a non-trivial heap is dead.
+//!
+//! # Keyed timers
+//!
+//! A timer that is re-armed far more often than it fires — the
+//! processor-sharing CPU model moves its one next-completion timer per
+//! node on every job arrival and departure — would turn most heap pushes
+//! into tombstones. [`EventQueue::arm`] keeps such timers in a third lane
+//! instead: one timer per caller-chosen `key`, overwritten in place, with
+//! no slab slot, no token and nothing left behind by a re-arm or a
+//! [`EventQueue::disarm`]. `arm` draws its sequence number from the same
+//! counter as `push`, so `arm(key, t, p)` fires exactly where "cancel the
+//! key's previous token, then `push(t, p)`" would have: which lane held an
+//! event is unobservable.
+//!
+//! The lane is a dense unsorted array of the heap's 16-byte entries (the
+//! payloads in a parallel array), a position per key and the cached
+//! position of the minimum. Arming a key that is not the minimum is O(1);
+//! popping, disarming or postponing the minimum rescans the armed
+//! entries, O(armed). Armed timers are bounded by the key space — for CPU
+//! timers, nodes with a resident job, at most the allocated nodes (4 to 9
+//! in every shipped scenario; two or three armed at a typical pop) — and
+//! at that size the scan beat an indexed binary heap and an indexed 8-ary
+//! heap, which pay a back-pointer write per level on every re-arm.
+//! Revisit if a topology ever keeps hundreds of keys armed at once.
 //!
 //! # Coarse deadlines
 //!
@@ -39,10 +61,10 @@
 //! million-client think-time and patience timers need. The wheel is
 //! *exact* — entries fire at their precise microsecond timestamp — and it
 //! shares this queue's payload slab, token generations, and the single
-//! global sequence counter, so heap and wheel events at the same instant
-//! interleave by insertion order exactly as if both sat in one heap.
-//! Which structure held a timer is unobservable to the simulation; only
-//! the constant factors differ.
+//! global sequence counter, so heap, wheel and keyed events at the same
+//! instant interleave by insertion order exactly as if all sat in one
+//! heap. Which structure held a timer is unobservable to the simulation;
+//! only the constant factors differ.
 
 // jade-audit: allow-file(hot-panic): hand-audited slab/heap core — every
 // index is a heap position < heap.len() maintained by the sift loops, a
@@ -126,15 +148,111 @@ struct SlotEntry<T> {
     state: Slot<T>,
 }
 
+/// Position marker of a key with no armed timer.
+const UNARMED: u32 = u32::MAX;
+
+/// The keyed-timer lane: at most one pending timer per key, re-armed in
+/// place (see the module docs). `armed` entries pack `(seq << 32) | key`
+/// where heap entries pack the slot, `payloads` runs parallel to `armed`,
+/// `pos[key]` is the key's position in both (or `UNARMED`), and `min` is
+/// the position of the smallest entry, 0 when nothing is armed. Every
+/// operation that can move the minimum either proves the new one in O(1)
+/// or rescans — O(armed), the cost to revisit if a topology ever keeps
+/// hundreds of keys armed.
+struct KeyedLane<T> {
+    armed: Vec<HeapEntry>,
+    payloads: Vec<T>,
+    pos: Vec<u32>,
+    min: usize,
+}
+
+impl<T> KeyedLane<T> {
+    #[inline]
+    fn min_entry(&self) -> Option<&HeapEntry> {
+        self.armed.get(self.min)
+    }
+
+    fn rescan_min(&mut self) {
+        let mut best = 0;
+        let mut best_key = u128::MAX;
+        for (i, e) in self.armed.iter().enumerate() {
+            let k = e.key();
+            if k < best_key {
+                best = i;
+                best_key = k;
+            }
+        }
+        self.min = best;
+    }
+
+    // Growth: `pos` reaches the largest key ever armed, `armed`/`payloads`
+    // the number of keys armed at once — both bounded by the caller's key
+    // space (the node pool, fixed at configuration time), not run length.
+    fn arm_key(&mut self, key: u32, entry: HeapEntry, payload: T) {
+        if key as usize >= self.pos.len() {
+            self.pos.resize(key as usize + 1, UNARMED);
+        }
+        let at = self.pos[key as usize] as usize;
+        if at == UNARMED as usize {
+            self.pos[key as usize] = self.armed.len() as u32;
+            if self.min_entry().is_none_or(|m| entry.key() < m.key()) {
+                self.min = self.armed.len();
+            }
+            self.armed.push(entry);
+            self.payloads.push(payload);
+            return;
+        }
+        let old = std::mem::replace(&mut self.armed[at], entry);
+        self.payloads[at] = payload;
+        if at != self.min {
+            if entry.key() < self.armed[self.min].key() {
+                self.min = at;
+            }
+        } else if entry.key() > old.key() {
+            // The minimum moved later; any entry may have overtaken it.
+            self.rescan_min();
+        }
+    }
+
+    /// Clears `key`'s timer, if one is armed.
+    fn disarm_key(&mut self, key: u32) {
+        if let Some(&at) = self.pos.get(key as usize) {
+            if at != UNARMED {
+                self.take_at(at as usize);
+            }
+        }
+    }
+
+    /// Removes the armed entry at position `at`, returning its payload.
+    fn take_at(&mut self, at: usize) -> T {
+        let entry = self.armed.swap_remove(at);
+        let payload = self.payloads.swap_remove(at);
+        self.pos[entry.slot() as usize] = UNARMED;
+        if let Some(moved) = self.armed.get(at) {
+            self.pos[moved.slot() as usize] = at as u32;
+        }
+        if at == self.min {
+            self.rescan_min();
+        } else if self.min == self.armed.len() {
+            // The minimum was the tail entry swap_remove moved into `at`.
+            self.min = at;
+        }
+        payload
+    }
+}
+
 /// Free-list terminator (the slab can never index 2^32 slots: the heap
 /// would overflow memory long before).
 const NO_FREE: u32 = u32::MAX;
 
-/// Deterministic pending-event set with lazy cancellation.
+/// Deterministic pending-event set: a heap with lazy cancellation, a
+/// timer wheel for coarse deadlines and a lane of keyed re-armable
+/// timers, merged by one `(time, seq)` order.
 pub struct EventQueue<T> {
     heap: Vec<HeapEntry>,
     slots: Vec<SlotEntry<T>>,
     free_head: u32,
+    /// The one sequence counter `push`, `push_coarse` and `arm` draw from.
     next_seq: u64,
     /// Cancelled-but-unswept entries in the heap.
     cancelled: usize,
@@ -147,6 +265,7 @@ pub struct EventQueue<T> {
     wheel_cancelled: usize,
     /// Scratch for wheel drains, reused across calls.
     drain_scratch: Vec<(u64, u64)>,
+    keyed: KeyedLane<T>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -178,6 +297,12 @@ impl<T> EventQueue<T> {
             ready_time: SimTime::ZERO,
             wheel_cancelled: 0,
             drain_scratch: Vec::new(),
+            keyed: KeyedLane {
+                armed: Vec::new(),
+                payloads: Vec::new(),
+                pos: Vec::new(),
+                min: 0,
+            },
         }
     }
 
@@ -214,13 +339,21 @@ impl<T> EventQueue<T> {
         self.free_head = slot;
     }
 
-    /// Schedules `payload` at `time`, returning a cancellation token.
-    pub fn push(&mut self, time: SimTime, payload: T) -> EventToken {
+    /// Draws the next insertion sequence number, renumbering first if
+    /// the counter is about to outgrow its 32 bits of the packed word.
+    #[inline]
+    fn draw_seq(&mut self) -> u64 {
         if self.next_seq > u32::MAX as u64 {
             self.renumber();
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` at `time`, returning a cancellation token.
+    pub fn push(&mut self, time: SimTime, payload: T) -> EventToken {
+        let seq = self.draw_seq();
         let slot = self.alloc_slot(payload);
         let token = EventToken::new(slot, self.slots[slot as usize].generation);
         self.heap.push(HeapEntry::new(time, seq, slot));
@@ -248,11 +381,7 @@ impl<T> EventQueue<T> {
             // The heap can, and the two are observably identical.
             return self.push(time, payload);
         }
-        if self.next_seq > u32::MAX as u64 {
-            self.renumber();
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.draw_seq();
         let slot = self.alloc_slot(payload);
         let cell = &mut self.slots[slot as usize];
         cell.coarse = true;
@@ -261,8 +390,27 @@ impl<T> EventQueue<T> {
         token
     }
 
+    /// Sets the one timer of `key` to fire `payload` at `time`, replacing
+    /// whatever the key had armed. Observably identical to cancelling the
+    /// key's previous event and [`EventQueue::push`]ing a new one — same
+    /// sequence number drawn, same place in same-instant order — without
+    /// a slot, a token or a tombstone. Keys index a dense table: use small
+    /// integers (the simulator uses node ids).
+    pub fn arm(&mut self, key: u32, time: SimTime, payload: T) {
+        let seq = self.draw_seq();
+        self.keyed
+            .arm_key(key, HeapEntry::new(time, seq, key), payload);
+    }
+
+    /// Clears the timer of `key`; a no-op if none is armed (never armed,
+    /// already fired, or already disarmed).
+    pub fn disarm(&mut self, key: u32) {
+        self.keyed.disarm_key(key);
+    }
+
     /// Reassigns pending sequence numbers to `0..n` in key order — across
-    /// the heap, the wheel, and the wheel's drain buffer jointly — so
+    /// the heap, the keyed lane, the wheel, and the wheel's drain buffer
+    /// jointly — so
     /// `seq` keeps fitting in 32 bits no matter how many events a run
     /// schedules. The remap is monotone in the old global key, so
     /// relative order — and hence determinism — is untouched, and the
@@ -275,10 +423,10 @@ impl<T> EventQueue<T> {
             Node(u32),
             Over(u32),
             Ready(u32),
+            Keyed(u32),
         }
         let key_of = |time: u64, packed: u64| ((time as u128) << 64) | packed as u128;
-        let mut all: Vec<(u128, Src)> =
-            Vec::with_capacity(self.heap.len() + self.wheel.len() + self.ready.len());
+        let mut all: Vec<(u128, Src)> = Vec::with_capacity(self.raw_len());
         for (i, e) in self.heap.iter().enumerate() {
             all.push((e.key(), Src::Heap(i as u32)));
         }
@@ -292,6 +440,9 @@ impl<T> EventQueue<T> {
         }
         for (i, &p) in self.ready.iter().enumerate() {
             all.push((key_of(self.ready_time.as_micros(), p), Src::Ready(i as u32)));
+        }
+        for (i, e) in self.keyed.armed.iter().enumerate() {
+            all.push((e.key(), Src::Keyed(i as u32)));
         }
         all.sort_unstable_by_key(|&(k, _)| k);
         for (new_seq, (_, src)) in all.iter().enumerate() {
@@ -312,6 +463,11 @@ impl<T> EventQueue<T> {
                 Src::Ready(i) => {
                     let p = &mut self.ready[i as usize];
                     *p = reseq(*p);
+                }
+                // Monotone remap: the cached minimum stays the minimum.
+                Src::Keyed(i) => {
+                    let e = &mut self.keyed.armed[i as usize];
+                    e.packed = reseq(e.packed);
                 }
             }
         }
@@ -345,40 +501,51 @@ impl<T> EventQueue<T> {
     /// Refills the wheel's drain buffer: advances the wheel (cascading
     /// and draining buckets) until either the minimal wheel timestamp's
     /// entries sit in `ready` sorted by seq, the wheel is exhausted, or
-    /// the wheel provably cannot beat the current heap head. Cancelled
-    /// entries are swept as they surface.
+    /// the wheel provably cannot beat the earlier of the heap head and
+    /// the keyed minimum. Runs on every pop; all but the wheel's own
+    /// advances leave after two length checks and the memoized candidate.
+    #[inline]
     fn fill_ready(&mut self) {
         while self.ready.is_empty() && !self.wheel.is_empty() {
             // A cancelled heap head only makes this bound conservative:
             // the pop/peek loop removes it and comes back here.
-            let bound = self.heap.first().map(|e| e.time.as_micros());
+            let bound = match (self.heap.first(), self.keyed.min_entry()) {
+                (Some(h), Some(k)) => h.time.min(k.time),
+                (Some(e), None) | (None, Some(e)) => e.time,
+                (None, None) => SimTime::MAX,
+            };
             match self.wheel.next_candidate() {
-                Some(cand) if bound.is_none_or(|b| cand <= b) => {
-                    self.drain_scratch.clear();
-                    self.wheel.advance_once(&mut self.drain_scratch);
-                    if self.drain_scratch.is_empty() {
-                        continue; // cascaded or migrated; keep advancing
-                    }
-                    self.drain_scratch.sort_unstable_by_key(|&(_, p)| p);
-                    self.ready_time = SimTime::from_micros(self.drain_scratch[0].0);
-                    let scratch = std::mem::take(&mut self.drain_scratch);
-                    for &(_, p) in &scratch {
-                        if matches!(self.slots[p as u32 as usize].state, Slot::Cancelled) {
-                            self.wheel_cancelled -= 1;
-                            self.free_slot(p as u32);
-                        } else {
-                            self.ready.push_back(p);
-                        }
-                    }
-                    self.drain_scratch = scratch;
-                }
+                Some(cand) if cand <= bound.as_micros() => self.advance_wheel(),
                 _ => break,
             }
         }
     }
 
-    /// Pops the earliest non-cancelled event, merging the heap with the
-    /// wheel: ties in time resolve by the shared insertion seq.
+    /// One unit of wheel progress; a drained bucket lands in `ready`
+    /// sorted by seq, its cancelled entries swept as they surface.
+    #[inline(never)]
+    fn advance_wheel(&mut self) {
+        self.drain_scratch.clear();
+        self.wheel.advance_once(&mut self.drain_scratch);
+        if self.drain_scratch.is_empty() {
+            return; // cascaded or migrated; the caller keeps advancing
+        }
+        self.drain_scratch.sort_unstable_by_key(|&(_, p)| p);
+        self.ready_time = SimTime::from_micros(self.drain_scratch[0].0);
+        let scratch = std::mem::take(&mut self.drain_scratch);
+        for &(_, p) in &scratch {
+            if matches!(self.slots[p as u32 as usize].state, Slot::Cancelled) {
+                self.wheel_cancelled -= 1;
+                self.free_slot(p as u32);
+            } else {
+                self.ready.push_back(p);
+            }
+        }
+        self.drain_scratch = scratch;
+    }
+
+    /// Pops the earliest non-cancelled event, merging the three lanes:
+    /// ties in time resolve by the shared insertion seq.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.pop_at_or_before(SimTime::MAX)
     }
@@ -392,16 +559,22 @@ impl<T> EventQueue<T> {
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, T)> {
         loop {
             self.fill_ready();
-            let take_wheel = match (self.ready.front(), self.heap.first()) {
-                (None, None) => return None,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(&p), Some(h)) => {
-                    (((self.ready_time.as_micros() as u128) << 64) | p as u128) < h.key()
+            // An absent lane reads as u128::MAX and the comparisons are
+            // strict, so a lane is only taken when it holds an entry;
+            // live keys never tie (sequence numbers are unique).
+            let heap_key = self.heap.first().map_or(u128::MAX, HeapEntry::key);
+            let wheel_key = self.ready.front().map_or(u128::MAX, |&p| {
+                ((self.ready_time.as_micros() as u128) << 64) | p as u128
+            });
+            let other = heap_key.min(wheel_key);
+            if let Some(&head) = self.keyed.min_entry().filter(|e| e.key() < other) {
+                if head.time > horizon {
+                    return None;
                 }
-            };
-            if take_wheel {
-                let p = *self.ready.front().expect("checked non-empty");
+                return Some((head.time, self.keyed.take_at(self.keyed.min)));
+            }
+            if wheel_key < heap_key {
+                let p = *self.ready.front().expect("key below u128::MAX");
                 let slot = p as u32;
                 if self.ready_time > horizon
                     && matches!(self.slots[slot as usize].state, Slot::Occupied(_))
@@ -422,7 +595,8 @@ impl<T> EventQueue<T> {
                     Slot::Vacant(_) => unreachable!("ready entry points at vacant slot"),
                 }
             } else {
-                let head = *self.heap.first().expect("checked non-empty");
+                // The heap head is next, or every lane is empty.
+                let head = *self.heap.first()?;
                 let slot = head.slot();
                 if head.time > horizon
                     && matches!(self.slots[slot as usize].state, Slot::Occupied(_))
@@ -476,29 +650,24 @@ impl<T> EventQueue<T> {
                 continue;
             }
             let heap_time = self.heap.first().map(|e| e.time);
-            let wheel_time = if self.ready.is_empty() {
-                None
-            } else {
-                Some(self.ready_time)
-            };
-            return match (heap_time, wheel_time) {
-                (None, None) => None,
-                (Some(t), None) | (None, Some(t)) => Some(t),
-                (Some(a), Some(b)) => Some(a.min(b)),
-            };
+            let wheel_time = (!self.ready.is_empty()).then_some(self.ready_time);
+            let keyed_time = self.keyed.min_entry().map(|e| e.time);
+            return [heap_time, wheel_time, keyed_time]
+                .into_iter()
+                .flatten()
+                .min();
         }
     }
 
     /// Number of events still resident (cancelled-but-unswept events
     /// included; use only as a capacity heuristic).
     pub fn raw_len(&self) -> usize {
-        self.heap.len() + self.wheel.len() + self.ready.len()
+        self.heap.len() + self.wheel.len() + self.ready.len() + self.keyed.armed.len()
     }
 
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled + self.wheel.len() + self.ready.len()
-            - self.wheel_cancelled
+        self.raw_len() - self.cancelled - self.wheel_cancelled
     }
 
     /// True when no live event remains.
@@ -898,6 +1067,70 @@ mod tests {
             assert_eq!(q.pop_at_or_before(t), Some((t, i)));
         }
         assert_eq!(q.pop_at_or_before(t), None);
+    }
+
+    #[test]
+    fn arm_fires_where_a_push_at_that_point_would() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push(t, 0u32);
+        q.arm(7, t, 1);
+        q.push_coarse(t, 2);
+        // Re-arming draws a fresh seq: key 7 now fires after the coarse
+        // push, exactly like cancel + push.
+        q.arm(7, t, 3);
+        q.push(t, 4);
+        q.arm(2, SimTime::from_secs(2), 5);
+        q.arm(2, SimTime::ZERO, 6); // re-arm earlier: becomes the minimum
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, [6, 0, 2, 3, 4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn disarm_clears_only_an_armed_key() {
+        let mut q = EventQueue::new();
+        q.disarm(3); // never armed: no-op, table untouched
+        q.arm(0, SimTime::from_secs(1), 10u32);
+        q.arm(1, SimTime::from_secs(2), 11);
+        q.arm(2, SimTime::from_secs(3), 12);
+        q.disarm(0); // the minimum: the next one takes over
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        q.disarm(0); // already clear
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 11)));
+        q.disarm(1); // already fired
+        q.arm(1, SimTime::from_secs(9), 13); // the key that just fired
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 12)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(9), 13)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn renumbering_at_the_seq_wrap_keeps_armed_keys_in_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(7);
+        q.push(SimTime::from_secs(9), 90u64);
+        q.arm(0, t, 0);
+        q.push(t, 1);
+        q.push_coarse(t, 2);
+        q.arm(1, t, 3);
+        q.arm(2, SimTime::from_secs(1), 10);
+        // The next draw would not fit 32 bits: `arm` must renumber all
+        // three lanes first, then take its seq after every survivor.
+        q.next_seq = u32::MAX as u64 + 1;
+        q.arm(0, t, 4);
+        assert_eq!(q.next_seq, 7);
+        q.push(t, 5);
+        assert_eq!(q.len(), 7);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 10)));
+        for i in 1..=5u64 {
+            assert_eq!(q.pop(), Some((t, i)), "FIFO tie order must survive");
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_secs(9), 90)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Hierarchical timer wheel for coarse-deadline events.
 //!
-//! The event kernel keeps two pending-event structures behind one facade
+//! The event kernel keeps three pending-event lanes behind one facade
 //! (see [`crate::queue::EventQueue`]): the slab min-heap for *precise*
-//! events (CPU completion timers, network hops — short-lived, dense in
-//! time) and this wheel for *coarse* deadlines (client think times,
-//! patience timers, periodic sensor ticks — long-lived, sparse, and at
-//! million-client scale vastly outnumbering everything else). Insert and
-//! cancel on the wheel are O(1) regardless of population, where every
-//! heap insert pays O(log n) sift work against a million resident
-//! timers.
+//! one-shot events (network hops, dispatches — short-lived, dense in
+//! time), the keyed lane for timers that are re-armed in place (one CPU
+//! completion timer per node), and this wheel for *coarse* deadlines
+//! (client think times, patience timers, periodic sensor ticks —
+//! long-lived, sparse, and at million-client scale vastly outnumbering
+//! everything else). Insert and cancel on the wheel are O(1) regardless
+//! of population, where every heap insert pays O(log n) sift work
+//! against a million resident timers.
 //!
 //! # Exactness
 //!
@@ -37,6 +38,11 @@
 //! * On span-start ties the *highest* level is processed first, so
 //!   same-timestamp entries parked at different levels are merged down
 //!   into one level-0 bucket before that bucket is drained.
+//! * `next`, unless stale, equals what a fresh scan of `cursor`,
+//!   `occupied` and `overflow` would return. Only [`TimerWheel::push`]
+//!   and [`TimerWheel::advance_once`] mutate those three, and both clear
+//!   it; the queue facade asks for the candidate on every pop, while the
+//!   wheel changes on a small fraction of them.
 //!
 //! Deltas of 2^42 µs (~51 days of virtual time) or more park in an
 //! unsorted overflow list and migrate into the levels when the wheel
@@ -86,6 +92,22 @@ pub(crate) struct TimerWheel {
     pub(crate) overflow: Vec<(u64, u64)>,
     /// Resident entries (buckets + overflow; drained entries excluded).
     len: usize,
+    /// Memoized [`TimerWheel::scan_next`].
+    next: Next,
+}
+
+/// What the cursor will do next, as one scan of the levels finds it.
+/// Small enough to travel in registers: the queue reads it on every pop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Next {
+    /// [`TimerWheel::advance_once`] will process this bucket.
+    Bucket { span: u64, level: u8 },
+    /// Every level is empty; the earliest overflow entry is at this time.
+    Overflow(u64),
+    /// Nothing resident.
+    Empty,
+    /// A mutation invalidated the memo; the next reader rescans.
+    Stale,
 }
 
 /// Level for an entry `delta` µs ahead of the cursor (`delta < SPAN`).
@@ -114,6 +136,7 @@ impl TimerWheel {
             free_head: NONE,
             overflow: Vec::new(),
             len: 0,
+            next: Next::Stale,
         }
     }
 
@@ -190,6 +213,7 @@ impl TimerWheel {
         }
         self.link(time, packed);
         self.len += 1;
+        self.next = Next::Stale;
     }
 
     /// Span start and level of the next bucket the cursor will process:
@@ -236,11 +260,41 @@ impl TimerWheel {
     /// Lower bound on the earliest resident entry's timestamp (exact
     /// when the next bucket is at level 0). `None` when the wheel is
     /// empty. The queue facade compares this against the heap head to
-    /// decide whether advancing the wheel can be deferred.
-    pub(crate) fn next_candidate(&self) -> Option<u64> {
+    /// decide whether advancing the wheel can be deferred. Memoized:
+    /// the level scan runs once per wheel mutation, not once per pop.
+    #[inline]
+    pub(crate) fn next_candidate(&mut self) -> Option<u64> {
+        match self.peek_next() {
+            Next::Bucket { span: at, .. } | Next::Overflow(at) => Some(at),
+            Next::Empty | Next::Stale => None,
+        }
+    }
+
+    #[inline]
+    fn peek_next(&mut self) -> Next {
+        debug_assert!(self.next == Next::Stale || self.next == self.scan_next());
+        if self.next == Next::Stale {
+            self.refresh_next();
+        }
+        self.next
+    }
+
+    #[inline(never)]
+    fn refresh_next(&mut self) {
+        self.next = self.scan_next();
+    }
+
+    #[inline]
+    fn scan_next(&self) -> Next {
         match self.next_bucket() {
-            Some((span, _)) => Some(span),
-            None => self.overflow.iter().map(|&(t, _)| t).min(),
+            Some((span, level)) => Next::Bucket {
+                span,
+                level: level as u8,
+            },
+            None => match self.overflow.iter().map(|&(t, _)| t).min() {
+                Some(min) => Next::Overflow(min),
+                None => Next::Empty,
+            },
         }
     }
 
@@ -253,7 +307,11 @@ impl TimerWheel {
     /// terminates.
     pub(crate) fn advance_once(&mut self, out: &mut Vec<(u64, u64)>) {
         debug_assert!(self.len > 0);
-        let bucket = self.next_bucket();
+        let bucket = match self.peek_next() {
+            Next::Bucket { span, level } => Some((span, level as usize)),
+            Next::Overflow(_) | Next::Empty | Next::Stale => None,
+        };
+        self.next = Next::Stale;
         if !self.overflow.is_empty() {
             let over_min = self
                 .overflow

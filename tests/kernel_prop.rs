@@ -41,91 +41,165 @@ fn event_queue_total_order() {
     });
 }
 
-/// Differential test: the slab-backed queue agrees with a trivially
+/// Differential test: the three-lane queue agrees with a trivially
 /// correct model (a `BinaryHeap` ordered by `(time, seq)` whose cancelled
-/// entries are filtered at pop) across random interleavings of push,
-/// cancel and pop — including cancels of already-fired tokens, which the
-/// generation tags must turn into no-ops.
+/// entries are filtered at pop) across random interleavings of `push`,
+/// `push_coarse`, `cancel`, `arm`, `disarm` and horizon-bounded pops —
+/// including cancels of already-fired tokens, which the generation tags
+/// must turn into no-ops. The model has no keyed lane: `arm` is replayed
+/// on it as the protocol it replaced (cancel the key's previous entry,
+/// push a new one), so every pop, tie-break, `len` and `peek_time` must
+/// come out as if the keyed timers had sat in the one heap.
 #[test]
 fn event_queue_matches_naive_model() {
+    /// Payload of the timer armed under `key` (pushed payloads stay below).
+    const KEYED: u32 = 1_000_000;
+    const KEYS: u32 = 6;
+
+    struct Model {
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        dead: Vec<u64>,
+        next_seq: u64,
+        /// Model seq of each key's current entry (possibly already fired).
+        key_seq: [Option<u64>; KEYS as usize],
+    }
+    impl Model {
+        fn model_push(&mut self, t: u64, payload: u32) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse((t, seq, payload)));
+            seq
+        }
+        fn model_arm(&mut self, key: u32, t: u64) {
+            self.model_disarm(key);
+            self.key_seq[key as usize] = Some(self.model_push(t, KEYED + key));
+        }
+        fn model_disarm(&mut self, key: u32) {
+            if let Some(seq) = self.key_seq[key as usize].take() {
+                self.dead.push(seq);
+            }
+        }
+        fn model_live(&self) -> impl Iterator<Item = &Reverse<(u64, u64, u32)>> {
+            self.heap
+                .iter()
+                .filter(|Reverse((_, s, _))| !self.dead.contains(s))
+        }
+        /// Pops the earliest live entry if it is at or before `horizon`;
+        /// dead entries are dropped on the way regardless of their time.
+        fn model_pop(&mut self, horizon: u64) -> Option<(u64, u32)> {
+            loop {
+                let &Reverse((t, seq, payload)) = self.heap.peek()?;
+                if self.dead.contains(&seq) {
+                    self.heap.pop();
+                    continue;
+                }
+                if t > horizon {
+                    return None;
+                }
+                self.heap.pop();
+                // Dead in the model now: a later cancel of this seq must
+                // not resurrect anything.
+                self.dead.push(seq);
+                return Some((t, payload));
+            }
+        }
+    }
+
     run("event_queue_matches_naive_model", 256, |g| {
         let mut q = EventQueue::new();
-        let mut model: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut model_cancelled: Vec<u64> = Vec::new();
+        let mut model = Model {
+            heap: BinaryHeap::new(),
+            dead: Vec::new(),
+            next_seq: 0,
+            key_seq: [None; KEYS as usize],
+        };
         // (queue token, model seq), including already-popped entries so
         // the generator can exercise stale cancels.
         let mut handles = Vec::new();
-        let mut next_seq = 0u64;
+        // Times cluster so same-instant ties across lanes are common.
+        let span = *g.choose(&[8u64, 500]);
         let steps = g.usize(1..300);
         for _ in 0..steps {
-            match g.weighted(&[5, 2, 3]) {
-                // Push.
+            match g.weighted(&[4, 2, 2, 5, 1, 4]) {
+                // Push on the heap.
                 0 => {
-                    let t = g.u64(0..500);
-                    let payload = g.u32(0..1_000_000);
+                    let t = g.u64(0..span);
+                    let payload = g.u32(0..KEYED);
                     let tok = q.push(SimTime::from_micros(t), payload);
-                    model.push(Reverse((t, next_seq, payload)));
-                    handles.push((tok, next_seq));
-                    next_seq += 1;
+                    handles.push((tok, model.model_push(t, payload)));
+                }
+                // Push on the wheel.
+                1 => {
+                    let t = g.u64(0..span);
+                    let payload = g.u32(0..KEYED);
+                    let tok = q.push_coarse(SimTime::from_micros(t), payload);
+                    handles.push((tok, model.model_push(t, payload)));
                 }
                 // Cancel a handle, possibly one that already fired.
-                1 => {
+                2 => {
                     if !handles.is_empty() {
                         let &(tok, seq) = g.choose(&handles);
                         q.cancel(tok);
-                        model_cancelled.push(seq);
+                        model.dead.push(seq);
                     }
                 }
-                // Pop.
+                // Arm a key: fresh, re-armed earlier or later, or the
+                // current minimum.
+                3 => {
+                    let key = g.u32(0..KEYS);
+                    let t = g.u64(0..span);
+                    q.arm(key, SimTime::from_micros(t), KEYED + key);
+                    model.model_arm(key, t);
+                }
+                // Disarm a key, armed or not.
+                4 => {
+                    let key = g.u32(0..KEYS);
+                    q.disarm(key);
+                    model.model_disarm(key);
+                }
+                // Pop, bounded by a horizon half of the time.
                 _ => {
-                    let expected = loop {
-                        match model.pop() {
-                            Some(Reverse((t, seq, payload))) => {
-                                if model_cancelled.contains(&seq) {
-                                    continue;
-                                }
-                                // Dead in the model now: a later cancel of
-                                // this seq must not resurrect anything.
-                                model_cancelled.push(seq);
-                                break Some((t, payload));
-                            }
-                            None => break None,
-                        }
-                    };
-                    let got = q.pop().map(|(t, p)| (t.as_micros(), p));
+                    let horizon = if g.bool() { g.u64(0..span) } else { u64::MAX };
+                    let expected = model.model_pop(horizon);
+                    let got = q
+                        .pop_at_or_before(SimTime::from_micros(horizon))
+                        .map(|(t, p)| (t.as_micros(), p));
                     assert_eq!(got, expected);
                     assert_eq!(
                         q.peek_time().map(SimTime::as_micros),
-                        model
-                            .iter()
-                            .filter(|Reverse((_, s, _))| !model_cancelled.contains(s))
-                            .map(|Reverse((t, _, _))| *t)
-                            .min()
+                        model.model_live().map(|Reverse((t, _, _))| *t).min()
                     );
+                    // Re-arm the key that just fired, as a CPU-completion
+                    // handler does.
+                    if let Some((t, p)) = got.filter(|&(_, p)| p >= KEYED && g.bool()) {
+                        let at = t + g.u64(0..4);
+                        q.arm(p - KEYED, SimTime::from_micros(at), p);
+                        model.model_arm(p - KEYED, at);
+                    }
                 }
             }
-            let model_live = model
-                .iter()
-                .filter(|Reverse((_, s, _))| !model_cancelled.contains(s))
-                .count();
+            let model_live = model.model_live().count();
             assert_eq!(q.len(), model_live);
             assert_eq!(q.is_empty(), model_live == 0);
         }
-        // Drain both completely; remainders must agree. `into_sorted_vec`
-        // on `Reverse` entries is descending (time, seq), so reversing it
-        // yields exactly the expected pop order.
-        let rest_model: Vec<(u64, u32)> = model
-            .into_sorted_vec()
-            .into_iter()
-            .rev()
-            .filter(|Reverse((_, s, _))| !model_cancelled.contains(s))
-            .map(|Reverse((t, _, p))| (t, p))
-            .collect();
-        let mut rest_q = Vec::new();
-        while let Some((t, p)) = q.pop() {
-            rest_q.push((t.as_micros(), p));
+        // Drain both completely; remainders must agree.
+        loop {
+            let expected = model.model_pop(u64::MAX);
+            let got = q.pop().map(|(t, p)| (t.as_micros(), p));
+            assert_eq!(got, expected);
+            if got.is_none() {
+                break;
+            }
         }
-        assert_eq!(rest_q, rest_model);
+        assert!(q.is_empty());
+        // A keyed timer that is the only event, past the horizon: it
+        // stays resident, counted and visible, and fires at its instant.
+        let at = SimTime::from_micros(span + 7);
+        q.arm(0, at, KEYED);
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(span)), None);
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+        assert_eq!(q.peek_time(), Some(at));
+        assert_eq!(q.pop_at_or_before(at), Some((at, KEYED)));
         assert!(q.is_empty());
     });
 }

@@ -3,10 +3,10 @@
 
 use jade::config::SystemConfig;
 use jade::experiment::run_experiment_with;
-use jade::system::{ManagedTier, Msg};
+use jade::system::{J2eeApp, ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
-use jade_sim::{Addr, SimDuration, SimTime};
+use jade_sim::{Addr, App, Ctx, Engine, SimDuration, SimTime};
 use jade_tiers::Tier;
 
 fn recovery_cfg() -> SystemConfig {
@@ -165,4 +165,76 @@ fn without_self_repair_failures_persist() {
     // replica still serves — the PLB routes around the corpse).
     assert_eq!(out.app.running_replicas(ManagedTier::Application), 1);
     assert!(out.app.stats.total_completed() > 5_000);
+}
+
+/// The managed system behind a tap that logs every delivered
+/// `CpuComplete`, the one message the kernel's keyed timers carry.
+struct CpuTap {
+    app: J2eeApp,
+    completions: Vec<(SimTime, NodeId)>,
+}
+
+impl App for CpuTap {
+    type Msg = Msg;
+    fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, dst: Addr, msg: Msg) {
+        if let Msg::CpuComplete(node) = msg {
+            self.completions.push((ctx.now(), node));
+        }
+        self.app.handle(ctx, dst, msg);
+    }
+}
+
+/// A node crashes while its CPU completion timer is armed: the timer is
+/// disarmed with the node (no `CpuComplete` for it is ever delivered
+/// again), and the replacement node the repair allocates arms its own.
+#[test]
+fn crashed_node_cpu_timer_is_disarmed_and_the_replacement_arms() {
+    let cfg = recovery_cfg();
+    let seed = cfg.seed;
+    let tap = CpuTap {
+        app: J2eeApp::new(cfg),
+        completions: Vec::new(),
+    };
+    let mut eng = Engine::new(tap, seed);
+    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    eng.run_until(SimTime::from_secs(120));
+    // Step to an instant where the victim has a job resident, i.e. its
+    // completion timer is armed and pending.
+    let resident = |eng: &Engine<CpuTap>| {
+        let node = eng.app().app.legacy.cluster.node(MYSQL2_NODE);
+        node.expect("victim is in the pool").cpu.load()
+    };
+    while resident(&eng) == 0 {
+        assert!(eng.step(), "the run drained before the victim got work");
+    }
+    let crash_at = eng.now();
+    let before: Vec<NodeId> = eng.app().app.legacy.cluster.allocated();
+    eng.schedule(crash_at, Addr::ROOT, Msg::CrashNode(MYSQL2_NODE));
+    eng.run_until(SimTime::from_secs(500));
+
+    let tap = eng.app();
+    let late: Vec<_> = tap
+        .completions
+        .iter()
+        .filter(|&&(t, n)| n == MYSQL2_NODE && t >= crash_at)
+        .collect();
+    assert!(late.is_empty(), "CpuComplete after the crash: {late:?}");
+    assert!(
+        tap.completions
+            .iter()
+            .any(|&(t, n)| n == MYSQL2_NODE && t < crash_at),
+        "the victim never completed a job before the crash"
+    );
+    // The repair put the replica on a node that was free before the
+    // crash, and that node's timer fires.
+    assert_eq!(tap.app.running_replicas(ManagedTier::Database), 2);
+    let mut replacement = tap.app.legacy.cluster.allocated();
+    replacement.retain(|n| !before.contains(n));
+    assert_eq!(replacement.len(), 1, "one fresh node: {replacement:?}");
+    assert!(
+        tap.completions
+            .iter()
+            .any(|&(t, n)| n == replacement[0] && t > crash_at),
+        "the replacement node never completed a job"
+    );
 }

@@ -199,3 +199,67 @@ fn wheel_ties_and_token_reuse_match_naive_timers() {
         }
     });
 }
+
+/// The wheel's next-bucket memo under its two mutators. A `peek_time`
+/// with an earlier heap event resident makes the queue ask the wheel for
+/// its candidate and then *not* advance it, so the answer stays cached;
+/// coarse pushes that land below that cached candidate (but at or after
+/// the cursor) and pops that advance the wheel are then interleaved. A
+/// memo that survives either mutation defers the wheel past an entry that
+/// is due, and the fire order diverges from the model. (Debug builds also
+/// compare the memo with a fresh scan on every read.)
+#[test]
+fn wheel_push_below_cached_candidate_matches_naive_timers() {
+    run("wheel_push_below_cached_candidate", 256, |g| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: NaiveTimers<u64> = NaiveTimers::new();
+        let mut next_idx = 0u64;
+        let mut both = |q: &mut EventQueue<u64>, model: &mut NaiveTimers<u64>, t, coarse| {
+            let time = SimTime::from_micros(t);
+            if coarse {
+                q.push_coarse(time, next_idx);
+            } else {
+                q.push(time, next_idx);
+            }
+            model.push(time, next_idx);
+            next_idx += 1;
+        };
+        // A far timer pins a high-level bucket as the cached candidate;
+        // the early one keeps the cursor low so later pushes stay on the
+        // wheel instead of falling back to the heap.
+        both(&mut q, &mut model, 1, true);
+        both(&mut q, &mut model, 1 << g.u64(12..30), true);
+        let mut now = 0u64;
+        for _ in 0..g.usize(20..200) {
+            match g.u32(0..6) {
+                // A near heap event: the bound that lets the wheel wait.
+                0 => both(&mut q, &mut model, now + g.u64(0..64), false),
+                // Read the candidate without advancing past the heap head.
+                1 => {
+                    q.peek_time();
+                }
+                // Coarse pushes at every distance from the frontier: most
+                // undercut the cached candidate, on every level.
+                2..=3 => {
+                    let exp = g.u64(0..30);
+                    both(&mut q, &mut model, now + g.u64(0..1 << exp), true);
+                }
+                _ => {
+                    let got = q.pop();
+                    assert_eq!(got, model.pop(), "fire order diverged");
+                    if let Some((t, _)) = got {
+                        now = t.as_micros();
+                    }
+                }
+            }
+            assert_eq!(q.len(), model.len(), "live-timer counts diverged");
+        }
+        loop {
+            let got = q.pop();
+            assert_eq!(got, model.pop(), "drain order diverged");
+            if got.is_none() {
+                break;
+            }
+        }
+    });
+}
