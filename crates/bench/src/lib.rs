@@ -18,9 +18,9 @@
 //! | `rubis_report` | RUBiS's per-interaction statistics table         |
 //! | `run_experiment` | General experiment CLI (see `--help`)          |
 //!
-//! Criterion micro-benchmarks (`cargo bench`) cover the mechanisms:
-//! component-model operations, C-JDBC routing/replay, the event kernel,
-//! and ablations of the design knobs called out in DESIGN.md.
+//! Micro-benchmarks (`cargo bench`) cover component-model operations,
+//! C-JDBC routing/replay and whole-experiment runs. Absolute end-to-end
+//! and per-layer figures come from the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
@@ -31,8 +31,8 @@ pub mod reference;
 
 pub use harness::{Harness, RunRecord, RunResult, RunSpec, HARNESS_USAGE};
 pub use reference::{
-    naive_time_weighted_mean, naive_value_at, NaiveDatabase, NaiveLifecycle, NaiveMovingAverage,
-    NaiveObservation, NaivePsCpu, NaiveQueryResult, NaiveReplication, NaiveRow, NaiveTimers,
+    naive_time_weighted_mean, naive_value_at, NaiveDatabase, NaiveMovingAverage, NaiveObservation,
+    NaivePsCpu, NaiveQueryResult, NaiveReplication, NaiveRow, NaiveTimers,
 };
 
 use jade::experiment::ExperimentOutput;

@@ -118,19 +118,10 @@ impl Runner {
 
     /// Renders the cases as a JSON document.
     pub fn to_json(&self, name: &str) -> String {
-        self.to_json_with(name, &[])
-    }
-
-    /// Like [`Runner::to_json`], with extra derived scalars (e.g. a
-    /// speedup ratio between two cases) appended as top-level fields.
-    pub fn to_json_with(&self, name: &str, extras: &[(&str, f64)]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"bench\": \"{name}\",");
         out.push_str("  \"schema\": 1,\n");
-        for (key, v) in extras {
-            let _ = writeln!(out, "  \"{key}\": {v:.3},");
-        }
         out.push_str("  \"cases\": [");
         for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
@@ -151,21 +142,16 @@ impl Runner {
         out
     }
 
-    /// Writes the JSON report, printing the path.
+    /// Writes the JSON report, printing the path. Relative paths are
+    /// resolved against the repository root, not the working directory,
+    /// so `cargo bench` (which runs in the package directory) and direct
+    /// invocation drop reports in the same place.
     pub fn write_json(&self, name: &str, path: impl AsRef<Path>) {
-        self.write_json_with(name, path, &[]);
-    }
-
-    /// Writes the JSON report with extra derived scalars. Relative paths
-    /// are resolved against the repository root, not the working
-    /// directory, so `cargo bench` (which runs in the package directory)
-    /// and direct invocation drop reports in the same place.
-    pub fn write_json_with(&self, name: &str, path: impl AsRef<Path>, extras: &[(&str, f64)]) {
         let path = repo_relative(path.as_ref());
         if let Some(dir) = path.parent() {
             let _ = fs::create_dir_all(dir);
         }
-        if fs::write(&path, self.to_json_with(name, extras)).is_ok() {
+        if fs::write(&path, self.to_json(name)).is_ok() {
             println!("  wrote {}", path.display());
         }
     }

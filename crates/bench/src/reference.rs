@@ -1,12 +1,13 @@
-//! Reference models kept for differential testing and benchmarking.
+//! Reference models kept for differential testing: each is a genuinely
+//! simpler model of a kernel or tier component, used as the oracle of a
+//! property suite under `tests/`.
 //!
 //! [`NaivePsCpu`] is the original scan-on-advance processor-sharing CPU:
 //! it stores each job's *remaining* demand and subtracts the interval's
 //! progress from every resident job on each driver call — O(n) per
 //! operation. `jade_sim::PsCpu` replaced it with the O(log n) virtual-time
 //! formulation (see the module docs of `crates/sim/src/cpu.rs`); this copy
-//! is the oracle `tests/cpu_prop.rs` checks the rewrite against, and the
-//! baseline the `ps_cpu/naive/*` bench cases measure.
+//! is the oracle `tests/cpu_prop.rs` checks the rewrite against.
 //!
 //! [`NaiveDatabase`] is likewise the original name-keyed storage engine:
 //! tables are a `BTreeMap<String, _>`, rows are `BTreeMap<String, Value>`
@@ -14,13 +15,14 @@
 //! and `SelectWhere` is a full scan. `jade_tiers::Database` replaced it
 //! with the interned, index-accelerated engine; this copy is the oracle
 //! `tests/storage_prop.rs` checks result and digest parity against, and
-//! the baseline the `db/naive/*` bench cases measure.
+//! the one `tests/plan_prop.rs` holds the opcode executor to.
 
 use jade_sim::metrics::UtilizationTracker;
 use jade_sim::{EfficiencyCurve, JobId, SimDuration, SimTime};
 use jade_tiers::sql::{ColId, Schema, SqlError, Statement, Value};
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
 #[derive(Debug, Clone)]
@@ -219,7 +221,9 @@ impl NaiveDatabase {
         NaiveDatabase::default()
     }
 
-    /// Executes one statement, resolving every identifier by name.
+    /// Executes one statement, resolving every identifier by name. The
+    /// table is looked up first, so a table id outside the catalog is a
+    /// `NoSuchTable` like any other missing table.
     pub fn execute(
         &mut self,
         schema: &Schema,
@@ -235,11 +239,11 @@ impl NaiveDatabase {
                 })
             }
             Statement::Insert { table, row } => {
-                let def = schema.table(*table).expect("table in catalog");
                 let t = self
                     .tables
                     .get_mut(name)
                     .ok_or_else(|| SqlError::NoSuchTable(name.to_owned()))?;
+                let def = schema.table(*table).expect("table in catalog");
                 let key = t.next_key;
                 t.next_key += 1;
                 let mut cols = NaiveRow::new();
@@ -255,11 +259,11 @@ impl NaiveDatabase {
                 })
             }
             Statement::Update { table, key, set } => {
-                let def = schema.table(*table).expect("table in catalog");
                 let t = self
                     .tables
                     .get_mut(name)
                     .ok_or_else(|| SqlError::NoSuchTable(name.to_owned()))?;
+                let def = schema.table(*table).expect("table in catalog");
                 let affected = match t.rows.get_mut(key) {
                     Some(row) => {
                         for (col, v) in set {
@@ -309,12 +313,12 @@ impl NaiveDatabase {
                 value,
                 limit,
             } => {
-                let def = schema.table(*table).expect("table in catalog");
-                let col_name = def.column(*column);
                 let t = self
                     .tables
                     .get(name)
                     .ok_or_else(|| SqlError::NoSuchTable(name.to_owned()))?;
+                let def = schema.table(*table).expect("table in catalog");
+                let col_name = def.column(*column);
                 if value.is_null() {
                     return Ok(NaiveQueryResult::Rows(Vec::new()));
                 }
@@ -371,46 +375,12 @@ impl NaiveDatabase {
 }
 
 // ---------------------------------------------------------------------
-// Naive end-to-end request lifecycle
+// The pre-wheel timer store
 // ---------------------------------------------------------------------
 
-use jade_rubis::{
-    dataset_statements, rubis_schema, DatasetSpec, EmulatedClient, KeySpace, DEFAULT_THINK_TIME,
-};
-use jade_sim::{EfficiencyCurve as Curve, SimRng};
-use jade_tiers::InteractionPlan;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::sync::Arc;
-
-/// Events of the naive lifecycle simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum LifecycleMsg {
-    Think(u32),
-    TomcatAccept {
-        req: u64,
-    },
-    DbDispatch {
-        req: u64,
-    },
-    CpuComplete {
-        node: usize,
-    },
-    Response {
-        req: u64,
-    },
-    /// Periodic observation tick (only scheduled by
-    /// [`NaiveLifecycle::run_with_probes`]; plain [`NaiveLifecycle::run`]
-    /// never emits it, so historical runs are unchanged).
-    Probe,
-}
-
 /// The pre-wheel timer store: a `BinaryHeap` with payloads inline plus a
-/// `HashSet` of cancelled sequence numbers (the same baseline the
-/// `event_queue/naive/*` bench cases measure in isolation).
-///
-/// This is both the naive lifecycle's event queue and the trivially
-/// correct reference model the `wheel_prop` differential test checks the
+/// `HashSet` of cancelled sequence numbers — the trivially correct
+/// reference model the `wheel_prop` differential test checks the
 /// hierarchical timer wheel against: entries fire in `(time, insertion
 /// sequence)` order, cancellation is lazy (filtered at pop), and a
 /// sequence number is never reused, so a cancel of an already-fired
@@ -471,405 +441,6 @@ impl<T: Ord> Default for NaiveTimers<T> {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum LifecycleOwner {
-    ServletPre(u64),
-    ServletPost(u64),
-    Db(u64),
-    Routing,
-}
-
-struct LifecycleRequest {
-    client: u32,
-    plan: InteractionPlan,
-    tomcat: usize,
-    sql_idx: usize,
-    pending_db: usize,
-}
-
-const LC_TOMCATS: usize = 2;
-const LC_BACKENDS: usize = 2;
-const LC_WORKERS: usize = 150;
-const LC_QUEUE_LIMIT: usize = 512;
-const LC_PLB: usize = 0;
-const LC_CJDBC: usize = 1;
-const LC_TOMCAT0: usize = 2;
-const LC_CLIENT_DELAY: SimDuration = SimDuration::from_millis(1);
-const LC_HOP: SimDuration = SimDuration::from_micros(120);
-const LC_PLB_ROUTING: SimDuration = SimDuration::from_micros(100);
-const LC_CJDBC_ROUTING: SimDuration = SimDuration::from_micros(300);
-/// Management-daemon CPU intrusivity per probed node per tick (mirrors
-/// the managed system's `daemon_demand`).
-const LC_DAEMON_DEMAND: SimDuration = SimDuration::from_millis(2);
-/// Smoothing windows of the naive probe plane's two sensors (the paper's
-/// 60 s application / 90 s database temporal averages).
-const LC_APP_WINDOW: SimDuration = SimDuration::from_secs(60);
-const LC_DB_WINDOW: SimDuration = SimDuration::from_secs(90);
-
-/// The pre-optimization request lifecycle, end to end: a closed-loop
-/// multi-tier simulation (clients → PLB → Tomcat workers → C-JDBC →
-/// MySQL backends) built entirely from the retained naive components.
-///
-/// Every structure is the one the optimized stack replaced: the
-/// `BinaryHeap` + cancel-set event queue, `BTreeMap`s keyed by request
-/// and job id, name-keyed accept queues and CPU timers, [`NaivePsCpu`]
-/// scan-on-advance processors, [`NaiveDatabase`] backends, a freshly
-/// allocated SQL plan per interaction, and a cloned `SqlOp` per dispatch.
-/// The `e2e/naive/*` bench cases measure this model against the real
-/// `jade::experiment::run_experiment` stack at equal client counts.
-pub struct NaiveLifecycle {
-    queue: NaiveTimers<LifecycleMsg>,
-    tomcats: usize,
-    backends: usize,
-    backend0: usize,
-    cpus: Vec<NaivePsCpu>,
-    cpu_timers: BTreeMap<usize, u64>,
-    inflight: BTreeMap<u64, LifecycleRequest>,
-    job_owner: BTreeMap<u64, LifecycleOwner>,
-    accept_queues: BTreeMap<usize, VecDeque<u64>>,
-    active: Vec<usize>,
-    dbs: Vec<NaiveDatabase>,
-    schema: Arc<Schema>,
-    clients: Vec<EmulatedClient>,
-    ks: KeySpace,
-    next_request: u64,
-    next_job: u64,
-    rr_tomcat: usize,
-    rr_backend: usize,
-    completed: u64,
-    events: u64,
-    now: SimTime,
-}
-
-impl NaiveLifecycle {
-    /// Builds the system: loads the RUBiS dump into every backend and
-    /// staggers the initial think of each emulated client, exactly like
-    /// the real bootstrap.
-    pub fn new(clients: u32, seed: u64) -> Self {
-        Self::at_scale(
-            clients,
-            seed,
-            DEFAULT_THINK_TIME,
-            1.0,
-            LC_TOMCATS,
-            LC_BACKENDS,
-        )
-    }
-
-    /// [`NaiveLifecycle::new`] with the deployment scaled: mean think
-    /// time, node speed and tier widths become parameters so the naive
-    /// stack can be pitted against the real system on rescaled scenarios
-    /// (the million-client run pits it against `cpu_speed` 20 nodes and
-    /// four replicas per managed tier).
-    pub fn at_scale(
-        clients: u32,
-        seed: u64,
-        think: SimDuration,
-        cpu_speed: f64,
-        tomcats: usize,
-        backends: usize,
-    ) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let schema = rubis_schema();
-        let spec = DatasetSpec::small();
-        let dump = dataset_statements(spec, &mut rng);
-        let dbs: Vec<NaiveDatabase> = (0..backends)
-            .map(|_| {
-                let mut db = NaiveDatabase::new();
-                for s in &dump {
-                    let _ = db.execute(&schema, s);
-                }
-                db
-            })
-            .collect();
-        let backend0 = LC_TOMCAT0 + tomcats;
-        let mut sim = NaiveLifecycle {
-            queue: NaiveTimers::new(),
-            tomcats,
-            backends,
-            backend0,
-            cpus: vec![NaivePsCpu::new(cpu_speed, Curve::Ideal); backend0 + backends],
-            cpu_timers: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            job_owner: BTreeMap::new(),
-            accept_queues: BTreeMap::new(),
-            active: vec![0; tomcats],
-            dbs,
-            schema,
-            clients: Vec::with_capacity(clients as usize),
-            ks: spec.into(),
-            next_request: 0,
-            next_job: 0,
-            rr_tomcat: 0,
-            rr_backend: 0,
-            completed: 0,
-            events: 0,
-            now: SimTime::ZERO,
-        };
-        for i in 0..clients {
-            sim.clients.push(EmulatedClient::new(i, rng.fork(), think));
-            let stagger = SimDuration::from_secs_f64(rng.f64() * think.as_secs_f64());
-            sim.queue
-                .push(SimTime::ZERO + stagger, LifecycleMsg::Think(i));
-        }
-        sim
-    }
-
-    /// Runs until `horizon`; returns `(completed requests, events)`.
-    pub fn run(mut self, horizon: SimDuration) -> (u64, u64) {
-        let end = SimTime::ZERO + horizon;
-        while let Some((t, msg)) = self.queue.pop() {
-            if t > end {
-                break;
-            }
-            self.now = t;
-            self.events += 1;
-            self.dispatch(msg);
-        }
-        (self.completed, self.events)
-    }
-
-    /// [`NaiveLifecycle::run`] with the pre-streaming observation plane
-    /// bolted on: every `period` a probe tick runs the historical
-    /// measurement path ([`NaiveObservation`]) over every node — fresh
-    /// node-id `Vec`s, a fresh `BTreeMap` of CPU samples, `VecDeque`
-    /// moving averages, keep-all series vectors, a `BTreeMap` heartbeat
-    /// store, and one daemon job per node. The `e2e/naive/probe_heavy`
-    /// bench case measures this against the real streamed probe at the
-    /// same probe rate.
-    pub fn run_with_probes(mut self, horizon: SimDuration, period: SimDuration) -> (u64, u64) {
-        let mut obs = NaiveObservation::new(LC_APP_WINDOW, LC_DB_WINDOW);
-        let end = SimTime::ZERO + horizon;
-        self.queue.push(SimTime::ZERO + period, LifecycleMsg::Probe);
-        while let Some((t, msg)) = self.queue.pop() {
-            if t > end {
-                break;
-            }
-            self.now = t;
-            self.events += 1;
-            if let LifecycleMsg::Probe = msg {
-                self.on_probe(&mut obs, period);
-            } else {
-                self.dispatch(msg);
-            }
-        }
-        (self.completed, self.events.wrapping_add(obs.ticks))
-    }
-
-    /// One naive probe tick: the exact allocation profile of the
-    /// pre-streaming `on_measure_tick`.
-    fn on_probe(&mut self, obs: &mut NaiveObservation, period: SimDuration) {
-        let now = self.now;
-        // Fresh node lists and a fresh ordered sample map, every tick.
-        let app_nodes: Vec<usize> = (LC_TOMCAT0..self.backend0).collect();
-        let db_nodes: Vec<usize> = (self.backend0..self.backend0 + self.backends).collect();
-        let all_nodes: Vec<usize> = (0..self.cpus.len()).collect();
-        let mut samples: BTreeMap<usize, f64> = BTreeMap::new();
-        for &n in &all_nodes {
-            samples.insert(n, self.cpus[n].sample_utilization(now));
-        }
-        let app_avg = NaiveObservation::spatial_avg(&samples, &app_nodes);
-        let db_avg = NaiveObservation::spatial_avg(&samples, &db_nodes);
-        let all_avg = NaiveObservation::spatial_avg(&samples, &all_nodes);
-        obs.observe(now, app_avg, db_avg, all_avg);
-        // Heartbeats plus daemon intrusivity on every node.
-        for &n in &all_nodes {
-            obs.heartbeat.insert(n, now);
-            self.submit_job(n, LifecycleOwner::Routing, LC_DAEMON_DEMAND);
-        }
-        self.queue.push(now + period, LifecycleMsg::Probe);
-    }
-
-    fn dispatch(&mut self, msg: LifecycleMsg) {
-        match msg {
-            LifecycleMsg::Think(c) => self.on_think(c),
-            LifecycleMsg::TomcatAccept { req } => self.on_tomcat_accept(req),
-            LifecycleMsg::DbDispatch { req } => self.on_db_dispatch(req),
-            LifecycleMsg::CpuComplete { node } => self.on_cpu_complete(node),
-            LifecycleMsg::Response { req } => self.on_response(req),
-            // Only `run_with_probes` schedules probes; it intercepts them
-            // before dispatch, so the plain lifecycle never sees one.
-            LifecycleMsg::Probe => {}
-        }
-    }
-
-    fn submit_job(&mut self, node: usize, owner: LifecycleOwner, demand: SimDuration) {
-        let id = self.next_job;
-        self.next_job += 1;
-        self.job_owner.insert(id, owner);
-        self.cpus[node].submit(self.now, JobId(id), demand);
-        self.rearm(node);
-    }
-
-    fn rearm(&mut self, node: usize) {
-        if let Some(tok) = self.cpu_timers.remove(&node) {
-            self.queue.cancel(tok);
-        }
-        if let Some(t) = self.cpus[node].next_completion(self.now) {
-            let tok = self.queue.push(t, LifecycleMsg::CpuComplete { node });
-            self.cpu_timers.insert(node, tok);
-        }
-    }
-
-    fn on_think(&mut self, c: u32) {
-        // The historical allocation profile: a fresh `Vec<SqlOp>` per plan.
-        let plan = self.clients[c as usize].next_interaction(&mut self.ks);
-        let req = self.next_request;
-        self.next_request += 1;
-        let tomcat = self.rr_tomcat % self.tomcats;
-        self.rr_tomcat += 1;
-        self.inflight.insert(
-            req,
-            LifecycleRequest {
-                client: c,
-                plan,
-                tomcat,
-                sql_idx: 0,
-                pending_db: 0,
-            },
-        );
-        self.submit_job(LC_PLB, LifecycleOwner::Routing, LC_PLB_ROUTING);
-        self.queue.push(
-            self.now + LC_CLIENT_DELAY + LC_HOP,
-            LifecycleMsg::TomcatAccept { req },
-        );
-    }
-
-    fn on_tomcat_accept(&mut self, req: u64) {
-        let Some(state) = self.inflight.get(&req) else {
-            return;
-        };
-        let tomcat = state.tomcat;
-        if self.active[tomcat] < LC_WORKERS {
-            self.start_servlet(req);
-        } else {
-            let q = self.accept_queues.entry(tomcat).or_default();
-            if q.len() < LC_QUEUE_LIMIT {
-                q.push_back(req);
-            } else {
-                self.fail(req); // connection refused
-            }
-        }
-    }
-
-    fn start_servlet(&mut self, req: u64) {
-        let (tomcat, demand) = {
-            let s = self.inflight.get(&req).expect("checked in caller");
-            (s.tomcat, s.plan.pre_demand)
-        };
-        self.active[tomcat] += 1;
-        self.submit_job(LC_TOMCAT0 + tomcat, LifecycleOwner::ServletPre(req), demand);
-    }
-
-    fn serve_accept_queue(&mut self, tomcat: usize) {
-        loop {
-            let next = match self.accept_queues.get_mut(&tomcat) {
-                Some(q) => q.pop_front(),
-                None => return,
-            };
-            let Some(req) = next else { return };
-            if self.inflight.contains_key(&req) {
-                self.start_servlet(req);
-                return;
-            }
-        }
-    }
-
-    fn on_db_dispatch(&mut self, req: u64) {
-        let Some(state) = self.inflight.get(&req) else {
-            return;
-        };
-        if state.sql_idx >= state.plan.sql.len() {
-            let (tomcat, demand) = (state.tomcat, state.plan.post_demand);
-            self.submit_job(
-                LC_TOMCAT0 + tomcat,
-                LifecycleOwner::ServletPost(req),
-                demand,
-            );
-            return;
-        }
-        // The historical per-dispatch clone of the whole SqlOp (the naive
-        // lifecycle predates compiled plans, so its SQL is always `Ops`).
-        let op = state.plan.sql.as_ops()[state.sql_idx].clone();
-        self.submit_job(LC_CJDBC, LifecycleOwner::Routing, LC_CJDBC_ROUTING);
-        if op.is_write() {
-            if let Some(st) = self.inflight.get_mut(&req) {
-                st.pending_db = self.backends;
-            }
-            for b in 0..self.backends {
-                let _ = self.dbs[b].execute(&self.schema, &op.statement);
-                self.submit_job(self.backend0 + b, LifecycleOwner::Db(req), op.demand);
-            }
-        } else {
-            let b = self.rr_backend % self.backends;
-            self.rr_backend += 1;
-            if let Some(st) = self.inflight.get_mut(&req) {
-                st.pending_db = 1;
-            }
-            let _ = self.dbs[b].execute(&self.schema, &op.statement);
-            self.submit_job(self.backend0 + b, LifecycleOwner::Db(req), op.demand);
-        }
-    }
-
-    fn on_cpu_complete(&mut self, node: usize) {
-        self.cpu_timers.remove(&node);
-        let done = self.cpus[node].collect_completions(self.now);
-        for job in done {
-            let Some(owner) = self.job_owner.remove(&job.0) else {
-                continue;
-            };
-            match owner {
-                LifecycleOwner::ServletPre(req) => {
-                    self.queue
-                        .push(self.now + LC_HOP, LifecycleMsg::DbDispatch { req });
-                }
-                LifecycleOwner::Db(req) => {
-                    let Some(st) = self.inflight.get_mut(&req) else {
-                        continue;
-                    };
-                    st.pending_db = st.pending_db.saturating_sub(1);
-                    if st.pending_db == 0 {
-                        st.sql_idx += 1;
-                        self.queue
-                            .push(self.now + LC_HOP, LifecycleMsg::DbDispatch { req });
-                    }
-                }
-                LifecycleOwner::ServletPost(req) => {
-                    let tomcat = self.inflight[&req].tomcat;
-                    self.active[tomcat] = self.active[tomcat].saturating_sub(1);
-                    self.serve_accept_queue(tomcat);
-                    self.queue
-                        .push(self.now + LC_CLIENT_DELAY, LifecycleMsg::Response { req });
-                }
-                LifecycleOwner::Routing => {}
-            }
-        }
-        self.rearm(node);
-    }
-
-    fn on_response(&mut self, req: u64) {
-        let Some(state) = self.inflight.remove(&req) else {
-            return;
-        };
-        self.completed += 1;
-        let c = state.client as usize;
-        self.clients[c].note_completed();
-        let think = self.clients[c].think_time();
-        self.queue
-            .push(self.now + think, LifecycleMsg::Think(state.client));
-    }
-
-    fn fail(&mut self, req: u64) {
-        let Some(state) = self.inflight.remove(&req) else {
-            return;
-        };
-        let c = state.client as usize;
-        let think = self.clients[c].think_time();
-        self.queue
-            .push(self.now + think, LifecycleMsg::Think(state.client));
-    }
-}
-
 // ---------------------------------------------------------------------
 // The pre-delta RAIDb-1 replication stack
 // ---------------------------------------------------------------------
@@ -880,8 +451,7 @@ impl NaiveLifecycle {
 /// persisted), then re-evaluated independently by each replica — N×
 /// statement evaluation, N× row construction, N× index maintenance for
 /// an N-way mirror. A joining replica replays the *entire* statement log
-/// from its checkpoint, re-executing every entry. Kept as the baseline
-/// the `replication/naive/*` bench cases measure and the oracle
+/// from its checkpoint, re-executing every entry. Kept as the oracle
 /// `tests/replication_prop.rs` checks delta convergence against.
 pub struct NaiveReplication {
     /// One full database copy per active replica (full mirroring).
@@ -954,8 +524,7 @@ impl NaiveReplication {
 /// `jade_sim::MovingAverage` replaced, kept verbatim: push-back plus
 /// running sum, then front-to-back eviction of samples older than the
 /// window. The running-sum arithmetic is the reference the ring must
-/// reproduce bit for bit (`tests/observation_prop.rs`), and the baseline
-/// the `sensor/naive/*` bench cases measure.
+/// reproduce bit for bit (`tests/observation_prop.rs`).
 #[derive(Debug, Clone)]
 pub struct NaiveMovingAverage {
     window: SimDuration,
@@ -1068,8 +637,7 @@ pub fn naive_value_at(points: &[(SimTime, f64)], t: SimTime, default: f64) -> f6
 /// summed through map lookups, `VecDeque` moving-average sensors,
 /// keep-all series vectors, and a `BTreeMap` heartbeat store. Kept as
 /// the oracle `tests/observation_prop.rs` checks the dense-array probe
-/// against, and the per-tick workload of
-/// [`NaiveLifecycle::run_with_probes`].
+/// against.
 pub struct NaiveObservation {
     /// Application-tier CPU sensor (60 s window).
     pub app_sensor: NaiveMovingAverage,
@@ -1132,32 +700,6 @@ mod tests {
     }
     fn d(ms: u64) -> SimDuration {
         SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn naive_lifecycle_completes_requests() {
-        let (completed, events) = NaiveLifecycle::new(40, 7).run(SimDuration::from_secs(30));
-        assert!(completed > 50, "completed {completed}");
-        assert!(events > completed, "events {events}");
-        // Deterministic for a fixed seed.
-        let again = NaiveLifecycle::new(40, 7).run(SimDuration::from_secs(30));
-        assert_eq!((completed, events), again);
-    }
-
-    #[test]
-    fn naive_probe_plane_runs_deterministically() {
-        let run = || {
-            NaiveLifecycle::new(40, 7)
-                .run_with_probes(SimDuration::from_secs(30), SimDuration::from_secs(1))
-        };
-        let (completed, events) = run();
-        assert!(completed > 50, "completed {completed}");
-        // 30 probe ticks fired on top of the request lifecycle.
-        let (plain_completed, plain_events) =
-            NaiveLifecycle::new(40, 7).run(SimDuration::from_secs(30));
-        assert!(events > plain_events, "probes add events");
-        assert!(completed <= plain_completed + 50, "probes barely perturb");
-        assert_eq!((completed, events), run());
     }
 
     #[test]

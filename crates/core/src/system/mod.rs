@@ -22,7 +22,7 @@ use jade_fractal::{ComponentId, InterfaceDecl, Registry};
 use jade_rubis::{dataset_statements, rubis_schema, EmulatedClient, KeySpace, StatsCollector};
 use jade_sim::{App, Ctx, GenSlab, JobId, SimDuration, SimTime, SlabKey};
 use jade_tiers::wrappers::{BalancerWrapper, CjdbcWrapper, MysqlWrapper, TomcatWrapper};
-use jade_tiers::{LegacyEvent, LegacyLayer, RequestId, ServerId, SqlOp};
+use jade_tiers::{LegacyEvent, LegacyLayer, RequestId, ServerId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One emulated client and its scheduling state.
@@ -116,13 +116,9 @@ pub struct J2eeApp {
     /// Recycled buffer for draining CPU completions on each timer fire
     /// (the hottest per-event path), so the drain never allocates.
     pub(crate) completion_scratch: Vec<JobId>,
-    /// Recycled `plan.sql` allocations of retired requests, reused by the
-    /// workload generator for new plans.
-    pub(crate) sql_recycle: Vec<Vec<SqlOp>>,
     /// Recycled compiled-run buffers (parameter values + per-step
-    /// demands) of retired requests — the compiled generator's
-    /// counterpart of `sql_recycle`, giving the hot path zero
-    /// steady-state allocation.
+    /// demands) of retired requests, reused by the workload generator for
+    /// new plans — zero steady-state allocation on the hot path.
     pub(crate) param_recycle: Vec<(Vec<jade_tiers::sql::Value>, Vec<jade_sim::SimDuration>)>,
     /// Recycled broadcast-target buffer for the DB write path: each write
     /// fills it via `cjdbc_execute_write_into` instead of allocating a
@@ -310,7 +306,6 @@ impl J2eeApp {
             next_request_seq: 0,
             job_owner: GenSlab::new(),
             completion_scratch: Vec::new(),
-            sql_recycle: Vec::new(),
             param_recycle: Vec::new(),
             db_write_targets: Vec::new(),
             jobs_recycle: Vec::new(),
@@ -376,26 +371,17 @@ impl J2eeApp {
         self.jobs_recycle.push(jobs);
     }
 
-    /// Returns a dropped plan's buffers to the recycling pools (the
-    /// statement list of an interpreted plan, or the parameter/demand
-    /// buffers of a compiled run).
-    // jade-audit: allow(unbounded-growth): recycling pools — drained by
-    // the plan-generation path (generate_plan*/on_client_think pop from
-    // sql_recycle/param_recycle); residency is bounded by concurrently
-    // live requests.
+    /// Returns a dropped plan's parameter/demand buffers to the recycling
+    /// pool.
+    // jade-audit: allow(unbounded-growth): recycling pool — drained by
+    // the plan-generation path (on_client_think/new_request pop from
+    // param_recycle); residency is bounded by concurrently live requests.
     pub(crate) fn recycle_plan(&mut self, plan: jade_tiers::InteractionPlan) {
-        match plan.sql {
-            jade_tiers::SqlProgram::Ops(mut sql) => {
-                sql.clear();
-                self.sql_recycle.push(sql);
-            }
-            jade_tiers::SqlProgram::Compiled(run) => {
-                let (mut params, mut demands) = (run.params, run.demands);
-                params.clear();
-                demands.clear();
-                self.param_recycle.push((params, demands));
-            }
-        }
+        let jade_tiers::SqlProgram::Compiled(run) = plan.sql;
+        let (mut params, mut demands) = (run.params, run.demands);
+        params.clear();
+        demands.clear();
+        self.param_recycle.push((params, demands));
     }
 
     /// The accept queue of `server`, growing the dense table on demand.

@@ -558,7 +558,7 @@ impl J2eeApp {
                 (
                     self.legacy
                         .cjdbc_execute_write_into(cjdbc, query, &mut targets),
-                    query.demand(),
+                    query.demand,
                 )
             };
             match executed {

@@ -5,7 +5,7 @@
 //! style), issue one interaction, wait for the response. The think-time
 //! mean is calibrated so 80 clients produce the ~12 req/s of Table 1.
 
-use crate::interactions::{generate_plan, generate_plan_compiled_into, sample_interaction};
+use crate::interactions::generate_plan_compiled_into;
 use crate::schema::KeySpace;
 use crate::transitions::{StateId, TransitionMatrix};
 use jade_sim::{SimDuration, SimRng};
@@ -48,15 +48,8 @@ impl EmulatedClient {
         SimDuration::from_secs_f64(self.rng.exp(self.mean_think.as_secs_f64()))
     }
 
-    /// Generates the next interaction from the i.i.d. weighted mix.
-    pub fn next_interaction(&mut self, ks: &mut KeySpace) -> InteractionPlan {
-        self.issued += 1;
-        let t = sample_interaction(&mut self.rng);
-        generate_plan(t, ks, &mut self.rng)
-    }
-
-    /// Generates the next interaction from an explicit mix (e.g. the
-    /// browsing mix).
+    /// Generates the next interaction from an i.i.d. weighted mix (the
+    /// bidding or the browsing mix).
     pub fn next_interaction_in_mix(
         &mut self,
         mix: &crate::interactions::InteractionMix,
@@ -65,10 +58,9 @@ impl EmulatedClient {
         self.next_interaction_in_mix_into(mix, ks, Vec::new(), Vec::new())
     }
 
-    /// [`next_interaction_in_mix`] with recycled parameter/demand buffers:
-    /// the plan instantiates the interaction's compiled program (see
-    /// [`generate_plan_compiled_into`]), so steady-state generation writes
-    /// two small recycled buffers instead of building statement trees.
+    /// [`next_interaction_in_mix`] with recycled parameter/demand buffers
+    /// (see [`generate_plan_compiled_into`]), so steady-state generation
+    /// allocates nothing.
     ///
     /// [`next_interaction_in_mix`]: EmulatedClient::next_interaction_in_mix
     pub fn next_interaction_in_mix_into(
@@ -148,9 +140,10 @@ mod tests {
     #[test]
     fn issue_and_complete_counters() {
         let mut ks: KeySpace = DatasetSpec::tiny().into();
+        let mix = crate::interactions::InteractionMix::bidding();
         let mut c = EmulatedClient::new(0, SimRng::seed_from_u64(2), DEFAULT_THINK_TIME);
-        let _ = c.next_interaction(&mut ks);
-        let _ = c.next_interaction(&mut ks);
+        let _ = c.next_interaction_in_mix(&mix, &mut ks);
+        let _ = c.next_interaction_in_mix(&mix, &mut ks);
         c.note_completed();
         assert_eq!(c.issued, 2);
         assert_eq!(c.completed, 1);

@@ -3,8 +3,10 @@
 //! selling items").
 //!
 //! Each interaction carries a weight (its share of the default bidding
-//! mix, ~15% read-write), servlet CPU demands, and a generator that emits
-//! concrete SQL against the RUBiS schema. CPU demands are calibrated so
+//! mix, ~15% read-write), servlet CPU demands, and its SQL as a
+//! [`CompiledPlan`] over the RUBiS schema — the fixed shape compiled once
+//! per process, of which a request fills only the parameter buffer with
+//! its RNG-drawn keys and values. CPU demands are calibrated so
 //! the tier saturation points land where the paper's Figure 5 puts them
 //! (first database replica added around 180 clients, the second around
 //! 320, the application tier scaling at around 420 clients).
@@ -12,9 +14,9 @@
 use crate::schema::{rubis_ids, KeySpace};
 use jade_sim::{SimDuration, SimRng};
 use jade_tiers::plan::{CompiledPlan, Operand, PlanStep, StepOp};
-use jade_tiers::request::{CompiledRun, InteractionPlan, SqlOp, SqlProgram};
-use jade_tiers::sql::{ColId, Statement, TableId, Value};
-use std::sync::{Arc, OnceLock};
+use jade_tiers::request::{CompiledRun, InteractionPlan, SqlProgram};
+use jade_tiers::sql::Value;
+use std::sync::OnceLock;
 
 /// How an interaction touches the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,324 +93,6 @@ fn ms(x: f64) -> SimDuration {
     SimDuration::from_secs_f64(x / 1e3)
 }
 
-// Statement constructors over pre-resolved ids: preparing a plan performs
-// zero string hashing or name allocation.
-
-fn read_key(table: TableId, key: u64, demand_ms: f64) -> SqlOp {
-    SqlOp::new(Statement::SelectByKey { table, key }, ms(demand_ms))
-}
-
-fn scan(table: TableId, column: ColId, value: Value, limit: usize, demand_ms: f64) -> SqlOp {
-    SqlOp::new(
-        Statement::SelectWhere {
-            table,
-            column,
-            value,
-            limit,
-        },
-        ms(demand_ms),
-    )
-}
-
-/// The constant `SELECT COUNT(*)` statements the browse pages reissue
-/// verbatim — prepared once per process and `Arc`-shared across plans.
-fn count_categories(demand_ms: f64) -> SqlOp {
-    static STMT: OnceLock<Arc<Statement>> = OnceLock::new();
-    let stmt = STMT.get_or_init(|| {
-        Arc::new(Statement::Count {
-            table: rubis_ids().categories,
-        })
-    });
-    SqlOp::shared(Arc::clone(stmt), ms(demand_ms))
-}
-
-fn count_regions(demand_ms: f64) -> SqlOp {
-    static STMT: OnceLock<Arc<Statement>> = OnceLock::new();
-    let stmt = STMT.get_or_init(|| {
-        Arc::new(Statement::Count {
-            table: rubis_ids().regions,
-        })
-    });
-    SqlOp::shared(Arc::clone(stmt), ms(demand_ms))
-}
-
-/// Row/set vectors salvaged from a completed request's insert and update
-/// statements, recycled into the next request's constructors — the
-/// statement-path counterpart of the compiled path's recycled parameter
-/// buffers, so steady-state generation allocates no per-call `Vec`s.
-#[derive(Debug, Default)]
-struct RowScratch {
-    rows: Vec<Vec<Value>>,
-    sets: Vec<Vec<(ColId, Value)>>,
-}
-
-impl RowScratch {
-    /// Reclaims the row/set allocation of `op`'s statement, when this was
-    /// its last reference (shared statements — the prepared `COUNT(*)`s —
-    /// just drop their handle).
-    fn salvage(&mut self, op: SqlOp) {
-        if let Ok(stmt) = Arc::try_unwrap(op.statement) {
-            match stmt {
-                Statement::Insert { mut row, .. } => {
-                    row.clear();
-                    self.rows.push(row);
-                }
-                Statement::Update { mut set, .. } => {
-                    set.clear();
-                    self.sets.push(set);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn row(&mut self) -> Vec<Value> {
-        self.rows.pop().unwrap_or_default()
-    }
-
-    fn set(&mut self) -> Vec<(ColId, Value)> {
-        self.sets.pop().unwrap_or_default()
-    }
-}
-
-fn insert<const N: usize>(
-    scratch: &mut RowScratch,
-    table: TableId,
-    row: [Value; N],
-    demand_ms: f64,
-) -> SqlOp {
-    let mut buf = scratch.row();
-    buf.extend(row);
-    SqlOp::new(Statement::Insert { table, row: buf }, ms(demand_ms))
-}
-
-fn update<const N: usize>(
-    scratch: &mut RowScratch,
-    table: TableId,
-    key: u64,
-    set: [(ColId, Value); N],
-    demand_ms: f64,
-) -> SqlOp {
-    let mut buf = scratch.set();
-    buf.extend(set);
-    SqlOp::new(
-        Statement::Update {
-            table,
-            key,
-            set: buf,
-        },
-        ms(demand_ms),
-    )
-}
-
-/// Instantiates the SQL work of an interaction against the current key
-/// space, appending the ops to `out` (a recycled buffer on the request
-/// hot path) and drawing insert/update row vectors from `scratch`.
-/// Mutates the key space when the interaction inserts rows.
-fn sql_for_into(
-    t: &InteractionType,
-    ks: &mut KeySpace,
-    rng: &mut SimRng,
-    out: &mut Vec<SqlOp>,
-    scratch: &mut RowScratch,
-) {
-    let ids = rubis_ids();
-    match t.name {
-        "RegisterUser" => {
-            let region = ks.region(rng);
-            ks.users += 1;
-            // Layout: [nickname, region, rating].
-            out.push(insert(
-                scratch,
-                ids.users,
-                [
-                    Value::Text(format!("newuser{}", ks.users)),
-                    Value::Int(region as i64),
-                    Value::Int(0),
-                ],
-                8.0,
-            ))
-        }
-        "BrowseCategories" => out.push(count_categories(8.0)),
-        "SearchItemsInCategory" => {
-            let cat = ks.category(rng);
-            out.push(scan(
-                ids.items,
-                ids.item_category,
-                Value::Int(cat as i64),
-                25,
-                58.0,
-            ))
-        }
-        "BrowseRegions" => out.push(count_regions(6.0)),
-        "BrowseCategoriesInRegion" => out.push(count_categories(8.0)),
-        "SearchItemsInRegion" => {
-            let region = ks.region(rng);
-            out.push(scan(
-                ids.users,
-                ids.user_region,
-                Value::Int(region as i64),
-                25,
-                52.0,
-            ))
-        }
-        "ViewItem" => {
-            let item = ks.item(rng);
-            out.extend([
-                read_key(ids.items, item, 10.0),
-                scan(ids.bids, ids.bid_item, Value::Int(item as i64), 20, 22.0),
-            ])
-        }
-        "ViewUserInfo" => {
-            let user = ks.user(rng);
-            out.extend([
-                read_key(ids.users, user, 8.0),
-                scan(
-                    ids.comments,
-                    ids.comment_author,
-                    Value::Int(user as i64),
-                    20,
-                    14.0,
-                ),
-            ])
-        }
-        "ViewBidHistory" => {
-            let item = ks.item(rng);
-            out.extend([
-                read_key(ids.items, item, 8.0),
-                scan(ids.bids, ids.bid_item, Value::Int(item as i64), 30, 20.0),
-            ])
-        }
-        "BuyNow" => out.push(read_key(ids.items, ks.item(rng), 10.0)),
-        "StoreBuyNow" => {
-            let item = ks.item(rng);
-            let buyer = ks.user(rng);
-            // Layout: [item, buyer].
-            let buy = insert(
-                scratch,
-                ids.buy_now,
-                [Value::Int(item as i64), Value::Int(buyer as i64)],
-                10.0,
-            );
-            let sold = update(
-                scratch,
-                ids.items,
-                item,
-                [(ids.item_quantity, Value::Int(0))],
-                8.0,
-            );
-            out.extend([buy, sold])
-        }
-        "PutBid" => {
-            let item = ks.item(rng);
-            out.extend([
-                read_key(ids.items, item, 10.0),
-                scan(ids.bids, ids.bid_item, Value::Int(item as i64), 10, 14.0),
-            ])
-        }
-        "StoreBid" => {
-            let item = ks.item(rng);
-            let bidder = ks.user(rng);
-            ks.bids += 1;
-            // Layout: [item, bidder, amount].
-            let bid = insert(
-                scratch,
-                ids.bids,
-                [
-                    Value::Int(item as i64),
-                    Value::Int(bidder as i64),
-                    Value::Int(rng.range_u64(1, 2000) as i64),
-                ],
-                10.0,
-            );
-            out.extend([bid, read_key(ids.items, item, 6.0)])
-        }
-        "PutComment" => out.extend([
-            read_key(ids.users, ks.user(rng), 6.0),
-            read_key(ids.items, ks.item(rng), 6.0),
-        ]),
-        "StoreComment" => {
-            let author = ks.user(rng);
-            ks.comments += 1;
-            // Layout: [item, author, text].
-            let comment = insert(
-                scratch,
-                ids.comments,
-                [
-                    Value::Int(ks.item(rng) as i64),
-                    Value::Int(author as i64),
-                    Value::Text("great seller".into()),
-                ],
-                10.0,
-            );
-            let rating = update(
-                scratch,
-                ids.users,
-                author,
-                [(ids.user_rating, Value::Int(1))],
-                6.0,
-            );
-            out.extend([comment, rating])
-        }
-        "SelectCategoryToSellItem" => out.push(count_categories(8.0)),
-        "RegisterItem" => {
-            let seller = ks.user(rng);
-            let cat = ks.category(rng);
-            ks.items += 1;
-            // Layout: [name, seller, category, price, quantity].
-            out.push(insert(
-                scratch,
-                ids.items,
-                [
-                    Value::Text(format!("newitem{}", ks.items)),
-                    Value::Int(seller as i64),
-                    Value::Int(cat as i64),
-                    Value::Int(rng.range_u64(1, 1000) as i64),
-                    Value::Int(1),
-                ],
-                12.0,
-            ))
-        }
-        "AboutMe" => {
-            let user = ks.user(rng);
-            out.extend([
-                read_key(ids.users, user, 8.0),
-                scan(ids.bids, ids.bid_bidder, Value::Int(user as i64), 20, 16.0),
-                scan(
-                    ids.items,
-                    ids.item_seller,
-                    Value::Int(user as i64),
-                    20,
-                    16.0,
-                ),
-                scan(
-                    ids.comments,
-                    ids.comment_author,
-                    Value::Int(user as i64),
-                    10,
-                    10.0,
-                ),
-            ])
-        }
-        // Static / form pages.
-        _ => {}
-    }
-}
-
-/// Instantiates the SQL work of an interaction into a fresh `Vec` (see
-/// [`sql_for_into`] for the allocation-reusing variant).
-fn sql_for(t: &InteractionType, ks: &mut KeySpace, rng: &mut SimRng) -> Vec<SqlOp> {
-    let mut out = Vec::new();
-    sql_for_into(t, ks, rng, &mut out, &mut RowScratch::default());
-    out
-}
-
-/// Samples an interaction type from the default bidding mix.
-pub fn sample_interaction<'a>(rng: &mut SimRng) -> &'a InteractionType {
-    let weights: Vec<f64> = INTERACTIONS.iter().map(|t| t.weight).collect();
-    &INTERACTIONS[rng.weighted(&weights)]
-}
-
 /// A weighted interaction mix. RUBiS ships two: the *bidding* mix
 /// (default, ~15 % read-write) and the *browsing* mix (read-only).
 #[derive(Debug, Clone)]
@@ -463,55 +147,9 @@ impl InteractionMix {
     }
 }
 
-/// Builds the concrete work plan of one client request.
-pub fn generate_plan(t: &InteractionType, ks: &mut KeySpace, rng: &mut SimRng) -> InteractionPlan {
-    generate_plan_into(t, ks, rng, Vec::new())
-}
-
-/// Like [`generate_plan`], but builds the plan's SQL into `sql_buf` — a
-/// recycled buffer, typically salvaged from a completed request's plan —
-/// so steady-state request generation reuses one allocation per client
-/// slot instead of allocating a fresh `Vec<SqlOp>` per request.
-pub fn generate_plan_into(
-    t: &InteractionType,
-    ks: &mut KeySpace,
-    rng: &mut SimRng,
-    mut sql_buf: Vec<SqlOp>,
-) -> InteractionPlan {
-    // CPU demands jitter ±20% around the calibrated mean, modelling data-
-    // dependent servlet work.
-    let jitter = |mean_ms: f64, rng: &mut SimRng| ms(mean_ms * (0.8 + 0.4 * rng.f64()));
-    // Salvage the previous request's insert/update row vectors out of the
-    // recycled buffer instead of dropping them with `clear()`.
-    let mut scratch = RowScratch::default();
-    for op in sql_buf.drain(..) {
-        scratch.salvage(op);
-    }
-    sql_for_into(t, ks, rng, &mut sql_buf, &mut scratch);
-    for op in &mut sql_buf {
-        let d = op.demand.as_secs_f64() * 1e3;
-        op.demand = jitter(d, rng);
-    }
-    InteractionPlan {
-        name: t.name,
-        pre_demand: jitter(t.pre_ms, rng),
-        sql: SqlProgram::Ops(sql_buf),
-        post_demand: jitter(t.post_ms, rng),
-        response_bytes: t.response_bytes,
-    }
-}
-
-// --- Compiled plans -----------------------------------------------------
-//
-// Each interaction's statement template above is compiled once into a
-// flat [`CompiledPlan`]; the per-request path then fills a small typed
-// parameter buffer (one slot per RNG draw, in draw order) instead of
-// constructing `Statement` trees. `fill_params_into` mirrors
-// `sql_for_into`'s draws and key-space mutations *exactly* — same RNG
-// calls in the same order — so switching a workload between the two
-// representations leaves every downstream draw, and therefore every
-// committed outcome digest, byte-identical. `tests/plan_prop.rs` holds
-// the differential proof.
+// Each interaction's SQL shape as a flat [`CompiledPlan`]; the per-request
+// path fills a small typed parameter buffer (`fill_params_into`, one slot
+// per RNG draw) and never builds a statement.
 
 fn step(op: StepOp, demand_ms: f64) -> PlanStep {
     PlanStep {
@@ -818,9 +456,10 @@ pub fn compiled_plans() -> &'static [CompiledPlan] {
     PLANS.get_or_init(|| INTERACTIONS.iter().map(compile_interaction).collect())
 }
 
-/// Fills one request's parameter buffer, performing exactly the RNG draws
-/// and key-space mutations [`sql_for_into`] performs, in the same order
-/// (pinned by the draw-order regression tests and `tests/plan_prop.rs`).
+/// Fills one request's parameter buffer, one slot per RNG draw in draw
+/// order, growing the key space when the interaction inserts rows. The
+/// draw order is part of every committed outcome digest; the golden
+/// statement-stream test below pins it.
 // jade-audit: allow(hot-alloc): the format!ed Text values are the
 // request's SQL parameters and become row data owned by the database;
 // only the two Register* interactions take these arms.
@@ -875,13 +514,11 @@ fn fill_params_into(
     }
 }
 
-/// Compiled counterpart of [`generate_plan_into`]: builds the plan of one
-/// client request as a [`CompiledRun`] over the interaction's shared
-/// program, reusing `params`/`demands` (recycled buffers salvaged from a
-/// completed request) so steady-state generation allocates nothing. The
-/// RNG draw sequence is identical to the interpreted generator's — the
-/// jitter means round-trip through [`SimDuration`] the same way — so the
-/// two representations are digest-interchangeable.
+/// Builds the concrete work plan of one client request as a
+/// [`CompiledRun`] over the interaction's shared program, reusing
+/// `params`/`demands` (recycled buffers salvaged from a completed request)
+/// so steady-state generation allocates nothing. CPU demands jitter ±20 %
+/// around the calibrated mean, modelling data-dependent servlet work.
 // jade-audit: allow(hot-panic): the interaction index is sampled from
 // the transition matrix, whose dimension equals INTERACTIONS.len() ==
 // compiled_plans().len().
@@ -918,16 +555,16 @@ pub fn generate_plan_compiled_into(
 /// Mix-weighted mean demands `(servlet_ms, db_ms)` — the numbers the
 /// capacity model and threshold calibration rest on.
 pub fn mean_demands() -> (f64, f64) {
-    let mut rng = SimRng::seed_from_u64(0xCA11B);
-    let mut ks: KeySpace = crate::schema::DatasetSpec::small().into();
     let total_w: f64 = INTERACTIONS.iter().map(|t| t.weight).sum();
     let mut servlet = 0.0;
     let mut db = 0.0;
-    // SQL demands are deterministic per interaction type (jitter is applied
-    // later), so one instantiation per type suffices.
-    for t in INTERACTIONS {
-        let ops = sql_for(t, &mut ks, &mut rng);
-        let db_ms: f64 = ops.iter().map(|o| o.demand.as_secs_f64() * 1e3).sum();
+    // The compiled steps carry the un-jittered means.
+    for (t, plan) in INTERACTIONS.iter().zip(compiled_plans()) {
+        let db_ms: f64 = plan
+            .steps
+            .iter()
+            .map(|s| s.demand.as_secs_f64() * 1e3)
+            .sum();
         servlet += t.weight * (t.pre_ms + t.post_ms);
         db += t.weight * db_ms;
     }
@@ -979,12 +616,14 @@ mod tests {
 
     #[test]
     fn generated_plans_have_concrete_sql() {
+        let mix = InteractionMix::bidding();
         let mut rng = SimRng::seed_from_u64(3);
         let mut ks: KeySpace = DatasetSpec::tiny().into();
         let mut saw_sql = false;
         for _ in 0..200 {
-            let t = sample_interaction(&mut rng);
-            let plan = generate_plan(t, &mut ks, &mut rng);
+            let i = mix.sample_index(&mut rng);
+            let t = &INTERACTIONS[i];
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
             assert_eq!(plan.name, t.name);
             if !plan.sql.is_empty() {
                 saw_sql = true;
@@ -1003,11 +642,11 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(4);
         let mut ks: KeySpace = DatasetSpec::tiny().into();
         let items_before = ks.items;
-        let t = INTERACTIONS
+        let i = INTERACTIONS
             .iter()
-            .find(|t| t.name == "RegisterItem")
+            .position(|t| t.name == "RegisterItem")
             .unwrap();
-        generate_plan(t, &mut ks, &mut rng);
+        generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
         assert_eq!(ks.items, items_before + 1);
     }
 
@@ -1023,75 +662,86 @@ mod tests {
         assert_eq!(InteractionMix::bidding().name(), "bidding");
     }
 
-    #[test]
-    fn compiled_templates_materialize_to_the_interpreted_statements() {
-        let plans = compiled_plans();
-        assert_eq!(plans.len(), INTERACTIONS.len());
-        for (i, t) in INTERACTIONS.iter().enumerate() {
-            let seed = 0xC0FFEE + i as u64;
-            let mut rng_a = SimRng::seed_from_u64(seed);
-            let mut rng_b = SimRng::seed_from_u64(seed);
-            let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-            let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-            let ops = sql_for(t, &mut ks_a, &mut rng_a);
-            let mut params = Vec::new();
-            fill_params_into(t, &mut ks_b, &mut rng_b, &mut params);
-            let plan = &plans[i];
-            assert_eq!(plan.params as usize, params.len(), "{} slots", t.name);
-            assert_eq!(plan.len(), ops.len(), "{} steps", t.name);
-            assert_eq!(plan.writes, ops.iter().any(SqlOp::is_write), "{}", t.name);
-            for (step, op) in plan.steps.iter().zip(&ops) {
-                assert_eq!(step.statement(&params), *op.statement, "{}", t.name);
-                assert_eq!(step.demand, op.demand, "{} demand", t.name);
-                assert_eq!(step.is_write(), op.is_write(), "{}", t.name);
+    /// Digest of the first `GOLDEN_PLANS` plans of a seeded stream whose
+    /// interaction choice is `pick`: per plan the interaction name, pre-
+    /// and post-demand, every query's rendered statement and jittered
+    /// demand, and the key-space counters after generation.
+    fn statement_stream_digest(seed: u64, mut pick: impl FnMut(&mut SimRng) -> usize) -> u64 {
+        const GOLDEN_PLANS: usize = 2_000;
+        let schema = crate::schema::rubis_schema();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut ks: KeySpace = DatasetSpec::small().into();
+        let mut d = jade_sim::Digest::new();
+        for _ in 0..GOLDEN_PLANS {
+            let i = pick(&mut rng);
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            let SqlProgram::Compiled(run) = plan.sql;
+            d.write_str(plan.name);
+            d.write_u64(plan.pre_demand.as_micros());
+            d.write_u64(plan.post_demand.as_micros());
+            d.write_u64(run.plan.steps.len() as u64);
+            for (step, demand) in run.plan.steps.iter().zip(&run.demands) {
+                d.write_str(&step.statement(&run.params).render(&schema));
+                d.write_u64(demand.as_micros());
             }
-            // Identical draw streams and key-space mutations: both sides
-            // leave RNG and key space in the same state.
-            assert_eq!(rng_a.f64(), rng_b.f64(), "{} rng state", t.name);
-            assert_eq!(
-                (ks_a.users, ks_a.items, ks_a.bids, ks_a.comments),
-                (ks_b.users, ks_b.items, ks_b.bids, ks_b.comments),
-                "{} key space",
-                t.name
-            );
+            for counter in [ks.users, ks.items, ks.bids, ks.comments] {
+                d.write_u64(counter);
+            }
         }
+        d.finish()
     }
 
+    /// The constants were captured at the last commit that still carried
+    /// the statement-template generator, from *its* output (statements
+    /// built directly, not through `PlanStep::statement`). They pin what
+    /// every committed outcome digest depends on: the RNG draw order, the
+    /// key-space mutations, the jitter, and the exact SQL each template
+    /// stands for — under the bidding mix, the browsing mix and the Markov
+    /// navigation model.
     #[test]
-    fn compiled_generation_matches_interpreted_demands_and_shape() {
-        for (i, t) in INTERACTIONS.iter().enumerate() {
-            let seed = 0xBEEF + i as u64;
-            let mut rng_a = SimRng::seed_from_u64(seed);
-            let mut rng_b = SimRng::seed_from_u64(seed);
-            let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-            let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            assert_eq!(compiled.name, interp.name);
-            assert_eq!(compiled.pre_demand, interp.pre_demand, "{}", t.name);
-            assert_eq!(compiled.post_demand, interp.post_demand, "{}", t.name);
-            assert_eq!(compiled.response_bytes, interp.response_bytes);
-            assert_eq!(compiled.sql.len(), interp.sql.len(), "{}", t.name);
-            assert_eq!(compiled.has_write(), interp.has_write(), "{}", t.name);
-            assert_eq!(compiled.db_demand(), interp.db_demand(), "{}", t.name);
-            let interp_ops = interp.sql.into_ops();
-            let compiled_ops = compiled.sql.into_ops();
-            for (c, o) in compiled_ops.iter().zip(&interp_ops) {
-                assert_eq!(c.statement, o.statement, "{}", t.name);
-                assert_eq!(c.demand, o.demand, "{} jittered demand", t.name);
-            }
-            assert_eq!(rng_a.f64(), rng_b.f64(), "{} rng state", t.name);
+    fn compiled_templates_materialize_to_the_interpreted_statements() {
+        for (seed, bidding, browsing, markov) in [
+            (
+                1,
+                0xc735_1c99_5e48_ddfe,
+                0xcca8_99ef_be3e_1d75,
+                0x8c2e_3509_95a3_ec15,
+            ),
+            (
+                7,
+                0xdd53_648a_4da2_4451,
+                0x9abf_a3e0_aa4a_9a30,
+                0xbe66_2cbf_528e_eb57,
+            ),
+        ] {
+            let mix = InteractionMix::bidding();
+            let got = statement_stream_digest(seed, |rng| mix.sample_index(rng));
+            assert_eq!(got, bidding, "bidding mix, seed {seed}: {got:#018x}");
+            let mix = InteractionMix::browsing();
+            let got = statement_stream_digest(seed, |rng| mix.sample_index(rng));
+            assert_eq!(got, browsing, "browsing mix, seed {seed}: {got:#018x}");
+            let matrix = crate::transitions::TransitionMatrix::bidding_mix();
+            let mut state = None;
+            let got = statement_stream_digest(seed, |rng| {
+                let next = match state {
+                    Some(s) => matrix.next(s, rng),
+                    None => matrix.home(),
+                };
+                state = Some(next);
+                next
+            });
+            assert_eq!(got, markov, "markov navigation, seed {seed}: {got:#018x}");
         }
     }
 
     #[test]
     fn sampling_follows_weights() {
+        let mix = InteractionMix::bidding();
         let mut rng = SimRng::seed_from_u64(5);
         let mut search = 0;
         let n = 20_000;
         for _ in 0..n {
-            if sample_interaction(&mut rng).name == "SearchItemsInCategory" {
+            if mix.sample(&mut rng).name == "SearchItemsInCategory" {
                 search += 1;
             }
         }

@@ -26,8 +26,8 @@ pub mod workload;
 
 pub use client::{EmulatedClient, DEFAULT_THINK_TIME};
 pub use interactions::{
-    compiled_plans, generate_plan, generate_plan_compiled_into, sample_interaction,
-    InteractionKind, InteractionMix, InteractionType, INTERACTIONS,
+    compiled_plans, generate_plan_compiled_into, InteractionKind, InteractionMix, InteractionType,
+    INTERACTIONS,
 };
 pub use pool::{ClientPool, FRESH_BUCKET};
 pub use schema::{

@@ -6,7 +6,7 @@
 //! `BrowseCategories` to `SearchItemsInCategory`, bidders from `ViewItem`
 //! to `PutBidAuth`, and so on), with a "back" edge modelling the browser
 //! button. This module implements that navigation model; the i.i.d.
-//! weighted mix of [`crate::interactions::sample_interaction`] remains
+//! weighted mix of [`crate::interactions::InteractionMix`] remains
 //! available as the simpler default.
 //!
 //! The matrix below is a condensed version of RUBiS's default

@@ -56,8 +56,7 @@
 //! (associativity of float accumulation aside), including the `Thrashing`
 //! knee. The bench crate keeps the original implementation as
 //! `NaivePsCpu`; `tests/cpu_prop.rs` checks the two agree on completion
-//! sets, order and times within 1e-6 s under random interleavings, and
-//! `BENCH_kernel.json` records the speedup (`speedup_ps_*`).
+//! sets, order and times within 1e-6 s under random interleavings.
 //!
 //! The owner (a server actor) drives the model: it calls [`PsCpu::submit`]
 //! on arrival, asks for [`PsCpu::next_completion`], arms one timer with the

@@ -278,9 +278,9 @@ impl<T> Default for EventQueue<T> {
 /// half of them are cancelled.
 const COMPACT_MIN: usize = 64;
 
-/// Heap arity. The sift loops are written for any arity; benchmarks
-/// (`BENCH_kernel.json`) put the binary layout ahead of 4- and 8-ary on
-/// the kernel's steady-state churn pattern with these 16-byte entries.
+/// Heap arity. The sift loops are written for any arity; on the kernel's
+/// steady-state churn pattern with these 16-byte entries the binary
+/// layout measured ahead of 4- and 8-ary.
 const ARITY: usize = 2;
 
 impl<T> EventQueue<T> {

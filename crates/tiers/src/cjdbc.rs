@@ -9,7 +9,7 @@
 //!   Least-Pending scheduling),
 //! * write broadcast to all active backends, every write appended to the
 //!   [`crate::recovery::RecoveryLog`]. The first active backend in id
-//!   order is the deterministic *primary*: it executes the statement once
+//!   order is the deterministic *primary*: it executes the write once
 //!   and captures a [`WriteDelta`](crate::storage::WriteDelta) that the
 //!   remaining replicas apply without re-evaluating,
 //! * state reconciliation: a joining backend receives a

@@ -253,9 +253,8 @@ impl LegacyLayer {
         dump: &[crate::sql::Statement],
     ) {
         let mut db = crate::storage::Database::new(Arc::clone(&schema));
-        let mut scratch = Vec::new();
         for stmt in dump {
-            let _ = db.execute_into(stmt, &mut scratch);
+            let _ = db.execute(stmt);
         }
         self.schema = schema;
         self.mysql_base = db;
@@ -662,11 +661,12 @@ impl LegacyLayer {
                     Some(delta) => {
                         let _ = m.db.apply_delta(delta);
                     }
-                    // No captured delta (the statement errored on the
-                    // primary): re-execute, tolerating individual errors
-                    // the same way C-JDBC does.
+                    // No captured delta (the write errored on the
+                    // primary): re-execute the logged statement,
+                    // tolerating individual errors the same way C-JDBC
+                    // does.
                     None => {
-                        let _ = m.execute(&entry.statement);
+                        let _ = m.db.execute(&entry.statement);
                     }
                 }
             }
@@ -711,58 +711,37 @@ impl LegacyLayer {
         Ok(())
     }
 
-    /// Routes a read to one active backend and executes it there,
-    /// returning the backend and the CPU demand to charge. A compiled
-    /// step executes opcode-directly — no `Statement` is materialized on
-    /// the read path.
+    /// Routes a read to one active backend and executes it there as a
+    /// count-only probe, returning the backend and the CPU demand to
+    /// charge.
     pub fn cjdbc_execute_read(
         &mut self,
         cjdbc: ServerId,
         query: crate::request::DbQuery<'_>,
         rng: &mut SimRng,
     ) -> Result<(ServerId, SimDuration), LegacyError> {
-        debug_assert!(!query.is_write());
+        debug_assert!(!query.step.is_write());
         let state = self.server(cjdbc)?.process().state;
         if !state.is_running() {
             return Err(LegacyError::BadState(cjdbc, state));
         }
         let backend = self.cjdbc_mut(cjdbc)?.route_read(rng)?;
-        let m = self.mysql_mut(backend)?;
-        match query {
-            crate::request::DbQuery::Stmt(op) => {
-                let _ = m.execute(&op.statement);
-            }
-            crate::request::DbQuery::Step { step, params, .. } => {
-                let _ = m.execute_step(step, params);
-            }
-        }
-        Ok((backend, query.demand()))
+        let _ = self
+            .mysql(backend)?
+            .db
+            .read_step_summary(query.step, query.params);
+        Ok((backend, query.demand))
     }
 
     /// Broadcasts a write to all active backends, appending it to the
-    /// recovery log; returns the per-backend CPU demands to charge.
-    pub fn cjdbc_execute_write(
-        &mut self,
-        cjdbc: ServerId,
-        op: &crate::request::SqlOp,
-    ) -> Result<Vec<(ServerId, SimDuration)>, LegacyError> {
-        let mut targets = Vec::new();
-        self.cjdbc_execute_write_into(cjdbc, crate::request::DbQuery::Stmt(op), &mut targets)?;
-        Ok(targets.into_iter().map(|b| (b, op.demand)).collect())
-    }
-
-    /// Scratch-buffer variant of
-    /// [`LegacyLayer::cjdbc_execute_write`]: fills `out` with the
-    /// broadcast set (every backend is charged the query's demand) with
-    /// zero steady-state allocation. The deterministic primary (`out[0]`)
-    /// executes the write once and captures a physical
-    /// [`crate::storage::WriteDelta`]; the remaining replicas apply the
-    /// delta — sharing the primary's row allocations — instead of
-    /// re-evaluating the statement. A compiled step executes
-    /// opcode-directly on the primary and materializes its prepared
-    /// statement only for the recovery log (whose entries are statements,
-    /// paper §4.1) — the same one allocation the interpreted generator
-    /// made up front.
+    /// recovery log; fills `out` (a caller-recycled buffer) with the
+    /// broadcast set — every backend in it is charged the query's demand.
+    /// The deterministic primary (`out[0]`) executes the step once and
+    /// captures a physical [`crate::storage::WriteDelta`]; the remaining
+    /// replicas apply the delta — sharing the primary's row allocations —
+    /// instead of re-evaluating anything. The step's prepared statement is
+    /// materialized once, for the recovery log (whose entries are
+    /// statements, paper §4.1).
     // jade-audit: allow(hot-alloc, hot-panic): the Arcs are the one
     // materialization of the write's statement and delta, shared by
     // reference across every replica and the recovery log; out[1..] is
@@ -774,7 +753,7 @@ impl LegacyLayer {
         query: crate::request::DbQuery<'_>,
         out: &mut Vec<ServerId>,
     ) -> Result<(), LegacyError> {
-        debug_assert!(query.is_write());
+        debug_assert!(query.step.is_write());
         let state = self.server(cjdbc)?.process().state;
         if !state.is_running() {
             return Err(LegacyError::BadState(cjdbc, state));
@@ -787,22 +766,13 @@ impl LegacyLayer {
         // cluster-wide outcome of a failed write is deterministic too) —
         // without a delta, so every replica re-executes it and fails
         // identically.
-        let (stmt, delta) = match query {
-            crate::request::DbQuery::Stmt(op) => {
-                let delta = match self.mysql_mut(primary)?.execute_capture(&op.statement) {
-                    Ok((_, delta)) => Some(Arc::new(delta)),
-                    Err(_) => None,
-                };
-                (Arc::clone(&op.statement), delta)
-            }
-            crate::request::DbQuery::Step { step, params, .. } => {
-                let delta = match self.mysql_mut(primary)?.execute_step_capture(step, params) {
-                    Ok((_, delta)) => Some(Arc::new(delta)),
-                    Err(_) => None,
-                };
-                (Arc::new(step.statement(params)), delta)
-            }
-        };
+        let delta = self
+            .mysql_mut(primary)?
+            .db
+            .execute_step_capture(query.step, query.params)
+            .ok()
+            .map(|(_, delta)| Arc::new(delta));
+        let stmt = Arc::new(query.step.statement(query.params));
         self.cjdbc_mut(cjdbc)?
             .route_write_into(Arc::clone(&stmt), delta.clone(), out)?;
         debug_assert_eq!(out.first(), Some(&primary), "primary broadcasts first");
@@ -813,7 +783,7 @@ impl LegacyLayer {
                     let _ = m.db.apply_delta(delta);
                 }
                 None => {
-                    let _ = m.execute(&stmt);
+                    let _ = m.db.execute(&stmt);
                 }
             }
         }
@@ -909,7 +879,8 @@ impl LegacyLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::SqlOp;
+    use crate::plan::{Operand, PlanStep, StepOp};
+    use crate::request::DbQuery;
     use crate::sql::{Schema, Value};
     use jade_cluster::{NodeSpec, SoftwareRepository};
 
@@ -988,21 +959,33 @@ mod tests {
             .any(|(_, e)| *e == LegacyEvent::ServerFailed(t)));
     }
 
-    fn write_op(i: i64) -> SqlOp {
-        SqlOp::new(
-            test_schema().insert("t", &[("a", Value::Int(i))]),
-            SimDuration::from_millis(5),
-        )
+    fn step(op: StepOp, demand_ms: u64) -> PlanStep {
+        PlanStep {
+            op,
+            demand: SimDuration::from_millis(demand_ms),
+        }
     }
 
-    fn read_op() -> SqlOp {
-        SqlOp::new(test_schema().count("t"), SimDuration::from_millis(2))
+    /// Broadcasts `INSERT INTO t (a) VALUES (i)` through the controller.
+    fn write(l: &mut LegacyLayer, cj: ServerId, i: i64) -> Vec<ServerId> {
+        let table = test_schema().must_table("t");
+        let row = vec![Operand::Param(0)];
+        let insert = step(StepOp::Insert { table, row }, 5);
+        let query = DbQuery {
+            step: &insert,
+            params: &[Value::Int(i)],
+            demand: insert.demand,
+        };
+        let mut targets = Vec::new();
+        l.cjdbc_execute_write_into(cj, query, &mut targets).unwrap();
+        targets
     }
 
     /// Deploys a C-JDBC with `n` active MySQL backends (synchronously
     /// draining boot/replay events).
     fn db_cluster(l: &mut LegacyLayer, n: usize) -> (ServerId, Vec<ServerId>) {
-        l.set_mysql_dump(test_schema(), &[]);
+        // The base image every replica starts from holds the (empty) table.
+        l.set_mysql_dump(test_schema(), &[test_schema().create_table("t")]);
         let cj_node = l.cluster.allocate().unwrap();
         install(l, cj_node, "cjdbc");
         let cj = l.create_cjdbc("C-JDBC", cj_node, ReadPolicy::LeastPending);
@@ -1039,12 +1022,6 @@ mod tests {
             }
             backends.push(m);
         }
-        // Create the schema cluster-wide.
-        l.cjdbc_execute_write(
-            cj,
-            &SqlOp::new(test_schema().create_table("t"), SimDuration::ZERO),
-        )
-        .unwrap();
         (cj, backends)
     }
 
@@ -1053,7 +1030,7 @@ mod tests {
         let mut l = layer(6);
         let (cj, backends) = db_cluster(&mut l, 3);
         for i in 0..10 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            assert_eq!(write(&mut l, cj, i), backends, "primary first, all active");
         }
         let digests: Vec<u64> = backends
             .iter()
@@ -1067,7 +1044,7 @@ mod tests {
         let mut l = layer(6);
         let (cj, backends) = db_cluster(&mut l, 1);
         for i in 0..20 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            write(&mut l, cj, i);
         }
         // New replica joins late.
         let node = l.cluster.allocate().unwrap();
@@ -1080,7 +1057,7 @@ mod tests {
         l.cjdbc_enable_backend(cj, m2).unwrap();
         // More writes land during the replay window.
         for i in 100..105 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            write(&mut l, cj, i);
         }
         // Process replay batches until activation.
         let mut activated = false;
@@ -1117,16 +1094,18 @@ mod tests {
     fn reads_are_distributed_and_execute() {
         let mut l = layer(6);
         let (cj, _) = db_cluster(&mut l, 2);
-        l.cjdbc_execute_write(cj, &write_op(1)).unwrap();
+        write(&mut l, cj, 1);
         let mut rng = SimRng::seed_from_u64(1);
-        let read = read_op();
-        let (b1, d) = l
-            .cjdbc_execute_read(cj, crate::request::DbQuery::Stmt(&read), &mut rng)
-            .unwrap();
+        let table = test_schema().must_table("t");
+        let count = step(StepOp::Count { table }, 2);
+        let read = DbQuery {
+            step: &count,
+            params: &[],
+            demand: count.demand,
+        };
+        let (b1, d) = l.cjdbc_execute_read(cj, read, &mut rng).unwrap();
         assert_eq!(d, SimDuration::from_millis(2));
-        let (b2, _) = l
-            .cjdbc_execute_read(cj, crate::request::DbQuery::Stmt(&read), &mut rng)
-            .unwrap();
+        let (b2, _) = l.cjdbc_execute_read(cj, read, &mut rng).unwrap();
         // Least-pending: two successive reads go to different backends.
         assert_ne!(b1, b2);
     }

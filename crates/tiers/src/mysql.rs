@@ -1,9 +1,10 @@
-//! The MySQL database server (database tier).
+//! The MySQL database server (database tier): process state around one
+//! [`Database`] replica. The C-JDBC dispatch path in [`crate::legacy`]
+//! drives the replica's storage engine directly.
 
-use crate::plan::PlanStep;
 use crate::server::{ServerId, ServerProcess, Tier};
-use crate::sql::{ExecSummary, Schema, SharedRow, SqlError, Statement, Value};
-use crate::storage::{Database, WriteDelta};
+use crate::sql::Schema;
+use crate::storage::Database;
 use jade_cluster::NodeId;
 
 /// A MySQL process: process state plus an actual storage engine holding a
@@ -16,9 +17,6 @@ pub struct MysqlServer {
     pub port: u16,
     /// The replica's database contents.
     pub db: Database,
-    /// Copy-out scratch reused across queries: selects land their
-    /// `Arc`-shared rows here instead of allocating a result per request.
-    scratch: Vec<(u64, SharedRow)>,
 }
 
 impl MysqlServer {
@@ -29,56 +27,7 @@ impl MysqlServer {
             process: ServerProcess::new(id, name, node, Tier::Database),
             port: 3306,
             db: Database::new(Schema::empty()),
-            scratch: Vec::new(),
         }
-    }
-
-    /// Executes one statement against this replica through the reused
-    /// scratch buffer (no per-query result allocation).
-    pub fn execute(&mut self, stmt: &Statement) -> Result<ExecSummary, SqlError> {
-        self.db.execute_into(stmt, &mut self.scratch)
-    }
-
-    /// Executes one write against this replica, capturing the physical
-    /// delta for the other mirrors to apply (the execute-once broadcast
-    /// path).
-    pub fn execute_capture(
-        &mut self,
-        stmt: &Statement,
-    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
-        self.db.execute_capture(stmt)
-    }
-
-    /// Executes one compiled-plan step against this replica: reads run as
-    /// count-only probes (the compiled program proves row bodies are
-    /// dead), writes go through the opcode write path with the reused
-    /// scratch buffer — no per-query statement or result allocation
-    /// either way.
-    pub fn execute_step(
-        &mut self,
-        step: &PlanStep,
-        params: &[Value],
-    ) -> Result<ExecSummary, SqlError> {
-        if step.is_write() {
-            self.db.execute_step_into(step, params, &mut self.scratch)
-        } else {
-            self.db.read_step_summary(step, params)
-        }
-    }
-
-    /// Executes one compiled write step, capturing the physical delta for
-    /// the other mirrors to apply.
-    pub fn execute_step_capture(
-        &mut self,
-        step: &PlanStep,
-        params: &[Value],
-    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
-        self.db.execute_step_capture(step, params)
-    }
-
-    /// Rows produced by the last `execute` (valid until the next call).
-    pub fn last_rows(&self) -> &[(u64, SharedRow)] {
-        &self.scratch
     }
 
     /// Content digest (replica-convergence checks).
@@ -90,20 +39,23 @@ impl MysqlServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::Value;
+    use crate::sql::{QueryResult, Value};
 
     #[test]
     fn executes_against_local_storage() {
         let schema = Schema::builder().table("users", &["name"]).build();
         let mut m = MysqlServer::new(ServerId(2), "MySQL1", NodeId(3));
         m.db = Database::new(schema.clone());
-        m.execute(&schema.create_table("users")).unwrap();
-        m.execute(&schema.insert("users", &[("name", Value::from("eve"))]))
+        m.db.execute(&schema.create_table("users")).unwrap();
+        m.db.execute(&schema.insert("users", &[("name", Value::from("eve"))]))
             .unwrap();
         assert_eq!(m.db.total_rows(), 1);
         assert_eq!(m.process.tier, Tier::Database);
-        let r = m.execute(&schema.select_by_key("users", 0)).unwrap();
-        assert_eq!(r, ExecSummary::Rows(1));
-        assert_eq!(m.last_rows()[0].0, 0);
+        let QueryResult::Rows(rows) = m.db.execute(&schema.select_by_key("users", 0)).unwrap()
+        else {
+            panic!("a select returns rows");
+        };
+        assert_eq!(rows[0].0, 0);
+        assert_eq!(m.digest(), m.db.digest());
     }
 }

@@ -1,22 +1,20 @@
-//! Compiled interaction plans: each RUBiS interaction's statement
-//! template, compiled once at workload-build time into a flat opcode
-//! program over pre-resolved [`TableId`]/[`ColId`] handles.
+//! Compiled interaction plans: each RUBiS interaction's SQL, compiled
+//! once at workload-build time into a flat opcode program over
+//! pre-resolved [`TableId`]/[`ColId`] handles.
 //!
 //! The 26 interactions have a fixed SQL shape — only the RNG-drawn keys
-//! and values change per request — so the per-request hot path does not
-//! need to construct and interpret [`Statement`] trees at all. A
-//! [`CompiledPlan`] carries the shape; a request carries a small typed
-//! parameter buffer (recycled through the existing pools) holding the
-//! per-request draws; the storage engine executes the program directly
-//! ([`crate::storage::Database::execute_plan`] and the per-step entry
-//! points) with scratch-row reuse on reads and `WriteDelta` capture on
-//! writes, composing with the execute-once replication path.
+//! and values change per request — so a [`CompiledPlan`] carries the
+//! shape, a request carries a small typed parameter buffer (recycled
+//! through the system's pools) holding its draws, and the storage engine
+//! executes the steps directly: reads as count-only probes
+//! ([`crate::storage::Database::read_step_summary`]), writes once on the
+//! primary with `WriteDelta` capture
+//! ([`crate::storage::Database::execute_step_capture`]).
 //!
-//! The interpreted statement path stays intact as the fallback and as the
-//! differential oracle: [`PlanStep::statement`] re-materializes the exact
-//! prepared statement a step stands for (the recovery log still records
-//! statements, and `tests/plan_prop.rs` proves result/error/digest parity
-//! between the two executions).
+//! [`PlanStep::statement`] materializes the prepared [`Statement`] a step
+//! stands for: the recovery log records one per write, and
+//! `tests/plan_prop.rs` feeds them to the reference model the executor is
+//! checked against.
 
 use crate::sql::{ColId, Statement, TableId, Value};
 use jade_sim::SimDuration;
@@ -93,14 +91,12 @@ pub enum StepOp {
 
 /// One step of a compiled program: the opcode plus the step's calibrated
 /// mean CPU demand on the executing database node (the per-request jitter
-/// is applied at plan-instantiation time, exactly like the interpreted
-/// path).
+/// is applied at plan-instantiation time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
     /// The operation.
     pub op: StepOp,
-    /// Un-jittered mean CPU demand (the value a freshly prepared
-    /// [`crate::request::SqlOp`] would carry).
+    /// Un-jittered mean CPU demand.
     pub demand: SimDuration,
 }
 
@@ -111,13 +107,12 @@ impl PlanStep {
         matches!(self.op, StepOp::Insert { .. } | StepOp::Update { .. })
     }
 
-    /// Re-materializes the prepared [`Statement`] this step stands for
-    /// under a concrete parameter buffer — byte-equal to what the
-    /// interpreted generator would have built. The recovery log records
-    /// statements ("all write requests are logged and indexed as
-    /// strings", paper §4.1), and a replica without a captured delta
-    /// re-executes the statement, so the write path materializes one per
-    /// logged write; reads never call this.
+    /// Materializes the prepared [`Statement`] this step stands for under
+    /// a concrete parameter buffer. The recovery log records statements
+    /// ("all write requests are logged and indexed as strings", paper
+    /// §4.1), and a replica without a captured delta re-executes the
+    /// statement, so the write path materializes one per logged write;
+    /// the read path never calls this.
     // jade-audit: allow(hot-alloc): materializes a statement tree only on
     // the write path, where the statement becomes the recovery-log entry
     // shared by every replica; reads never take this path.

@@ -14,8 +14,11 @@
 //!
 //! * each entry carries the [`WriteDelta`] the primary captured when it
 //!   executed the write, so replay applies physical effects instead of
-//!   re-evaluating statements (the string form is rendered lazily, only
-//!   when diagnostics ask for it — never on the hot append path);
+//!   re-evaluating statements. The statement itself stays in the entry
+//!   for two readers: the string form, rendered lazily when diagnostics
+//!   ask for it (never on the hot append path), and replay of a write
+//!   that failed on the primary and so has no delta — re-executing it
+//!   fails identically on the joiner;
 //! * every [`RecoveryLog::snapshot_interval`] writes the log accepts a
 //!   copy-on-write checkpoint [`Snapshot`] of the cluster state, so a
 //!   joining backend receives {nearest snapshot, delta tail} — O(delta) —
@@ -28,9 +31,9 @@ use crate::sql::{Schema, Statement};
 use crate::storage::{Snapshot, WriteDelta};
 use std::sync::Arc;
 
-/// A logged write: global index, the statement (structured, for
-/// diagnostics and statement-level replay fallback) and the physical
-/// delta captured by the primary. Both are `Arc`-shared with the
+/// A logged write: global index, the statement (structured, for the
+/// rendered log view and for re-executing a write that has no delta) and
+/// the physical delta captured by the primary. Both are `Arc`-shared with the
 /// broadcast that produced them — logging a write never clones either.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
@@ -39,9 +42,9 @@ pub struct LogEntry {
     /// The write statement.
     pub statement: Arc<Statement>,
     /// The primary's captured physical effect. `None` when the write was
-    /// logged without delta capture (statement-replay mode, or the
-    /// statement errored on the primary) — replay then re-executes the
-    /// statement, which reproduces the identical outcome.
+    /// logged without one (it errored on the primary, or a caller used
+    /// [`RecoveryLog::append`]) — replay then re-executes the statement,
+    /// which reproduces the identical outcome.
     pub delta: Option<Arc<WriteDelta>>,
 }
 

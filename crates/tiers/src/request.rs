@@ -1,54 +1,23 @@
 //! Request-level types flowing through the multi-tier architecture
 //! (paper §2, Figure 1: client → web/app server → database).
+//!
+//! A request's SQL is one thing: a [`CompiledRun`] — the interaction's
+//! shared [`CompiledPlan`] plus the parameter values and jittered demands
+//! drawn for this request. The dispatcher walks it with a program counter
+//! and hands C-JDBC one borrowed [`DbQuery`] at a time.
 
 use crate::plan::{CompiledPlan, PlanStep};
-use crate::sql::{Statement, Value};
+use crate::sql::Value;
 use jade_sim::SimDuration;
-use std::sync::Arc;
 
 /// Unique id of one client HTTP interaction end-to-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
-/// One database query a servlet issues, with its execution cost on a
-/// database node.
-///
-/// The statement is `Arc`-shared: cloning a plan, broadcasting a write to
-/// N mirrored backends and appending to the recovery log all reuse the
-/// one prepared statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SqlOp {
-    /// The statement to execute.
-    pub statement: Arc<Statement>,
-    /// CPU demand on the executing MySQL node.
-    pub demand: SimDuration,
-}
-
-impl SqlOp {
-    /// Builds a query op from a freshly prepared statement.
-    pub fn new(statement: Statement, demand: SimDuration) -> Self {
-        SqlOp {
-            statement: Arc::new(statement),
-            demand,
-        }
-    }
-
-    /// Builds a query op sharing an already-prepared statement (e.g. the
-    /// constant `COUNT(*)` reads the RUBiS mix reissues verbatim).
-    pub fn shared(statement: Arc<Statement>, demand: SimDuration) -> Self {
-        SqlOp { statement, demand }
-    }
-
-    /// True when the op modifies the database.
-    pub fn is_write(&self) -> bool {
-        self.statement.is_write()
-    }
-}
-
 /// One request's instantiation of a [`CompiledPlan`]: the shared program
 /// plus the small per-request buffers — RNG-drawn parameter values and
 /// jittered per-step demands. Both buffers recycle through the system's
-/// pools, so the steady-state compiled path allocates nothing.
+/// pools, so steady-state plan generation allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRun {
     /// The interaction's compiled program (shared, compiled once).
@@ -59,59 +28,37 @@ pub struct CompiledRun {
     pub demands: Vec<SimDuration>,
 }
 
-/// The SQL body of an interaction plan: either the interpreted statement
-/// list (the fallback and differential oracle) or a compiled program run.
+/// The SQL body of an interaction plan. A compiled run is the only
+/// representation; the variant names it where a plan is taken apart
+/// (`let SqlProgram::Compiled(run) = plan.sql`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlProgram {
-    /// Interpreted prepared statements, executed one `Statement` at a time.
-    Ops(Vec<SqlOp>),
     /// A compiled-plan instantiation, executed opcode-by-opcode.
     Compiled(CompiledRun),
 }
 
-/// A borrowed view of one query at dispatch time, uniform across the
-/// interpreted and compiled representations — what the C-JDBC dispatch
-/// path consumes.
+/// A borrowed view of one query at dispatch time — what the C-JDBC
+/// dispatch path consumes: the opcode, the run's parameter buffer and the
+/// CPU demand to charge the executing MySQL node.
 #[derive(Debug, Clone, Copy)]
-pub enum DbQuery<'a> {
-    /// An interpreted prepared statement.
-    Stmt(&'a SqlOp),
-    /// One step of a compiled program plus the run's parameter buffer.
-    Step {
-        /// The opcode to execute.
-        step: &'a PlanStep,
-        /// The request's parameter buffer.
-        params: &'a [Value],
-        /// Jittered CPU demand for this step.
-        demand: SimDuration,
-    },
-}
-
-impl DbQuery<'_> {
-    /// True when the query modifies the database.
-    pub fn is_write(&self) -> bool {
-        match self {
-            DbQuery::Stmt(op) => op.is_write(),
-            DbQuery::Step { step, .. } => step.is_write(),
-        }
-    }
-
-    /// CPU demand on the executing MySQL node.
-    pub fn demand(&self) -> SimDuration {
-        match self {
-            DbQuery::Stmt(op) => op.demand,
-            DbQuery::Step { demand, .. } => *demand,
-        }
-    }
+pub struct DbQuery<'a> {
+    /// The opcode to execute.
+    pub step: &'a PlanStep,
+    /// The request's parameter buffer.
+    pub params: &'a [Value],
+    /// Jittered CPU demand for this step.
+    pub demand: SimDuration,
 }
 
 impl SqlProgram {
+    fn run(&self) -> &CompiledRun {
+        let SqlProgram::Compiled(run) = self;
+        run
+    }
+
     /// Number of queries in the program.
     pub fn len(&self) -> usize {
-        match self {
-            SqlProgram::Ops(ops) => ops.len(),
-            SqlProgram::Compiled(run) => run.plan.steps.len(),
-        }
+        self.run().plan.steps.len()
     }
 
     /// True for a query-free (static page) program.
@@ -124,13 +71,11 @@ impl SqlProgram {
     // counter, bounded by this program's len() (the dispatch loop stops
     // there).
     pub fn query_at(&self, idx: usize) -> DbQuery<'_> {
-        match self {
-            SqlProgram::Ops(ops) => DbQuery::Stmt(&ops[idx]),
-            SqlProgram::Compiled(run) => DbQuery::Step {
-                step: &run.plan.steps[idx],
-                params: &run.params,
-                demand: run.demands[idx],
-            },
+        let run = self.run();
+        DbQuery {
+            step: &run.plan.steps[idx],
+            params: &run.params,
+            demand: run.demands[idx],
         }
     }
 
@@ -138,59 +83,20 @@ impl SqlProgram {
     // jade-audit: allow(hot-panic): idx is the dispatcher's program
     // counter, bounded by this program's len().
     pub fn is_write_at(&self, idx: usize) -> bool {
-        match self {
-            SqlProgram::Ops(ops) => ops[idx].is_write(),
-            SqlProgram::Compiled(run) => run.plan.steps[idx].is_write(),
-        }
+        self.run().plan.steps[idx].is_write()
     }
 
     /// Total database-tier CPU demand (one replica's worth).
     pub fn db_demand(&self) -> SimDuration {
-        match self {
-            SqlProgram::Ops(ops) => ops
-                .iter()
-                .fold(SimDuration::ZERO, |acc, op| acc + op.demand),
-            SqlProgram::Compiled(run) => run
-                .demands
-                .iter()
-                .fold(SimDuration::ZERO, |acc, d| acc + *d),
-        }
+        self.run()
+            .demands
+            .iter()
+            .fold(SimDuration::ZERO, |acc, d| acc + *d)
     }
 
     /// True when at least one query writes.
     pub fn has_write(&self) -> bool {
-        match self {
-            SqlProgram::Ops(ops) => ops.iter().any(SqlOp::is_write),
-            SqlProgram::Compiled(run) => run.plan.writes,
-        }
-    }
-
-    /// Borrows the interpreted statement list. Panics on a compiled run —
-    /// callers that need statements must go through [`SqlProgram::query_at`]
-    /// or materialize via [`PlanStep::statement`].
-    pub fn as_ops(&self) -> &[SqlOp] {
-        match self {
-            SqlProgram::Ops(ops) => ops,
-            SqlProgram::Compiled(run) => {
-                panic!("as_ops on a compiled run of {:?}", run.plan.name)
-            }
-        }
-    }
-
-    /// Consumes the program into an interpreted statement list,
-    /// materializing statements from a compiled run (test/bench helper —
-    /// the hot path never converts).
-    pub fn into_ops(self) -> Vec<SqlOp> {
-        match self {
-            SqlProgram::Ops(ops) => ops,
-            SqlProgram::Compiled(run) => run
-                .plan
-                .steps
-                .iter()
-                .zip(run.demands.iter())
-                .map(|(step, demand)| SqlOp::new(step.statement(&run.params), *demand))
-                .collect(),
-        }
+        self.run().plan.writes
     }
 }
 
@@ -214,17 +120,6 @@ pub struct InteractionPlan {
 }
 
 impl InteractionPlan {
-    /// A static-document interaction (served by the web tier alone).
-    pub fn static_page(name: &'static str, demand: SimDuration, bytes: u64) -> Self {
-        InteractionPlan {
-            name,
-            pre_demand: demand,
-            sql: SqlProgram::Ops(Vec::new()),
-            post_demand: SimDuration::ZERO,
-            response_bytes: bytes,
-        }
-    }
-
     /// Total application-tier CPU demand.
     pub fn servlet_demand(&self) -> SimDuration {
         self.pre_demand + self.post_demand
@@ -247,46 +142,15 @@ mod tests {
     use crate::plan::{Operand, StepOp};
     use crate::sql::Schema;
 
-    #[test]
-    fn demand_accounting() {
-        let schema = Schema::builder()
-            .table("items", &["name"])
-            .table("bids", &["bid"])
-            .build();
-        let plan = InteractionPlan {
-            name: "ViewItem",
-            pre_demand: SimDuration::from_millis(3),
-            sql: SqlProgram::Ops(vec![
-                SqlOp::new(
-                    schema.select_by_key("items", 1),
-                    SimDuration::from_millis(10),
-                ),
-                SqlOp::new(
-                    schema.insert("bids", &[("bid", Value::Int(5))]),
-                    SimDuration::from_millis(8),
-                ),
-            ]),
-            post_demand: SimDuration::from_millis(4),
-            response_bytes: 4000,
-        };
-        assert_eq!(plan.servlet_demand(), SimDuration::from_millis(7));
-        assert_eq!(plan.db_demand(), SimDuration::from_millis(18));
-        assert!(plan.has_write());
+    fn leak(plan: CompiledPlan) -> &'static CompiledPlan {
+        Box::leak(Box::new(plan))
     }
 
-    #[test]
-    fn static_pages_have_no_sql() {
-        let p = InteractionPlan::static_page("index.html", SimDuration::from_micros(500), 2000);
-        assert!(p.sql.is_empty());
-        assert!(!p.has_write());
-        assert_eq!(p.db_demand(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn compiled_runs_answer_the_same_questions_as_ops() {
+    /// A `ViewItem`-like program: one key read, one insert.
+    fn read_then_insert() -> &'static CompiledPlan {
         let schema = Schema::builder().table("items", &["name"]).build();
         let t = schema.must_table("items");
-        let plan: &'static CompiledPlan = Box::leak(Box::new(CompiledPlan::new(
+        leak(CompiledPlan::new(
             "ViewItem",
             vec![
                 PlanStep {
@@ -305,27 +169,55 @@ mod tests {
                 },
             ],
             1,
-        )));
-        let sql = SqlProgram::Compiled(CompiledRun {
-            plan,
-            params: vec![Value::Int(7)],
-            demands: vec![SimDuration::from_millis(11), SimDuration::from_millis(9)],
-        });
+        ))
+    }
+
+    fn plan_over(plan: &'static CompiledPlan, demands_ms: &[u64]) -> InteractionPlan {
+        InteractionPlan {
+            name: plan.name,
+            pre_demand: SimDuration::from_millis(3),
+            sql: SqlProgram::Compiled(CompiledRun {
+                plan,
+                params: vec![Value::Int(7)],
+                demands: demands_ms
+                    .iter()
+                    .map(|&ms| SimDuration::from_millis(ms))
+                    .collect(),
+            }),
+            post_demand: SimDuration::from_millis(4),
+            response_bytes: 4000,
+        }
+    }
+
+    #[test]
+    fn demand_accounting() {
+        let plan = plan_over(read_then_insert(), &[10, 8]);
+        assert_eq!(plan.servlet_demand(), SimDuration::from_millis(7));
+        assert_eq!(plan.db_demand(), SimDuration::from_millis(18));
+        assert!(plan.has_write());
+    }
+
+    #[test]
+    fn static_pages_have_no_sql() {
+        let p = plan_over(leak(CompiledPlan::new("index.html", Vec::new(), 0)), &[]);
+        assert!(p.sql.is_empty());
+        assert!(!p.has_write());
+        assert_eq!(p.db_demand(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn compiled_runs_answer_per_query_questions() {
+        let sql = plan_over(read_then_insert(), &[11, 9]).sql;
         assert_eq!(sql.len(), 2);
         assert!(!sql.is_empty());
         assert!(!sql.is_write_at(0));
         assert!(sql.is_write_at(1));
         assert!(sql.has_write());
+        // The jittered demands are charged, not the plan's means.
         assert_eq!(sql.db_demand(), SimDuration::from_millis(20));
         let q = sql.query_at(0);
-        assert!(!q.is_write());
-        assert_eq!(q.demand(), SimDuration::from_millis(11));
-        // The materialized fallback carries the jittered demands and the
-        // resolved statements.
-        let ops = sql.into_ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(*ops[0].statement, schema.select_by_key("items", 7));
-        assert_eq!(ops[0].demand, SimDuration::from_millis(11));
-        assert!(ops[1].is_write());
+        assert!(!q.step.is_write());
+        assert_eq!(q.demand, SimDuration::from_millis(11));
+        assert_eq!(q.params, [Value::Int(7)]);
     }
 }

@@ -570,8 +570,8 @@ impl QueryResult {
     }
 }
 
-/// Summary of a statement executed into a caller-provided row buffer
-/// (the allocation-free counterpart of [`QueryResult`]).
+/// What the opcode executor reports for one step: cardinalities only,
+/// no row bodies (the allocation-free counterpart of [`QueryResult`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecSummary {
     /// DDL / write acknowledgement.
@@ -581,7 +581,7 @@ pub enum ExecSummary {
         /// Number of rows affected.
         affected: u64,
     },
-    /// A select completed; the buffer holds this many rows.
+    /// A read completed; this many rows matched.
     Rows(usize),
     /// Count result.
     Count(u64),

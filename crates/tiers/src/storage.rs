@@ -1,43 +1,57 @@
-//! The MySQL storage engine: fixed-layout keyed rows executing the
-//! interned mini-SQL dialect of [`crate::sql`].
+//! The MySQL storage engine: fixed-layout keyed rows behind an opcode
+//! executor ([`crate::plan`]) and a cold [`Statement`] front-end
+//! ([`crate::sql`]).
 //!
 //! Each database replica holds "a full copy of the whole database (full
 //! mirroring)" (paper §4.1), so the engine exposes a content digest used
 //! by the consistency tests to prove that a late-joining replica converges
 //! to the same state after recovery-log replay.
 //!
-//! Performance shape (the request hot path of every simulated RUBiS
-//! interaction):
+//! Entry points — a request's SQL is a compiled program, and each kind of
+//! work has exactly one way in:
 //!
-//! * statements arrive pre-interned — no name hashing or lookup per
-//!   request, table and column references are direct indices;
+//! * reads: [`Database::read_step_summary`], a count-only probe (the
+//!   workload observes cardinalities, never row bodies);
+//! * writes on the RAIDb-1 primary: [`Database::execute_step_capture`],
+//!   which executes the step once and emits a [`WriteDelta`] — the
+//!   physical effect with its row image `Arc`-shared;
+//! * writes on every other replica and on a joining one:
+//!   [`Database::apply_delta`], which installs that effect without
+//!   re-evaluating anything, so the whole cluster performs one row
+//!   allocation per write;
+//! * everything cold — DDL, dataset load, re-execution of a write that
+//!   was logged without a delta, tests: [`Database::execute`] /
+//!   [`Database::execute_capture`] over a [`Statement`].
+//!
+//! All three write entry points only resolve their operands; the mutation
+//! itself lives once per operation in the private `insert_row`,
+//! `update_row` and `delete_row`.
+//!
+//! Storage shape:
+//!
+//! * table and column references are direct indices — no name hashing or
+//!   lookup per request;
 //! * rows are dense: keys are assigned monotonically and never reused, so
-//!   a table is a `Vec<Option<SharedRow>>` indexed by key — `SelectByKey`
-//!   is one bounds check;
+//!   a table is chunked `Option<SharedRow>` slots indexed by key — a key
+//!   read is one bounds check;
 //! * equality-filter columns declared in the [`crate::sql::Schema`] carry
-//!   secondary hash indexes with key-sorted posting lists, making
-//!   `SelectWhere` O(matches) while preserving the key-ordered,
-//!   limit-truncated result the naive full scan produced;
+//!   secondary hash indexes with key-sorted posting lists, making a
+//!   filtered read O(matches) with a key-ordered, limit-truncated result;
 //! * `Count` reads a maintained live-row counter;
 //! * results share rows by `Arc` — no row contents are cloned; updates
-//!   copy-on-write only when a result still holds the row.
+//!   copy-on-write only when a result or replica still holds the row;
+//! * tables are themselves `Arc`'d copy-on-write: [`Database::snapshot`]
+//!   is an O(#tables) checkpoint and [`Database::from_snapshot`] an
+//!   O(#tables) restore; a restored replica deep-copies a table only when
+//!   a later write actually touches it.
 //!
-//! [`Database::digest`] reproduces the replaced name-keyed engine's digest
-//! byte for byte (tables in name order, columns in name order, `Null`s
-//! skipped), which is what lets `tests/storage_prop.rs` prove digest
-//! parity against `jade_bench::NaiveDatabase`.
-//!
-//! Replication support (RAIDb-1 execute-once): a write executed through
-//! [`Database::execute_capture`] additionally emits a [`WriteDelta`] — the
-//! physical effect of the statement with its row image `Arc`-shared — and
-//! [`Database::apply_delta`] replays that effect on a mirrored replica
-//! without re-evaluating the statement, so the whole cluster performs one
-//! row allocation per write. Tables are themselves `Arc`'d copy-on-write:
-//! [`Database::snapshot`] is an O(#tables) checkpoint and
-//! [`Database::from_snapshot`] an O(#tables) restore; a restored replica
-//! deep-copies a table only when a later write actually touches it.
+//! [`Database::digest`] hashes tables in name order, columns in name
+//! order, `Null`s skipped — the same bytes as the name-keyed reference
+//! model `jade_bench::NaiveDatabase`, which is what lets
+//! `tests/storage_prop.rs` and `tests/plan_prop.rs` compare digests
+//! across the two.
 
-use crate::plan::{CompiledPlan, PlanStep, StepOp};
+use crate::plan::{PlanStep, StepOp};
 use crate::sql::{
     ColId, ExecSummary, QueryResult, Schema, SharedRow, SqlError, Statement, TableId, Value,
 };
@@ -169,20 +183,6 @@ impl Table {
         }
     }
 
-    /// Inserts `key` into the posting list of `value`, preserving sort
-    /// order (updates can introduce keys below the current maximum).
-    fn index_insert_sorted(&mut self, col: ColId, value: &Value, key: u64) {
-        if value.is_null() {
-            return;
-        }
-        if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            let posting = Arc::make_mut(idx.entry(value.clone()).or_default());
-            if let Err(pos) = posting.binary_search(&key) {
-                posting.insert(pos, key);
-            }
-        }
-    }
-
     fn index_remove(&mut self, col: ColId, value: &Value, key: u64) {
         if value.is_null() {
             return;
@@ -199,11 +199,35 @@ impl Table {
             }
         }
     }
+
+    /// Moves `key`'s entry for `col` from the posting of `old` to the
+    /// posting of `new`, keeping the latter sorted (an updated key can lie
+    /// below the posting's current maximum).
+    fn index_move(&mut self, col: ColId, old: &Value, new: &Value, key: u64) {
+        self.index_remove(col, old, key);
+        if new.is_null() {
+            return;
+        }
+        if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
+            let posting = Arc::make_mut(idx.entry(new.clone()).or_default());
+            if let Err(pos) = posting.binary_search(&key) {
+                posting.insert(pos, key);
+            }
+        }
+    }
 }
 
-/// The physical effect of one write statement, captured by the replica
-/// that executed it ([`Database::execute_capture`]) and applied verbatim
-/// everywhere else ([`Database::apply_delta`]). Row images are
+/// The acknowledgement every write front-end reports.
+fn write_ack(inserted_key: Option<u64>, affected: u64) -> ExecSummary {
+    ExecSummary::Ack {
+        inserted_key,
+        affected,
+    }
+}
+
+/// The physical effect of one write, captured by the replica that executed
+/// it ([`Database::execute_step_capture`]) and applied verbatim everywhere
+/// else ([`Database::apply_delta`]). Row images are
 /// [`SharedRow`]s: broadcasting a delta to N mirrored replicas shares one
 /// allocation cluster-wide instead of re-constructing the row N times.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,118 +344,44 @@ impl Database {
         Arc::make_mut(&mut self.tables[id.0 as usize])
     }
 
+    /// Marks a catalog table created, building its secondary indexes
+    /// (idempotent — shared by the statement and delta front-ends).
+    #[cold]
+    fn create_table(&mut self, table: TableId) -> Result<(), SqlError> {
+        let (Some(def), Some(t)) = (
+            self.schema.table(table),
+            self.tables.get_mut(table.0 as usize),
+        ) else {
+            return Err(self.no_such_table(table));
+        };
+        let t = Arc::make_mut(t);
+        if !t.created {
+            t.created = true;
+            t.indexes = vec![None; def.width()];
+            for &col in def.indexed() {
+                t.indexes[col.0 as usize] = Some(Index::default());
+            }
+        }
+        Ok(())
+    }
+
     /// Executes a statement, materializing a [`QueryResult`] (row contents
-    /// stay `Arc`-shared with the table).
+    /// stay `Arc`-shared with the table) — the cold front-end: DDL, dataset
+    /// load, replay of a write logged without a delta, and tests. Reads
+    /// materialize here; an insert goes straight to the insert mutator;
+    /// other writes lower onto [`Database::execute_capture`] and drop the
+    /// delta.
     ///
     /// Key assignment is deterministic (per-table counter), so executing
     /// the same statement sequence on two replicas yields identical
     /// databases — the invariant C-JDBC's full-mirroring replication
     /// depends on.
     pub fn execute(&mut self, stmt: &Statement) -> Result<QueryResult, SqlError> {
-        let mut rows = Vec::new();
-        let summary = self.execute_into(stmt, &mut rows)?;
-        Ok(match summary {
-            ExecSummary::Ack {
-                inserted_key,
-                affected,
-            } => QueryResult::Ack {
-                inserted_key,
-                affected,
-            },
-            ExecSummary::Rows(_) => QueryResult::Rows(rows),
-            ExecSummary::Count(n) => QueryResult::Count(n),
-        })
-    }
-
-    /// Executes a statement into a caller-owned row buffer (cleared
-    /// first) — the allocation-free hot path each MySQL server drives
-    /// with its reused scratch buffer.
-    pub fn execute_into(
-        &mut self,
-        stmt: &Statement,
-        out: &mut Vec<(u64, SharedRow)>,
-    ) -> Result<ExecSummary, SqlError> {
-        out.clear();
         match stmt {
-            Statement::CreateTable { table } => {
-                self.create_table(*table)?;
-                Ok(ExecSummary::Ack {
-                    inserted_key: None,
-                    affected: 0,
-                })
-            }
-            Statement::Insert { table, row } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                debug_assert_eq!(
-                    row.len(),
-                    t.indexes.len(),
-                    "insert row width must match the table layout"
-                );
-                let key = t.next_key();
-                for (ci, v) in row.iter().enumerate() {
-                    t.index_insert(ColId(id_u16(ci)), v, key);
-                }
-                t.rows.push(Arc::new(row.clone()));
-                t.live += 1;
-                Ok(ExecSummary::Ack {
-                    inserted_key: Some(key),
-                    affected: 1,
-                })
-            }
-            Statement::Update { table, key, set } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                // Take the row out of its slot so the table's reference
-                // doesn't count against copy-on-write: `make_mut` clones
-                // contents only when a query result still shares the row.
-                let affected = match t.rows.take(*key) {
-                    Some(mut shared) => {
-                        for (col, v) in set {
-                            let old = &shared[col.0 as usize];
-                            if *old == *v {
-                                continue;
-                            }
-                            let old = old.clone();
-                            t.index_remove(*col, &old, *key);
-                            t.index_insert_sorted(*col, v, *key);
-                            Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                        }
-                        t.rows.set(*key, shared);
-                        1
-                    }
-                    None => 0,
-                };
-                Ok(ExecSummary::Ack {
-                    inserted_key: None,
-                    affected,
-                })
-            }
-            Statement::Delete { table, key } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                let removed = t.rows.take(*key);
-                let affected = match removed {
-                    Some(row) => {
-                        t.live -= 1;
-                        for (ci, v) in row.iter().enumerate() {
-                            t.index_remove(ColId(id_u16(ci)), v, *key);
-                        }
-                        1
-                    }
-                    None => 0,
-                };
-                Ok(ExecSummary::Ack {
-                    inserted_key: None,
-                    affected,
-                })
-            }
             Statement::SelectByKey { table, key } => {
                 let t = self.table_ref(*table)?;
-                if let Some(row) = t.rows.get(*key) {
-                    out.push((*key, Arc::clone(row)));
-                }
-                Ok(ExecSummary::Rows(out.len()))
+                let row = t.rows.get(*key).map(|row| (*key, Arc::clone(row)));
+                Ok(QueryResult::Rows(row.into_iter().collect()))
             }
             Statement::SelectWhere {
                 table,
@@ -440,11 +390,11 @@ impl Database {
                 limit,
             } => {
                 let t = self.table_ref(*table)?;
+                let mut out = Vec::new();
                 // A NULL filter matches nothing (absent columns are not
-                // equal to an explicit NULL — the historical engine never
-                // stored them at all).
+                // equal to an explicit NULL).
                 if value.is_null() {
-                    return Ok(ExecSummary::Rows(0));
+                    return Ok(QueryResult::Rows(out));
                 }
                 match t.indexes.get(column.0 as usize) {
                     Some(Some(idx)) => {
@@ -455,241 +405,198 @@ impl Database {
                             }
                         }
                     }
-                    _ => {
-                        // Unindexed column: key-ordered scan, identical
-                        // result order to the index path.
-                        for (key, row) in t.iter() {
-                            if out.len() >= *limit {
-                                break;
-                            }
-                            if row[column.0 as usize] == *value {
-                                out.push((key, Arc::clone(row)));
-                            }
-                        }
-                    }
+                    // Unindexed column: key-ordered scan, identical
+                    // result order to the index path.
+                    _ => out.extend(
+                        t.iter()
+                            .filter(|(_, row)| row[column.0 as usize] == *value)
+                            .take(*limit)
+                            .map(|(key, row)| (key, Arc::clone(row))),
+                    ),
                 }
-                Ok(ExecSummary::Rows(out.len()))
+                Ok(QueryResult::Rows(out))
             }
             Statement::Count { table } => {
-                Ok(ExecSummary::Count(self.table_ref(*table)?.live as u64))
+                Ok(QueryResult::Count(self.table_ref(*table)?.live as u64))
             }
-        }
-    }
-
-    /// Executes one compiled-plan step into a caller-owned row buffer
-    /// (cleared first) — the opcode counterpart of
-    /// [`Database::execute_into`], with identical semantics per operation
-    /// (the differential property suite proves result-for-result,
-    /// error-for-error and digest-for-digest parity). The step's operands
-    /// resolve against `params`, the request's typed parameter buffer.
-    // jade-audit: allow(hot-panic, hot-alloc): column offsets come from
-    // compiled plans resolved against this catalog, and index postings
-    // only hold live row keys (the expect); the Arc::new/collect is the
-    // one materialization of an inserted row, which downstream tiers and
-    // replicas then share by reference.
-    pub fn execute_step_into(
-        &mut self,
-        step: &PlanStep,
-        params: &[Value],
-        out: &mut Vec<(u64, SharedRow)>,
-    ) -> Result<ExecSummary, SqlError> {
-        out.clear();
-        match &step.op {
-            StepOp::ReadKey { table, key } => {
-                let t = self.table_ref(*table)?;
-                let k = key.resolve(params).as_key();
-                if let Some(row) = t.rows.get(k) {
-                    out.push((k, Arc::clone(row)));
-                }
-                Ok(ExecSummary::Rows(out.len()))
-            }
-            StepOp::Scan {
-                table,
-                column,
-                value,
-                limit,
-            } => {
-                let t = self.table_ref(*table)?;
-                let value = value.resolve(params);
-                // A NULL filter matches nothing (same rule as the
-                // interpreted `SelectWhere`).
-                if value.is_null() {
-                    return Ok(ExecSummary::Rows(0));
-                }
-                match t.indexes.get(column.0 as usize) {
-                    Some(Some(idx)) => {
-                        if let Some(posting) = idx.get(value) {
-                            for &key in posting.iter().take(*limit) {
-                                let row = t.rows.get(key).expect("indexed row");
-                                out.push((key, Arc::clone(row)));
-                            }
-                        }
-                    }
-                    _ => {
-                        for (key, row) in t.iter() {
-                            if out.len() >= *limit {
-                                break;
-                            }
-                            if row[column.0 as usize] == *value {
-                                out.push((key, Arc::clone(row)));
-                            }
-                        }
-                    }
-                }
-                Ok(ExecSummary::Rows(out.len()))
-            }
-            StepOp::Count { table } => Ok(ExecSummary::Count(self.table_ref(*table)?.live as u64)),
-            StepOp::Insert { table, row } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                debug_assert_eq!(
-                    row.len(),
-                    t.indexes.len(),
-                    "insert row template width must match the table layout"
-                );
-                // The row materializes straight from template + params —
-                // one allocation, no intermediate statement row.
-                let shared: SharedRow =
-                    Arc::new(row.iter().map(|o| o.resolve(params).clone()).collect());
-                let key = t.next_key();
-                for (ci, v) in shared.iter().enumerate() {
-                    t.index_insert(ColId(id_u16(ci)), v, key);
-                }
-                t.rows.push(shared);
-                t.live += 1;
-                Ok(ExecSummary::Ack {
+            // The bulk of a dataset load: no delta is wanted, so the row
+            // goes straight to the mutator.
+            Statement::Insert { table, row } => {
+                let key = self.insert_row(*table, Arc::new(row.clone()))?;
+                Ok(QueryResult::Ack {
                     inserted_key: Some(key),
                     affected: 1,
                 })
             }
-            StepOp::Update { table, key, set } => {
-                self.table_ref(*table)?;
-                let k = key.resolve(params).as_key();
-                let t = self.table_mut(*table);
-                let affected = match t.rows.take(k) {
-                    Some(mut shared) => {
-                        for (col, operand) in set {
-                            let v = operand.resolve(params);
-                            let old = &shared[col.0 as usize];
-                            if *old == *v {
-                                continue;
-                            }
-                            let old = old.clone();
-                            t.index_remove(*col, &old, k);
-                            t.index_insert_sorted(*col, v, k);
-                            Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                        }
-                        t.rows.set(k, shared);
-                        1
-                    }
-                    None => 0,
-                };
-                Ok(ExecSummary::Ack {
-                    inserted_key: None,
+            write => match self.execute_capture(write)?.0 {
+                ExecSummary::Ack {
+                    inserted_key,
                     affected,
+                } => Ok(QueryResult::Ack {
+                    inserted_key,
+                    affected,
+                }),
+                other => unreachable!("a write acknowledges, got {other:?}"),
+            },
+        }
+    }
+
+    /// Executes a *write* statement once, capturing its physical effect
+    /// as a [`WriteDelta`] — the statement front-end of the write core
+    /// ([`Database::execute_step_capture`] is the opcode front-end; both
+    /// only resolve operands and land on the same mutators).
+    pub fn execute_capture(
+        &mut self,
+        stmt: &Statement,
+    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
+        match stmt {
+            Statement::CreateTable { table } => {
+                self.create_table(*table)?;
+                Ok((
+                    write_ack(None, 0),
+                    WriteDelta::CreateTable { table: *table },
+                ))
+            }
+            Statement::Insert { table, row } => self.insert_captured(*table, Arc::new(row.clone())),
+            Statement::Update { table, key, set } => {
+                self.update_row(*table, *key, set.iter().map(|(col, v)| (*col, v)))
+            }
+            Statement::Delete { table, key } => {
+                let (table, key) = (*table, *key);
+                Ok(if self.delete_row(table, key)? {
+                    (write_ack(None, 1), WriteDelta::Delete { table, key })
+                } else {
+                    (write_ack(None, 0), WriteDelta::Noop)
                 })
             }
+            read => unreachable!("execute_capture is for writes only, got {read:?}"),
         }
     }
 
     /// Executes a compiled *write* step once, capturing its physical
-    /// effect as a [`WriteDelta`] — the opcode counterpart of
-    /// [`Database::execute_capture`], feeding the same execute-once
-    /// broadcast path (primary captures, replicas apply).
+    /// effect as a [`WriteDelta`]: the RAIDb-1 primary runs this, every
+    /// other replica runs [`Database::apply_delta`] on the result. The row
+    /// image inside the delta is the same `Arc` installed in this
+    /// database's slot.
+    // jade-audit: allow(hot-alloc): the Arc::new/collect is the one
+    // materialization of an inserted row, which the recovery log and
+    // every replica then share by reference.
     pub fn execute_step_capture(
         &mut self,
         step: &PlanStep,
         params: &[Value],
     ) -> Result<(ExecSummary, WriteDelta), SqlError> {
-        debug_assert!(step.is_write(), "execute_step_capture is for writes only");
         match &step.op {
             StepOp::Insert { table, row } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                debug_assert_eq!(
-                    row.len(),
-                    t.indexes.len(),
-                    "insert row template width must match the table layout"
-                );
-                let shared: SharedRow =
-                    Arc::new(row.iter().map(|o| o.resolve(params).clone()).collect());
-                let key = t.next_key();
-                for (ci, v) in shared.iter().enumerate() {
-                    t.index_insert(ColId(id_u16(ci)), v, key);
-                }
-                t.rows.push(Arc::clone(&shared));
-                t.live += 1;
-                Ok((
-                    ExecSummary::Ack {
-                        inserted_key: Some(key),
-                        affected: 1,
-                    },
-                    WriteDelta::Insert {
-                        table: *table,
-                        key,
-                        row: shared,
-                    },
-                ))
+                let row = row.iter().map(|o| o.resolve(params).clone()).collect();
+                self.insert_captured(*table, Arc::new(row))
             }
-            StepOp::Update { table, key, set } => {
-                self.table_ref(*table)?;
-                let k = key.resolve(params).as_key();
-                let t = self.table_mut(*table);
-                match t.rows.take(k) {
-                    Some(mut shared) => {
-                        let mut changed = Vec::with_capacity(set.len());
-                        for (col, operand) in set {
-                            let v = operand.resolve(params);
-                            let old = &shared[col.0 as usize];
-                            if *old == *v {
-                                continue;
-                            }
-                            let old = old.clone();
-                            t.index_remove(*col, &old, k);
-                            t.index_insert_sorted(*col, v, k);
-                            Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                            changed.push(*col);
-                        }
-                        let image = Arc::clone(&shared);
-                        t.rows.set(k, shared);
-                        Ok((
-                            ExecSummary::Ack {
-                                inserted_key: None,
-                                affected: 1,
-                            },
-                            WriteDelta::Update {
-                                table: *table,
-                                key: k,
-                                row: image,
-                                changed,
-                            },
-                        ))
-                    }
-                    None => Ok((
-                        ExecSummary::Ack {
-                            inserted_key: None,
-                            affected: 0,
-                        },
-                        WriteDelta::Noop,
-                    )),
-                }
-            }
+            StepOp::Update { table, key, set } => self.update_row(
+                *table,
+                key.resolve(params).as_key(),
+                set.iter().map(|(col, o)| (*col, o.resolve(params))),
+            ),
             _ => unreachable!("execute_step_capture is for writes only"),
         }
     }
 
+    /// Inserts `row` and wraps the outcome as the delta carrying it.
+    fn insert_captured(
+        &mut self,
+        table: TableId,
+        row: SharedRow,
+    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
+        let key = self.insert_row(table, Arc::clone(&row))?;
+        Ok((
+            write_ack(Some(key), 1),
+            WriteDelta::Insert { table, key, row },
+        ))
+    }
+
+    /// The one insert: installs `row` in the slot at the table's next key
+    /// and indexes it.
+    fn insert_row(&mut self, table: TableId, row: SharedRow) -> Result<u64, SqlError> {
+        self.table_ref(table)?;
+        let t = self.table_mut(table);
+        debug_assert_eq!(
+            row.len(),
+            t.indexes.len(),
+            "insert row width must match the table layout"
+        );
+        let key = t.next_key();
+        for (ci, v) in row.iter().enumerate() {
+            t.index_insert(ColId(id_u16(ci)), v, key);
+        }
+        t.rows.push(row);
+        t.live += 1;
+        Ok(key)
+    }
+
+    /// The one update-by-assignment: overwrites the row at `key` with the
+    /// resolved `(column, value)` pairs, yielding the new image and the
+    /// columns whose value actually changed (no-op assignments move no
+    /// index entry and are not reported).
+    // jade-audit: allow(hot-panic, hot-alloc): column offsets come from
+    // compiled plans or statements prepared against this catalog; the
+    // `changed` list is the delta's payload, sized by the SET clause.
+    fn update_row<'v>(
+        &mut self,
+        table: TableId,
+        key: u64,
+        set: impl ExactSizeIterator<Item = (ColId, &'v Value)>,
+    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
+        self.table_ref(table)?;
+        let t = self.table_mut(table);
+        // Take the row out of its slot so the table's reference doesn't
+        // count against copy-on-write: `make_mut` clones contents only
+        // when a query result or a replica still shares the row.
+        let Some(mut row) = t.rows.take(key) else {
+            return Ok((write_ack(None, 0), WriteDelta::Noop));
+        };
+        let mut changed = Vec::with_capacity(set.len());
+        for (col, v) in set {
+            let old = &row[col.0 as usize];
+            if *old == *v {
+                continue;
+            }
+            let old = old.clone();
+            t.index_move(col, &old, v, key);
+            Arc::make_mut(&mut row)[col.0 as usize] = v.clone();
+            changed.push(col);
+        }
+        t.rows.set(key, Arc::clone(&row));
+        let delta = WriteDelta::Update {
+            table,
+            key,
+            row,
+            changed,
+        };
+        Ok((write_ack(None, 1), delta))
+    }
+
+    /// The one delete: removes the row at `key` and its index entries;
+    /// false when there was no such row.
+    fn delete_row(&mut self, table: TableId, key: u64) -> Result<bool, SqlError> {
+        self.table_ref(table)?;
+        let t = self.table_mut(table);
+        let Some(row) = t.rows.take(key) else {
+            return Ok(false);
+        };
+        t.live -= 1;
+        for (ci, v) in row.iter().enumerate() {
+            t.index_remove(ColId(id_u16(ci)), v, key);
+        }
+        Ok(true)
+    }
+
     /// Executes a *read* step as a pure count probe, without materializing
-    /// any rows. Plan compilation proves the consumer discards row bodies
-    /// (the RUBiS workload only ever observes the [`ExecSummary`] — demand
-    /// accounting and outcome digests are summary-derived), so key reads
-    /// reduce to a presence check and indexed scans to a posting-length
-    /// probe: every posting entry maps to a live row (the materializing
-    /// path `expect`s exactly that), hence the cardinality is
-    /// `min(posting.len(), limit)`. The interpreter cannot perform this
-    /// dead-value elimination on opaque `Statement` trees because its row
-    /// buffer is part of the statement-level API contract. Summary parity
-    /// with [`Database::execute_step_into`] is enforced by the
-    /// differential property suite.
+    /// any rows. The RUBiS workload only ever observes the
+    /// [`ExecSummary`] — demand accounting and outcome digests are
+    /// summary-derived — so key reads reduce to a presence check and
+    /// indexed scans to a posting-length probe: every posting entry maps
+    /// to a live row, hence the cardinality is `min(posting.len(), limit)`.
+    /// `tests/plan_prop.rs` holds the summaries to the materializing
+    /// reference model.
     // jade-audit: allow(hot-panic): column offsets come from compiled
     // plans resolved against this catalog, so row[column] is within the
     // table's fixed width.
@@ -741,178 +648,8 @@ impl Database {
         }
     }
 
-    /// Runs a whole compiled program in one call against this replica:
-    /// write steps execute through the opcode write path, read steps run
-    /// as count-only probes ([`Database::read_step_summary`]) since the
-    /// program's consumers never observe row bodies; returns the
-    /// accumulated result cardinality (a cheap checksum for benches and
-    /// tests). Individual step errors are tolerated exactly like the
-    /// dispatch path tolerates statement errors — the failed step
-    /// contributes nothing.
-    pub fn execute_plan(
-        &mut self,
-        plan: &CompiledPlan,
-        params: &[Value],
-        scratch: &mut Vec<(u64, SharedRow)>,
-    ) -> u64 {
-        let mut acc = 0u64;
-        for step in &plan.steps {
-            let summary = if step.is_write() {
-                self.execute_step_into(step, params, scratch)
-            } else {
-                self.read_step_summary(step, params)
-            };
-            if let Ok(summary) = summary {
-                acc += summary.cardinality();
-            }
-        }
-        acc
-    }
-
-    /// Marks a catalog table created, building its secondary indexes
-    /// (idempotent — shared by the statement and delta paths).
-    #[cold]
-    fn create_table(&mut self, table: TableId) -> Result<(), SqlError> {
-        let t = self
-            .tables
-            .get_mut(table.0 as usize)
-            .ok_or(SqlError::NoSuchTable("?".to_owned()))?;
-        let t = Arc::make_mut(t);
-        if !t.created {
-            t.created = true;
-            let def = self.schema.table(table).expect("table in catalog");
-            t.indexes = vec![None; def.width()];
-            for &col in def.indexed() {
-                t.indexes[col.0 as usize] = Some(Index::default());
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes a *write* statement once, additionally capturing its
-    /// physical effect as a [`WriteDelta`] for broadcast: the RAIDb-1
-    /// primary runs this, every other replica runs
-    /// [`Database::apply_delta`] on the result. The row image inside the
-    /// delta is the same `Arc` installed in this database's slot.
-    pub fn execute_capture(
-        &mut self,
-        stmt: &Statement,
-    ) -> Result<(ExecSummary, WriteDelta), SqlError> {
-        debug_assert!(stmt.is_write(), "execute_capture is for writes only");
-        match stmt {
-            Statement::CreateTable { table } => {
-                self.create_table(*table)?;
-                Ok((
-                    ExecSummary::Ack {
-                        inserted_key: None,
-                        affected: 0,
-                    },
-                    WriteDelta::CreateTable { table: *table },
-                ))
-            }
-            Statement::Insert { table, row } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                debug_assert_eq!(
-                    row.len(),
-                    t.indexes.len(),
-                    "insert row width must match the table layout"
-                );
-                let key = t.next_key();
-                for (ci, v) in row.iter().enumerate() {
-                    t.index_insert(ColId(id_u16(ci)), v, key);
-                }
-                let shared: SharedRow = Arc::new(row.clone());
-                t.rows.push(Arc::clone(&shared));
-                t.live += 1;
-                Ok((
-                    ExecSummary::Ack {
-                        inserted_key: Some(key),
-                        affected: 1,
-                    },
-                    WriteDelta::Insert {
-                        table: *table,
-                        key,
-                        row: shared,
-                    },
-                ))
-            }
-            Statement::Update { table, key, set } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                match t.rows.take(*key) {
-                    Some(mut shared) => {
-                        let mut changed = Vec::with_capacity(set.len());
-                        for (col, v) in set {
-                            let old = &shared[col.0 as usize];
-                            if *old == *v {
-                                continue;
-                            }
-                            let old = old.clone();
-                            t.index_remove(*col, &old, *key);
-                            t.index_insert_sorted(*col, v, *key);
-                            Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                            changed.push(*col);
-                        }
-                        let image = Arc::clone(&shared);
-                        t.rows.set(*key, shared);
-                        Ok((
-                            ExecSummary::Ack {
-                                inserted_key: None,
-                                affected: 1,
-                            },
-                            WriteDelta::Update {
-                                table: *table,
-                                key: *key,
-                                row: image,
-                                changed,
-                            },
-                        ))
-                    }
-                    None => Ok((
-                        ExecSummary::Ack {
-                            inserted_key: None,
-                            affected: 0,
-                        },
-                        WriteDelta::Noop,
-                    )),
-                }
-            }
-            Statement::Delete { table, key } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                match t.rows.take(*key) {
-                    Some(row) => {
-                        t.live -= 1;
-                        for (ci, v) in row.iter().enumerate() {
-                            t.index_remove(ColId(id_u16(ci)), v, *key);
-                        }
-                        Ok((
-                            ExecSummary::Ack {
-                                inserted_key: None,
-                                affected: 1,
-                            },
-                            WriteDelta::Delete {
-                                table: *table,
-                                key: *key,
-                            },
-                        ))
-                    }
-                    None => Ok((
-                        ExecSummary::Ack {
-                            inserted_key: None,
-                            affected: 0,
-                        },
-                        WriteDelta::Noop,
-                    )),
-                }
-            }
-            _ => unreachable!("execute_capture is for writes only"),
-        }
-    }
-
     /// Applies a captured [`WriteDelta`] to this replica without
-    /// re-evaluating the originating statement. Deltas must be applied in
+    /// re-evaluating the originating write. Deltas must be applied in
     /// log order onto a replica whose state matches the primary's at
     /// capture time (the RAIDb-1 full-mirroring invariant); row images are
     /// installed by reference, so the whole cluster shares one allocation
@@ -924,14 +661,8 @@ impl Database {
         match delta {
             WriteDelta::CreateTable { table } => self.create_table(*table),
             WriteDelta::Insert { table, key, row } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                debug_assert_eq!(*key, t.next_key(), "deltas apply in log order");
-                for (ci, v) in row.iter().enumerate() {
-                    t.index_insert(ColId(id_u16(ci)), v, *key);
-                }
-                t.rows.push(Arc::clone(row));
-                t.live += 1;
+                let assigned = self.insert_row(*table, Arc::clone(row))?;
+                debug_assert_eq!(assigned, *key, "deltas apply in log order");
                 Ok(())
             }
             WriteDelta::Update {
@@ -942,31 +673,17 @@ impl Database {
             } => {
                 self.table_ref(*table)?;
                 let t = self.table_mut(*table);
-                match t.rows.take(*key) {
-                    Some(old) => {
-                        // The replica's pre-image equals the primary's, so
-                        // the old index entries are read from it directly.
-                        for &col in changed {
-                            t.index_remove(col, &old[col.0 as usize], *key);
-                            t.index_insert_sorted(col, &row[col.0 as usize], *key);
-                        }
-                        t.rows.set(*key, Arc::clone(row));
-                        Ok(())
+                if let Some(old) = t.rows.take(*key) {
+                    // The replica's pre-image equals the primary's, so
+                    // the old index entries are read from it directly.
+                    for &col in changed {
+                        t.index_move(col, &old[col.0 as usize], &row[col.0 as usize], *key);
                     }
-                    None => Ok(()),
-                }
-            }
-            WriteDelta::Delete { table, key } => {
-                self.table_ref(*table)?;
-                let t = self.table_mut(*table);
-                if let Some(row) = t.rows.take(*key) {
-                    t.live -= 1;
-                    for (ci, v) in row.iter().enumerate() {
-                        t.index_remove(ColId(id_u16(ci)), v, *key);
-                    }
+                    t.rows.set(*key, Arc::clone(row));
                 }
                 Ok(())
             }
+            WriteDelta::Delete { table, key } => self.delete_row(*table, *key).map(|_| ()),
             WriteDelta::Noop => Ok(()),
         }
     }
@@ -1093,6 +810,96 @@ mod tests {
             db.execute(&schema.count("x")),
             Err(SqlError::NoSuchTable("x".into()))
         );
+    }
+
+    /// A table id outside the catalog (a statement, step or delta
+    /// prepared against another schema) is an error on every entry point —
+    /// never a panic, never an out-of-range index — and mutates nothing.
+    #[test]
+    fn out_of_catalog_tables_are_errors_on_every_entry_point() {
+        use crate::plan::Operand;
+        let mut db = db();
+        let before = db.clone();
+        let table = TableId(id_u16(db.schema().len()));
+        let missing = SqlError::NoSuchTable("?".into());
+        let row = vec![Value::Int(1)];
+        for stmt in [
+            Statement::CreateTable { table },
+            Statement::Insert {
+                table,
+                row: row.clone(),
+            },
+            Statement::Update {
+                table,
+                key: 0,
+                set: vec![(ColId(0), Value::Int(2))],
+            },
+            Statement::Delete { table, key: 0 },
+            Statement::SelectByKey { table, key: 0 },
+            Statement::SelectWhere {
+                table,
+                column: ColId(0),
+                value: Value::Int(1),
+                limit: 5,
+            },
+            Statement::Count { table },
+        ] {
+            assert_eq!(db.execute(&stmt), Err(missing.clone()), "{stmt:?}");
+        }
+        let step = |op| PlanStep {
+            op,
+            demand: jade_sim::SimDuration::ZERO,
+        };
+        let key = Operand::Const(Value::Int(0));
+        for write in [
+            StepOp::Insert {
+                table,
+                row: vec![key.clone()],
+            },
+            StepOp::Update {
+                table,
+                key: key.clone(),
+                set: vec![(ColId(0), key.clone())],
+            },
+        ] {
+            let got = db.execute_step_capture(&step(write), &[]);
+            assert_eq!(got.map(|(summary, _)| summary), Err(missing.clone()));
+        }
+        for read in [
+            StepOp::ReadKey {
+                table,
+                key: key.clone(),
+            },
+            StepOp::Scan {
+                table,
+                column: ColId(0),
+                value: key.clone(),
+                limit: 5,
+            },
+            StepOp::Count { table },
+        ] {
+            let got = db.read_step_summary(&step(read), &[]);
+            assert_eq!(got, Err(missing.clone()));
+        }
+        let row: SharedRow = Arc::new(row);
+        for delta in [
+            WriteDelta::CreateTable { table },
+            WriteDelta::Insert {
+                table,
+                key: 0,
+                row: Arc::clone(&row),
+            },
+            WriteDelta::Update {
+                table,
+                key: 0,
+                row,
+                changed: vec![ColId(0)],
+            },
+            WriteDelta::Delete { table, key: 0 },
+        ] {
+            assert_eq!(db.apply_delta(&delta), Err(missing.clone()));
+        }
+        assert_eq!(db, before);
     }
 
     #[test]

@@ -1,327 +1,232 @@
-//! Differential property tests of the compiled interaction plans
-//! (`jade_tiers::plan`) against the interpreted prepared-statement
-//! oracle.
+//! Differential property tests of the opcode executor
+//! (`jade_tiers::plan` programs run by `jade_tiers::storage::Database`)
+//! against the simplest model of the same SQL: `jade_bench::NaiveDatabase`
+//! interpreting the statement each step stands for
+//! (`PlanStep::statement`).
 //!
-//! For every interaction template and seeded parameter stream, compiled
-//! execution must match interpreted execution **result-for-result** (the
-//! same `ExecSummary` and the same scratch rows per query),
-//! **error-for-error** (including against a database whose schema lacks
-//! the tables), and **digest-for-digest** (the two engines' contents stay
-//! byte-identical after every interaction) — and the generators must
-//! consume the identical RNG draw stream, which is what keeps every
-//! committed `results/*.json` outcome digest byte-identical when the hot
-//! path switches representation.
+//! For every interaction template and seeded parameter stream the executor
+//! must match the model **summary-for-summary** (count-only read probes
+//! and captured writes against the model's materialized results),
+//! **error-for-error** (against databases that lack the tables, or the
+//! whole schema), and **digest-for-digest** (contents byte-identical after
+//! every interaction that writes). Under replication, a replica that only ever applies
+//! the primary's captured `WriteDelta`s — or re-executes the logged
+//! statement when the capture failed — converges to the same digest, write
+//! for write.
 //!
-//! The second property proves delta-capture parity under the replication
-//! path: a primary capturing a compiled write step emits a `WriteDelta`
-//! whose application converges replicas to the same digest as the
-//! interpreted capture, write for write.
+//! What the generator draws (RNG order, key-space growth, jitter, the SQL
+//! text of every template) is pinned separately, by the golden
+//! statement-stream test in `jade_rubis::interactions`.
 //!
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
+use jade_bench::{NaiveDatabase, NaiveQueryResult};
 use jade_propcheck::run;
-use jade_rubis::interactions::{generate_plan, generate_plan_compiled_into, INTERACTIONS};
+use jade_rubis::interactions::{generate_plan_compiled_into, INTERACTIONS};
 use jade_rubis::{dataset_statements, rubis_schema, DatasetSpec, InteractionMix, KeySpace};
 use jade_sim::SimRng;
-use jade_tiers::request::{DbQuery, SqlProgram};
-use jade_tiers::sql::{Schema, SharedRow};
+use jade_tiers::request::{CompiledRun, SqlProgram};
+use jade_tiers::sql::{ExecSummary, Schema, SqlError, Statement};
 use jade_tiers::storage::Database;
+use jade_tiers::InteractionPlan;
 
-/// The RUBiS database both engines start from (tiny spec keeps the
-/// per-case cost down; the dataset seed is fixed so scan postings are
-/// non-trivial but reproducible).
-fn loaded_db(seed: u64) -> Database {
+/// The executor and the model loaded with the same RUBiS dataset through
+/// the statement front-end (the dataset seed is fixed so scan postings
+/// are non-trivial but reproducible). Under the `small` spec a category
+/// holds ~50 items and a region ~5 users, so scan limits both bind and do
+/// not; `tiny` keeps the per-case cost down where that does not matter.
+/// `without` names a table to leave out entirely, so that every statement
+/// touching it fails on both sides.
+fn loaded(spec: DatasetSpec, without: Option<&str>) -> (Database, NaiveDatabase) {
     let schema = rubis_schema();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let dump = dataset_statements(DatasetSpec::tiny(), &mut rng);
-    let mut db = Database::new(schema);
-    let mut scratch = Vec::new();
-    for stmt in &dump {
-        let _ = db.execute_into(stmt, &mut scratch);
-    }
-    db
-}
-
-/// Executes one interpreted/compiled plan pair, checking result, rows,
-/// materialized statement, and digest parity after every query. The two
-/// plans must stem from twin RNG/key-space states.
-fn check_plan_pair(
-    name: &str,
-    interp: &jade_tiers::InteractionPlan,
-    compiled: &jade_tiers::InteractionPlan,
-    db_interp: &mut Database,
-    db_compiled: &mut Database,
-    scratch_a: &mut Vec<(u64, SharedRow)>,
-    scratch_b: &mut Vec<(u64, SharedRow)>,
-) {
-    assert_eq!(compiled.name, interp.name, "{name}");
-    assert_eq!(compiled.pre_demand, interp.pre_demand, "{name} pre jitter");
-    assert_eq!(
-        compiled.post_demand, interp.post_demand,
-        "{name} post jitter"
-    );
-    assert_eq!(compiled.sql.len(), interp.sql.len(), "{name} query count");
-    assert_eq!(compiled.has_write(), interp.has_write(), "{name} writes");
-    let ops = interp.sql.as_ops();
-    let SqlProgram::Compiled(run) = &compiled.sql else {
-        panic!("{name}: compiled generator must emit a compiled run");
-    };
-    for (idx, op) in ops.iter().enumerate() {
-        let step = &run.plan.steps[idx];
-        assert_eq!(
-            step.statement(&run.params),
-            *op.statement,
-            "{name} step {idx} materialization"
-        );
-        assert_eq!(
-            run.demands[idx], op.demand,
-            "{name} step {idx} jittered demand"
-        );
-        let a = db_interp.execute_into(&op.statement, scratch_a);
-        let b = db_compiled.execute_step_into(step, &run.params, scratch_b);
-        assert_eq!(a, b, "{name} step {idx} summary");
-        assert_eq!(scratch_a, scratch_b, "{name} step {idx} result rows");
-        if !step.is_write() {
-            // The count-only read probe (what the fused/dispatch path
-            // runs) agrees with the materializing oracle's summary.
-            assert_eq!(
-                db_compiled.read_step_summary(step, &run.params),
-                b,
-                "{name} step {idx} count probe"
-            );
+    let skip = without.map(|name| schema.must_table(name));
+    let mut rng = SimRng::seed_from_u64(0xD0D0);
+    let mut db = Database::new(schema.clone());
+    let mut model = NaiveDatabase::new();
+    for stmt in dataset_statements(spec, &mut rng) {
+        if Some(stmt.table()) != skip {
+            db.execute(&stmt).expect("dataset loads");
+            model.execute(&schema, &stmt).expect("dataset loads");
         }
-        assert_eq!(
-            db_interp.digest(),
-            db_compiled.digest(),
-            "{name} step {idx} digest"
-        );
-        // The dispatch-path view agrees on classification and demand.
-        let q = compiled.sql.query_at(idx);
-        assert_eq!(q.is_write(), op.is_write(), "{name} step {idx} class");
-        assert_eq!(q.demand(), op.demand, "{name} step {idx} view demand");
-        assert!(matches!(q, DbQuery::Step { .. }), "{name} borrowed form");
+    }
+    assert_eq!(db.digest(), model.digest(), "loaded state");
+    (db, model)
+}
+
+/// What the executor reports for a query the model answered with `res`.
+fn summary_of(res: NaiveQueryResult) -> ExecSummary {
+    match res {
+        NaiveQueryResult::Ack {
+            inserted_key,
+            affected,
+        } => ExecSummary::Ack {
+            inserted_key,
+            affected,
+        },
+        NaiveQueryResult::Rows(rows) => ExecSummary::Rows(rows.len()),
+        NaiveQueryResult::Count(n) => ExecSummary::Count(n),
     }
 }
 
-/// Every interaction template, under random seeds: compiled execution is
-/// result-, row-, and digest-identical to interpreted execution, and the
-/// two generators consume the same RNG stream and key-space mutations.
+fn compiled_run(plan: &InteractionPlan) -> &CompiledRun {
+    let SqlProgram::Compiled(run) = &plan.sql;
+    run
+}
+
+/// Runs every query of `plan` on the executor — reads as count probes on
+/// `primary`, writes captured on `primary` and mirrored onto `replica` by
+/// delta (or by re-executing the statement when the capture failed, as the
+/// C-JDBC broadcast does) — and on the model, comparing outcome by
+/// outcome. Returns how many queries failed (identically) on both sides.
+fn check_plan(
+    schema: &Schema,
+    plan: &InteractionPlan,
+    primary: &mut Database,
+    replica: &mut Database,
+    model: &mut NaiveDatabase,
+) -> usize {
+    let name = plan.name;
+    let run = compiled_run(plan);
+    let mut failed = 0;
+    for (idx, step) in run.plan.steps.iter().enumerate() {
+        let stmt: Statement = step.statement(&run.params);
+        let expected: Result<ExecSummary, SqlError> = model.execute(schema, &stmt).map(summary_of);
+        // The dispatch-path view agrees on classification and demand.
+        let q = plan.sql.query_at(idx);
+        assert_eq!(
+            q.step.is_write(),
+            stmt.is_write(),
+            "{name} step {idx} class"
+        );
+        assert_eq!(plan.sql.is_write_at(idx), stmt.is_write());
+        assert_eq!(q.demand, run.demands[idx], "{name} step {idx} demand");
+        if !step.is_write() {
+            let got = primary.read_step_summary(step, &run.params);
+            assert_eq!(got, expected, "{name} step {idx}: {}", stmt.render(schema));
+        } else {
+            match primary.execute_step_capture(step, &run.params) {
+                Ok((summary, delta)) => {
+                    assert_eq!(Ok(summary), expected, "{name} step {idx} write");
+                    replica.apply_delta(&delta).expect("captured delta applies");
+                }
+                Err(e) => {
+                    assert_eq!(Err(e.clone()), expected, "{name} step {idx} write error");
+                    let replayed = replica.execute(&stmt).map(|_| ());
+                    assert_eq!(replayed, Err(e), "{name} step {idx} replica fallback");
+                }
+            }
+        }
+        failed += usize::from(expected.is_err());
+    }
+    // A read probe takes `&Database`, so only a writing interaction can
+    // have moved the contents.
+    if plan.has_write() {
+        let d = model.digest();
+        assert_eq!(primary.digest(), d, "{name} primary digest");
+        assert_eq!(replica.digest(), d, "{name} replica digest");
+    }
+    failed
+}
+
+/// Every interaction template, under random seeds, against the pristine
+/// dataset: summaries and digests match the model, and a delta-applying
+/// replica tracks the primary.
 #[test]
 fn compiled_matches_interpreted_per_interaction() {
     run("compiled_matches_interpreted_per_interaction", 24, |g| {
-        let seed = g.u64(0..u64::MAX);
-        let mut db_interp = loaded_db(0xD0D0);
-        let mut db_compiled = db_interp.clone();
-        let mut rng_a = SimRng::seed_from_u64(seed);
-        let mut rng_b = SimRng::seed_from_u64(seed);
-        let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-        let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-        let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
-        for (i, t) in INTERACTIONS.iter().enumerate() {
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            check_plan_pair(
-                t.name,
-                &interp,
-                &compiled,
-                &mut db_interp,
-                &mut db_compiled,
-                &mut scratch_a,
-                &mut scratch_b,
-            );
-            assert_eq!(rng_a.f64(), rng_b.f64(), "{} rng stream", t.name);
-            assert_eq!(
-                (ks_a.users, ks_a.items, ks_a.bids, ks_a.comments),
-                (ks_b.users, ks_b.items, ks_b.bids, ks_b.comments),
-                "{} key space",
-                t.name
-            );
+        let schema = rubis_schema();
+        let (mut primary, mut model) = loaded(DatasetSpec::small(), None);
+        let mut replica = primary.clone();
+        let mut rng = SimRng::seed_from_u64(g.u64(0..u64::MAX));
+        let mut ks: KeySpace = DatasetSpec::small().into();
+        for i in 0..INTERACTIONS.len() {
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            let failed = check_plan(&schema, &plan, &mut primary, &mut replica, &mut model);
+            assert_eq!(failed, 0, "{}: the dataset has every table", plan.name);
         }
+        assert_eq!(primary, replica, "structural equality, indexes included");
     });
 }
 
-/// A long stationary bidding-mix stream: the per-request differential
-/// holds across accumulated state (inserted keys, grown postings, updated
-/// rows), not just against the pristine dataset.
+/// A long stationary bidding-mix stream: the differential holds across
+/// accumulated state (inserted keys, grown postings, updated rows), not
+/// just against the pristine dataset.
 #[test]
 fn compiled_matches_interpreted_over_a_mix_stream() {
     run("compiled_matches_interpreted_over_a_mix_stream", 12, |g| {
-        let seed = g.u64(0..u64::MAX);
+        let schema = rubis_schema();
         let n = g.usize(20..120);
         let mix = InteractionMix::bidding();
-        let mut db_interp = loaded_db(0xD0D0);
-        let mut db_compiled = db_interp.clone();
-        let mut rng_a = SimRng::seed_from_u64(seed);
-        let mut rng_b = SimRng::seed_from_u64(seed);
-        let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-        let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-        let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
+        let (mut primary, mut model) = loaded(DatasetSpec::small(), None);
+        let mut replica = primary.clone();
+        let mut rng = SimRng::seed_from_u64(g.u64(0..u64::MAX));
+        let mut ks: KeySpace = DatasetSpec::small().into();
         for _ in 0..n {
-            let i = mix.sample_index(&mut rng_a);
-            assert_eq!(i, mix.sample_index(&mut rng_b), "mix draw");
-            let t = &INTERACTIONS[i];
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            check_plan_pair(
-                t.name,
-                &interp,
-                &compiled,
-                &mut db_interp,
-                &mut db_compiled,
-                &mut scratch_a,
-                &mut scratch_b,
-            );
+            let i = mix.sample_index(&mut rng);
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            check_plan(&schema, &plan, &mut primary, &mut replica, &mut model);
         }
-        assert_eq!(db_interp.digest(), db_compiled.digest(), "final digest");
+        assert_eq!(primary, replica, "structural equality, indexes included");
     });
 }
 
-/// Error-for-error parity: against a database whose schema lacks every
-/// RUBiS table, each compiled step fails with exactly the error its
-/// interpreted statement fails with (and neither mutates the database).
+/// Error-for-error parity on a schema-less database: every step fails
+/// with exactly the error the model reports for its statement, and
+/// nothing is mutated.
 #[test]
 fn compiled_errors_match_interpreted_errors() {
     run("compiled_errors_match_interpreted_errors", 12, |g| {
-        let seed = g.u64(0..u64::MAX);
-        let mut empty_a = Database::new(Schema::empty());
-        let mut empty_b = Database::new(Schema::empty());
-        let mut rng_a = SimRng::seed_from_u64(seed);
-        let mut rng_b = SimRng::seed_from_u64(seed);
-        let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-        let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-        let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
-        for (i, t) in INTERACTIONS.iter().enumerate() {
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            let ops = interp.sql.as_ops();
-            let SqlProgram::Compiled(run) = &compiled.sql else {
-                panic!("compiled run expected");
-            };
-            for (idx, op) in ops.iter().enumerate() {
-                let step = &run.plan.steps[idx];
-                let a = empty_a.execute_into(&op.statement, &mut scratch_a);
-                let b = empty_b.execute_step_into(step, &run.params, &mut scratch_b);
-                assert!(a.is_err(), "{} step {idx} must miss the table", t.name);
-                assert_eq!(a, b, "{} step {idx} error", t.name);
-                if !step.is_write() {
-                    assert_eq!(
-                        empty_b.read_step_summary(step, &run.params),
-                        b,
-                        "{} step {idx} probe error",
-                        t.name
-                    );
-                }
-            }
-            assert_eq!(empty_a.digest(), empty_b.digest());
+        let schema = Schema::empty();
+        let mut primary = Database::new(schema.clone());
+        let mut replica = primary.clone();
+        let mut model = NaiveDatabase::new();
+        let mut rng = SimRng::seed_from_u64(g.u64(0..u64::MAX));
+        let mut ks: KeySpace = DatasetSpec::tiny().into();
+        for i in 0..INTERACTIONS.len() {
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            let failed = check_plan(&schema, &plan, &mut primary, &mut replica, &mut model);
+            assert_eq!(
+                failed,
+                plan.sql.len(),
+                "{}: every step must miss",
+                plan.name
+            );
         }
+        assert_eq!(primary.total_rows(), 0);
+        assert_eq!(primary, Database::new(schema));
     });
 }
 
-/// Delta-capture parity under the replication path: captured compiled
-/// writes converge delta-applying replicas to the same digests as
-/// captured interpreted writes, write for write — including failed
-/// captures, where both sides fall back to re-execution.
+/// Delta capture under failures: with one table missing from every copy,
+/// a bidding-mix stream mixes captured writes (mirrored by delta) with
+/// failed captures (mirrored by re-executing the logged statement); the
+/// replica and the model stay on the primary's digest write for write.
 #[test]
 fn compiled_delta_capture_matches_interpreted() {
     run("compiled_delta_capture_matches_interpreted", 12, |g| {
-        let seed = g.u64(0..u64::MAX);
-        let n = g.usize(20..100);
+        let schema = rubis_schema();
+        let n = g.usize(40..160);
+        let missing = *g.choose(&["comments", "bids", "buy_now"]);
         let mix = InteractionMix::bidding();
-        let mut primary_a = loaded_db(0xD0D0);
-        let mut primary_b = primary_a.clone();
-        let mut replica_a = primary_a.clone();
-        let mut replica_b = primary_a.clone();
-        let mut rng_a = SimRng::seed_from_u64(seed);
-        let mut rng_b = SimRng::seed_from_u64(seed);
-        let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-        let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-        let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
+        let (mut primary, mut model) = loaded(DatasetSpec::tiny(), Some(missing));
+        let mut replica = primary.clone();
+        let mut rng = SimRng::seed_from_u64(g.u64(0..u64::MAX));
+        let mut ks: KeySpace = DatasetSpec::tiny().into();
         for _ in 0..n {
-            let i = mix.sample_index(&mut rng_a);
-            assert_eq!(i, mix.sample_index(&mut rng_b));
-            let t = &INTERACTIONS[i];
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            let ops = interp.sql.as_ops();
-            let SqlProgram::Compiled(run) = &compiled.sql else {
-                panic!("compiled run expected");
-            };
-            for (idx, op) in ops.iter().enumerate() {
-                let step = &run.plan.steps[idx];
-                if !op.is_write() {
-                    // Reads execute on the primaries only (the cluster
-                    // routes them to one backend).
-                    let a = primary_a.execute_into(&op.statement, &mut scratch_a);
-                    let b = primary_b.execute_step_into(step, &run.params, &mut scratch_b);
-                    assert_eq!(a, b, "{} read {idx}", t.name);
-                    continue;
-                }
-                let a = primary_a.execute_capture(&op.statement);
-                let b = primary_b.execute_step_capture(step, &run.params);
-                match (a, b) {
-                    (Ok((sa, da)), Ok((sb, db))) => {
-                        assert_eq!(sa, sb, "{} write {idx} summary", t.name);
-                        replica_a.apply_delta(&da).expect("interpreted delta");
-                        replica_b.apply_delta(&db).expect("compiled delta");
-                    }
-                    (Err(ea), Err(eb)) => {
-                        assert_eq!(ea, eb, "{} write {idx} error", t.name);
-                        let _ = replica_a.execute_into(&op.statement, &mut scratch_a);
-                        let _ = replica_b.execute_step_into(step, &run.params, &mut scratch_b);
-                    }
-                    (a, b) => panic!(
-                        "{} write {idx}: capture outcomes differ: {a:?} vs {b:?}",
-                        t.name
-                    ),
-                }
-                let d = primary_a.digest();
-                assert_eq!(d, primary_b.digest(), "{} write {idx} primary", t.name);
-                assert_eq!(d, replica_a.digest(), "{} write {idx} replica A", t.name);
-                assert_eq!(d, replica_b.digest(), "{} write {idx} replica B", t.name);
-            }
+            let i = mix.sample_index(&mut rng);
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            check_plan(&schema, &plan, &mut primary, &mut replica, &mut model);
         }
-    });
-}
-
-/// The fused `execute_plan` entry point lands on the same database state
-/// and result cardinality as per-statement interpreted execution.
-#[test]
-fn fused_execute_plan_matches_statement_loop() {
-    run("fused_execute_plan_matches_statement_loop", 12, |g| {
-        let seed = g.u64(0..u64::MAX);
-        let n = g.usize(10..60);
-        let mix = InteractionMix::bidding();
-        let mut db_interp = loaded_db(0xD0D0);
-        let mut db_compiled = db_interp.clone();
-        let mut rng_a = SimRng::seed_from_u64(seed);
-        let mut rng_b = SimRng::seed_from_u64(seed);
-        let mut ks_a: KeySpace = DatasetSpec::tiny().into();
-        let mut ks_b: KeySpace = DatasetSpec::tiny().into();
-        let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
-        for _ in 0..n {
-            let i = mix.sample_index(&mut rng_a);
-            assert_eq!(i, mix.sample_index(&mut rng_b));
-            let t = &INTERACTIONS[i];
-            let interp = generate_plan(t, &mut ks_a, &mut rng_a);
-            let compiled =
-                generate_plan_compiled_into(i, &mut ks_b, &mut rng_b, Vec::new(), Vec::new());
-            let mut acc_a = 0u64;
-            for op in interp.sql.as_ops() {
-                if let Ok(s) = db_interp.execute_into(&op.statement, &mut scratch_a) {
-                    acc_a += s.cardinality();
-                }
-            }
-            let SqlProgram::Compiled(run) = &compiled.sql else {
-                panic!("compiled run expected");
-            };
-            let acc_b = db_compiled.execute_plan(run.plan, &run.params, &mut scratch_b);
-            assert_eq!(acc_a, acc_b, "{} fused cardinality", t.name);
-            assert_eq!(db_interp.digest(), db_compiled.digest(), "{}", t.name);
+        // One of the three storing interactions inserts into the missing
+        // table, so every case meets at least one failed capture.
+        let mut failed = 0;
+        for name in ["StoreBid", "StoreComment", "StoreBuyNow"] {
+            let i = INTERACTIONS.iter().position(|t| t.name == name).unwrap();
+            let plan = generate_plan_compiled_into(i, &mut ks, &mut rng, Vec::new(), Vec::new());
+            failed += check_plan(&schema, &plan, &mut primary, &mut replica, &mut model);
         }
+        assert!(failed > 0, "no write met the missing table {missing}");
+        assert_eq!(primary, replica, "structural equality, indexes included");
     });
 }
