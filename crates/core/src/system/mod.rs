@@ -615,7 +615,7 @@ impl J2eeApp {
         // The base dump every MySQL replica restores.
         let mut dump_rng = jade_sim::SimRng::seed_from_u64(self.cfg.seed ^ 0xDA7A);
         let dump = dataset_statements(self.cfg.dataset, &mut dump_rng);
-        self.legacy.set_mysql_dump(rubis_schema(), &dump);
+        self.legacy.set_mysql_dump(rubis_schema(), dump);
 
         let daemon = self.daemon_packages();
 

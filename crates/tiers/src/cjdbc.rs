@@ -13,10 +13,11 @@
 //!   and captures a [`WriteDelta`](crate::storage::WriteDelta) that the
 //!   remaining replicas apply without re-evaluating,
 //! * state reconciliation: a joining backend receives a
-//!   [`SyncPlan`](crate::recovery::SyncPlan) — the nearest checkpoint
-//!   snapshot plus the delta tail past it, or the exact log suffix it is
-//!   missing (possibly in several batches if writes keep arriving) — and
-//!   a leaving backend records its checkpoint index.
+//!   [`SyncPlan`](crate::recovery::SyncPlan) — the exact log suffix it is
+//!   missing while the log still retains it, else the log's one checkpoint
+//!   plus the delta tail past it (possibly in several batches if writes
+//!   keep arriving, each batch planned the same way) — and a leaving
+//!   backend records its checkpoint index.
 
 use crate::recovery::{RecoveryLog, SyncPlan};
 use crate::server::ServerId;
@@ -143,8 +144,8 @@ impl CjdbcController {
     }
 
     /// Starts enabling a disabled backend: moves it to `Syncing` and
-    /// returns the [`SyncPlan`] it must apply — the nearest checkpoint
-    /// snapshot plus delta tail when one skips work, the plain log suffix
+    /// returns the [`SyncPlan`] it must apply — the plain log suffix
+    /// while the log retains it, the checkpoint plus delta tail
     /// otherwise. An empty plan means it can be activated immediately (the
     /// caller should still call [`CjdbcController::finish_replay`]).
     pub fn begin_enable(&mut self, server: ServerId) -> Result<SyncPlan, CjdbcError> {
@@ -182,10 +183,10 @@ impl CjdbcController {
     }
 
     /// Completes one replay batch. If more writes arrived since the batch
-    /// was taken, returns the next batch (a plain delta tail — the backend
-    /// already caught up to its previous checkpoint, so no snapshot can
-    /// help); otherwise the backend becomes `Active` and `None` is
-    /// returned.
+    /// was taken, returns the next batch — planned like the first, so a
+    /// checkpoint installed meanwhile (which truncated the entries the
+    /// backend still misses) is served as {checkpoint, tail}; otherwise
+    /// the backend becomes `Active` and `None` is returned.
     pub fn finish_replay(&mut self, server: ServerId) -> Result<Option<SyncPlan>, CjdbcError> {
         let head = self.log.head();
         let b = self
@@ -200,11 +201,7 @@ impl CjdbcController {
         if b.checkpoint < head {
             let from = b.checkpoint;
             b.checkpoint = head;
-            Ok(Some(SyncPlan {
-                snapshot: None,
-                entries: self.log.entries_from(from).to_vec(),
-                backlog: head - from,
-            }))
+            Ok(Some(self.log.sync_plan(from)))
         } else {
             b.status = BackendStatus::Active;
             Ok(None)
@@ -427,6 +424,7 @@ fn active_mut(
 mod tests {
     use super::*;
     use crate::sql::Value;
+    use crate::storage::Database;
 
     fn schema() -> Arc<Schema> {
         Schema::builder().table("t", &["a"]).build()
@@ -589,7 +587,7 @@ mod tests {
         let batch2 = c.finish_replay(id).unwrap().expect("second batch");
         assert!(
             batch2.snapshot.is_none(),
-            "second tails never need snapshots"
+            "no checkpoint landed: the log still retains the tail"
         );
         assert_eq!(batch2.entries.len(), 1);
         assert_eq!(batch2.entries[0].index, 1);
@@ -692,7 +690,6 @@ mod tests {
 
     #[test]
     fn late_joiner_plan_uses_nearest_snapshot_with_full_backlog() {
-        use crate::storage::Database;
         let mut c = controller_with_active(1);
         c.set_snapshot_interval(4);
         let mut db = Database::new(schema());
@@ -708,9 +705,10 @@ mod tests {
                 c.install_snapshot(db.snapshot());
             }
         }
-        // 10 writes, snapshots at 4 and 8: a fresh joiner restores the
-        // snapshot at 8 and applies a 2-entry tail, yet the latency model
-        // still sees the full 10-entry backlog.
+        // 10 writes, checkpoints at 4 and 8 (the second replaced the
+        // first): a fresh joiner restores the one at 8 and applies a
+        // 2-entry tail, yet the latency model still sees the full
+        // 10-entry backlog.
         let id = ServerId(9);
         c.register_backend(id);
         let plan = c.begin_enable(id).unwrap();
@@ -718,12 +716,104 @@ mod tests {
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.backlog, 10);
         // Restoring + applying the tail converges to the live state.
-        let (pos, snap) = plan.snapshot.unwrap();
-        let mut joiner = Database::from_snapshot(&snap);
+        let mut joiner = Database::new(schema());
+        apply_batch(&mut joiner, &plan);
+        assert_eq!(joiner.digest(), db.digest());
+    }
+
+    /// Routes write `i` to the single active backend whose state is
+    /// `db`, checkpointing on cadence like the legacy layer does.
+    fn write_through(c: &mut CjdbcController, db: &mut Database, i: i64) {
+        let stmt = write(i);
+        c.route_write(Arc::clone(&stmt)).unwrap();
+        db.execute(&stmt).unwrap();
+        if c.snapshot_due() {
+            c.install_snapshot(db.snapshot());
+        }
+    }
+
+    /// What the legacy layer does with a replay batch.
+    fn apply_batch(joiner: &mut Database, plan: &SyncPlan) {
+        if let Some((pos, snap)) = &plan.snapshot {
+            *joiner = Database::from_snapshot(snap);
+            assert!(plan.entries.iter().all(|e| e.index >= *pos));
+        }
         for entry in &plan.entries {
-            assert!(entry.index >= pos);
             joiner.execute(&entry.statement).unwrap();
         }
+    }
+
+    /// One active backend over a database holding table `t`, checkpoint
+    /// interval 4; returns the base image a joiner starts from as well.
+    fn truncating_cluster() -> (CjdbcController, Database, Database) {
+        let mut c = controller_with_active(1);
+        c.set_snapshot_interval(4);
+        let mut db = Database::new(schema());
+        db.execute(&schema().create_table("t")).unwrap();
+        let base = db.clone();
+        (c, db, base)
+    }
+
+    #[test]
+    fn checkpoint_during_sync_is_served_by_the_second_batch() {
+        let (mut c, mut db, mut joiner) = truncating_cluster();
+        for i in 0..2 {
+            write_through(&mut c, &mut db, i);
+        }
+        let id = ServerId(9);
+        c.register_backend(id);
+        let batch1 = c.begin_enable(id).unwrap();
+        assert!(batch1.snapshot.is_none());
+        assert_eq!(batch1.entries.len(), 2);
+        // While batch 1 replays, the checkpoint at 4 lands and truncates
+        // entries 2 and 3, which the joiner has not seen.
+        for i in 2..5 {
+            write_through(&mut c, &mut db, i);
+        }
+        assert_eq!(c.recovery_log().first_retained(), 4);
+        apply_batch(&mut joiner, &batch1);
+        let batch2 = c.finish_replay(id).unwrap().expect("second batch");
+        assert_eq!(batch2.snapshot.as_ref().map(|(p, _)| *p), Some(4));
+        assert_eq!(batch2.entries.len(), 1);
+        assert_eq!(batch2.entries[0].index, 4);
+        assert_eq!(batch2.backlog, 3, "latency still models entries 2..5");
+        apply_batch(&mut joiner, &batch2);
+        assert!(c.finish_replay(id).unwrap().is_none());
+        assert_eq!(c.status(id).unwrap(), BackendStatus::Active);
+        assert_eq!(joiner.digest(), db.digest());
+    }
+
+    #[test]
+    fn reenable_across_a_checkpoint_after_abort_and_after_disable() {
+        let (mut c, mut db, mut joiner) = truncating_cluster();
+        for i in 0..2 {
+            write_through(&mut c, &mut db, i);
+        }
+        let id = ServerId(9);
+        c.register_backend(id);
+        // Batch handed out, never applied nor acknowledged.
+        assert_eq!(c.begin_enable(id).unwrap().entries.len(), 2);
+        c.abort_enable(id).unwrap();
+        for i in 2..5 {
+            write_through(&mut c, &mut db, i);
+        }
+        // Checkpoint 0 now lies below the first retained index (4).
+        let plan = c.begin_enable(id).unwrap();
+        assert_eq!(plan.snapshot.as_ref().map(|(p, _)| *p), Some(4));
+        assert_eq!((plan.entries.len(), plan.backlog), (1, 5));
+        apply_batch(&mut joiner, &plan);
+        assert!(c.finish_replay(id).unwrap().is_none());
+        assert_eq!(joiner.digest(), db.digest());
+        // Disabled at 5, it misses 5..9 while the checkpoint moves to 8.
+        c.disable_backend(id).unwrap();
+        for i in 5..9 {
+            write_through(&mut c, &mut db, i);
+        }
+        let plan = c.begin_enable(id).unwrap();
+        assert_eq!(plan.snapshot.as_ref().map(|(p, _)| *p), Some(8));
+        assert_eq!((plan.entries.len(), plan.backlog), (1, 4));
+        apply_batch(&mut joiner, &plan);
+        assert!(c.finish_replay(id).unwrap().is_none());
         assert_eq!(joiner.digest(), db.digest());
     }
 

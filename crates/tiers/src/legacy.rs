@@ -212,11 +212,13 @@ pub struct LegacyLayer {
     outbox: Vec<(SimDuration, LegacyEvent)>,
     pending_replays: BTreeMap<(ServerId, ServerId), SyncPlan>,
     /// Base database image restored into every new MySQL replica before
-    /// it joins the cluster. The cluster-wide invariant is
-    /// `base image + recovery log = current state`: writes issued after
-    /// the image was taken are covered by the log. Rebuilding the C-JDBC
-    /// controller re-snapshots this image from a current replica (the
-    /// lost log can no longer bridge from the original dataset dump).
+    /// it joins the cluster. A replica built from it has log position 0,
+    /// so the log brings it up to date: until the first checkpoint the
+    /// retained log is the whole history (`base image + log = current
+    /// state`); afterwards position 0 is truncated and the join is served
+    /// by `checkpoint + retained log = current state`. Rebuilding the
+    /// C-JDBC controller re-snapshots this image from a current replica
+    /// (the lost log can no longer bridge from the original dataset dump).
     mysql_base: crate::storage::Database,
     /// The cluster-wide database schema (statements are prepared against
     /// it once; the C-JDBC recovery log renders through it).
@@ -246,15 +248,16 @@ impl LegacyLayer {
     }
 
     /// Sets the cluster schema and the base image restored into new MySQL
-    /// replicas by executing a statement dump into a fresh database.
+    /// replicas by executing a statement dump into a fresh database. The
+    /// dump is consumed: its rows move into the image.
     pub fn set_mysql_dump(
         &mut self,
         schema: Arc<crate::sql::Schema>,
-        dump: &[crate::sql::Statement],
+        dump: Vec<crate::sql::Statement>,
     ) {
         let mut db = crate::storage::Database::new(Arc::clone(&schema));
         for stmt in dump {
-            let _ = db.execute(stmt);
+            let _ = db.execute_owned(stmt);
         }
         self.schema = schema;
         self.mysql_base = db;
@@ -788,8 +791,9 @@ impl LegacyLayer {
             }
         }
         // Checkpoint cadence: every `snapshot_interval` writes, store a
-        // copy-on-write snapshot of the (identical) cluster state so late
-        // joiners sync from it instead of replaying the history.
+        // copy-on-write snapshot of the (identical) cluster state. It
+        // replaces the previous one and the log drops the entries it
+        // covers: late joiners sync from {checkpoint, retained tail}.
         if self.cjdbc(cjdbc)?.snapshot_due() {
             let snapshot = self.mysql(primary)?.db.snapshot();
             self.cjdbc_mut(cjdbc)?.install_snapshot(snapshot);
@@ -985,7 +989,7 @@ mod tests {
     /// draining boot/replay events).
     fn db_cluster(l: &mut LegacyLayer, n: usize) -> (ServerId, Vec<ServerId>) {
         // The base image every replica starts from holds the (empty) table.
-        l.set_mysql_dump(test_schema(), &[test_schema().create_table("t")]);
+        l.set_mysql_dump(test_schema(), vec![test_schema().create_table("t")]);
         let cj_node = l.cluster.allocate().unwrap();
         install(l, cj_node, "cjdbc");
         let cj = l.create_cjdbc("C-JDBC", cj_node, ReadPolicy::LeastPending);

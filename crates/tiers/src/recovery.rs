@@ -21,11 +21,22 @@
 //!   fails identically on the joiner;
 //! * every [`RecoveryLog::snapshot_interval`] writes the log accepts a
 //!   copy-on-write checkpoint [`Snapshot`] of the cluster state, so a
-//!   joining backend receives {nearest snapshot, delta tail} — O(delta) —
+//!   joining backend receives {checkpoint, delta tail} — O(delta) —
 //!   instead of replaying the entire history. The *simulated* resync
 //!   latency still follows the full entry backlog ([`SyncPlan::backlog`]),
 //!   keeping virtual-time trajectories identical to the full-replay
 //!   implementation (the digest-neutral contract).
+//!
+//! The log holds exactly what a late joiner can still be handed: **one**
+//! checkpoint and the entries at or past its position. Installing a
+//! checkpoint replaces the previous one and drops the entries it covers
+//! (C-JDBC's own dump-plus-checkpoint procedure), so memory is bounded
+//! by the checkpoint interval, not by how long the cluster has run.
+//! Indices stay global: [`RecoveryLog::head`] counts every write ever
+//! logged, and the invariant is *checkpoint + retained log = current
+//! state*. A range below [`RecoveryLog::first_retained`] no longer
+//! exists as entries — [`RecoveryLog::entries_from`] answers `None`, and
+//! [`RecoveryLog::sync_plan`] answers with the checkpoint.
 
 use crate::sql::{Schema, Statement};
 use crate::storage::{Snapshot, WriteDelta};
@@ -56,10 +67,10 @@ impl LogEntry {
     }
 }
 
-/// What [`crate::cjdbc::CjdbcController::begin_enable`] hands a joining
-/// backend: either the delta tail alone (applied onto the backend's
-/// retained state) or the nearest checkpoint snapshot plus the shorter
-/// tail past it.
+/// What [`crate::cjdbc::CjdbcController::begin_enable`] and
+/// [`finish_replay`](crate::cjdbc::CjdbcController::finish_replay) hand a
+/// joining backend: either the delta tail alone (applied onto the
+/// backend's retained state) or the checkpoint plus the tail past it.
 #[derive(Debug, Clone, Default)]
 pub struct SyncPlan {
     /// `(position, snapshot)`: replace the backend's state with the
@@ -86,14 +97,18 @@ impl SyncPlan {
 /// How many writes the log accepts between checkpoint snapshots.
 pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1024;
 
-/// Append-only log of all writes accepted by the clustered database.
+/// Log of the writes accepted by the clustered database since its one
+/// checkpoint (see the module docs for the retention contract).
 #[derive(Debug, Clone)]
 pub struct RecoveryLog {
     schema: Arc<Schema>,
+    /// The retained suffix: `entries[i].index == first_retained + i`.
     entries: Vec<LogEntry>,
-    /// Checkpoint snapshots at ascending log positions (a snapshot at
-    /// position `p` covers entries `< p`).
-    snapshots: Vec<(u64, Snapshot)>,
+    /// Global index of `entries[0]` — the checkpoint's position, 0 until
+    /// the first checkpoint is installed.
+    first_retained: u64,
+    /// Snapshot of the cluster state covering entries `< first_retained`.
+    checkpoint: Option<Snapshot>,
     snapshot_interval: u64,
 }
 
@@ -103,7 +118,8 @@ impl RecoveryLog {
         RecoveryLog {
             schema,
             entries: Vec::new(),
-            snapshots: Vec::new(),
+            first_retained: 0,
+            checkpoint: None,
             snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
         }
     }
@@ -121,17 +137,13 @@ impl RecoveryLog {
         self.push_entry(statement, Some(delta))
     }
 
-    // jade-audit: allow(unbounded-growth): the recovery log intentionally
-    // retains every write of the run — it is the replay source that
-    // brings checkpointed replicas back in sync (paper's RAIDb-1
-    // recovery); truncating it would break resync.
     fn push_entry(&mut self, statement: Arc<Statement>, delta: Option<Arc<WriteDelta>>) -> u64 {
         assert!(
             statement.is_write(),
             "only write requests are logged (got {})",
             statement.render(&self.schema)
         );
-        let index = self.entries.len() as u64;
+        let index = self.head();
         self.entries.push(LogEntry {
             index,
             statement,
@@ -140,16 +152,32 @@ impl RecoveryLog {
         index
     }
 
-    /// Index one past the last logged write (== number of writes).
+    /// Index one past the last logged write (== number of writes ever
+    /// logged, truncated ones included).
     pub fn head(&self) -> u64 {
-        self.entries.len() as u64
+        self.first_retained + self.entries.len() as u64
+    }
+
+    /// Global index of the oldest entry still held (== the checkpoint's
+    /// position; 0 while there is no checkpoint).
+    pub fn first_retained(&self) -> u64 {
+        self.first_retained
+    }
+
+    /// Number of entries held (`head() - first_retained()`), bounded by
+    /// the snapshot interval when checkpoints are installed on cadence.
+    pub fn retained_len(&self) -> usize {
+        self.entries.len()
     }
 
     /// Entries with `index >= from` in order — "the exact set of write
     /// requests to replay" on a stale replica whose checkpoint is `from`.
-    pub fn entries_from(&self, from: u64) -> &[LogEntry] {
-        let start = (from as usize).min(self.entries.len());
-        &self.entries[start..]
+    /// `None` when `from` lies below [`RecoveryLog::first_retained`]: the
+    /// checkpoint covers that range and the entries are gone, so a
+    /// shorter slice would silently skip writes.
+    pub fn entries_from(&self, from: u64) -> Option<&[LogEntry]> {
+        let skip = from.checked_sub(self.first_retained)?;
+        Some(&self.entries[skip.min(self.entries.len() as u64) as usize..])
     }
 
     /// Number of writes a replica checkpointed at `from` is missing.
@@ -157,15 +185,16 @@ impl RecoveryLog {
         self.head().saturating_sub(from)
     }
 
-    /// All rendered statements (diagnostics / persistence emulation),
-    /// produced lazily — nothing is rendered until the iterator is
+    /// The retained statements, rendered (diagnostics / persistence
+    /// emulation): the log past the checkpoint, not the whole history.
+    /// Produced lazily — nothing is rendered until the iterator is
     /// consumed.
     pub fn rendered(&self) -> impl Iterator<Item = String> + '_ {
         self.entries.iter().map(|e| e.render(&self.schema))
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint snapshots
+    // The checkpoint
     // ------------------------------------------------------------------
 
     /// Writes between checkpoint snapshots.
@@ -182,47 +211,42 @@ impl RecoveryLog {
     /// the caller should capture and [`RecoveryLog::install_snapshot`] a
     /// fresh one (the log itself holds no database state).
     pub fn snapshot_due(&self) -> bool {
-        let last = self.snapshots.last().map(|(p, _)| *p).unwrap_or(0);
-        self.head() >= last + self.snapshot_interval
+        self.entries.len() as u64 >= self.snapshot_interval
     }
 
     /// Records a checkpoint snapshot of the cluster state at the current
-    /// head (the snapshot must reflect every logged write).
+    /// head (the snapshot must reflect every logged write). It replaces
+    /// the previous checkpoint, and the entries it covers — all retained
+    /// ones — are dropped; the buffer keeps its capacity.
     pub fn install_snapshot(&mut self, snapshot: Snapshot) {
-        let pos = self.head();
-        debug_assert!(self.snapshots.last().is_none_or(|(p, _)| *p <= pos));
-        self.snapshots.push((pos, snapshot));
+        self.first_retained = self.head();
+        self.entries.clear();
+        self.checkpoint = Some(snapshot);
     }
 
-    /// Number of checkpoint snapshots retained.
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
+    /// The checkpoint, if one was installed: `(position, snapshot)`, the
+    /// snapshot covering every entry `< position`.
+    pub fn checkpoint_snapshot(&self) -> Option<(u64, &Snapshot)> {
+        self.checkpoint.as_ref().map(|s| (self.first_retained, s))
     }
 
-    /// The most advanced snapshot strictly past `from`, if any (a
-    /// snapshot at or before `from` adds nothing over the backend's own
-    /// retained state).
-    pub fn nearest_snapshot(&self, from: u64) -> Option<&(u64, Snapshot)> {
-        self.snapshots.iter().rev().find(|(p, _)| *p > from)
-    }
-
-    /// Builds the cheapest reconciliation plan for a backend checkpointed
-    /// at `from`: nearest snapshot + delta tail when a snapshot would
-    /// skip work, the plain tail otherwise. `backlog` always reflects the
-    /// full `head - from` (see [`SyncPlan::backlog`]).
+    /// Builds the reconciliation plan for a backend checkpointed at
+    /// `from`: the plain tail when the log still holds it, otherwise the
+    /// checkpoint plus everything retained past it. `backlog` always
+    /// reflects the full `head - from` (see [`SyncPlan::backlog`]).
     pub fn sync_plan(&self, from: u64) -> SyncPlan {
-        let backlog = self.backlog(from);
-        match self.nearest_snapshot(from) {
-            Some((pos, snap)) => SyncPlan {
-                snapshot: Some((*pos, snap.clone())),
-                entries: self.entries_from(*pos).to_vec(),
-                backlog,
-            },
-            None => SyncPlan {
-                snapshot: None,
-                entries: self.entries_from(from).to_vec(),
-                backlog,
-            },
+        let (snapshot, tail) = match self.entries_from(from) {
+            Some(tail) => (None, tail),
+            // Only a checkpoint moves `first_retained` past 0.
+            None => (
+                self.checkpoint_snapshot().map(|(p, s)| (p, s.clone())),
+                &self.entries[..],
+            ),
+        };
+        SyncPlan {
+            snapshot,
+            entries: tail.to_vec(),
+            backlog: self.backlog(from),
         }
     }
 }
@@ -251,7 +275,7 @@ mod tests {
         assert_eq!(log.append(w(1)), 0);
         assert_eq!(log.append(w(2)), 1);
         assert_eq!(log.head(), 2);
-        let tail = log.entries_from(1);
+        let tail = log.entries_from(1).unwrap();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].index, 1);
         assert_eq!(log.backlog(0), 2);
@@ -283,32 +307,79 @@ mod tests {
         let (_, delta) = db.execute_capture(&stmt).unwrap();
         log.append_captured(Arc::clone(&stmt), Arc::new(delta));
         log.append(w(4));
-        let entries = log.entries_from(0);
+        let entries = log.entries_from(0).unwrap();
         assert!(entries[0].delta.is_some());
         assert!(entries[1].delta.is_none());
     }
 
+    /// Appends `n` writes to `log` and `db`, installing a checkpoint
+    /// whenever one is due (the legacy layer's cadence).
+    fn append_on_cadence(log: &mut RecoveryLog, db: &mut Database, n: i64) {
+        for i in 0..n {
+            log.append(w(i));
+            db.execute(&w(i)).unwrap();
+            if log.snapshot_due() {
+                log.install_snapshot(db.snapshot());
+            }
+        }
+    }
+
     #[test]
-    fn snapshot_cadence_and_nearest_lookup() {
+    fn snapshot_cadence_keeps_one_checkpoint() {
         let schema = schema();
         let mut db = Database::new(Arc::clone(&schema));
         db.execute(&schema.create_table("t")).unwrap();
         let mut log = RecoveryLog::new(Arc::clone(&schema));
         log.set_snapshot_interval(4);
         assert!(!log.snapshot_due(), "empty log needs no snapshot");
-        for i in 0..10 {
-            log.append(w(i));
-            let _ = db.execute(&schema.insert("t", &[("a", Value::Int(i))]));
+        assert!(log.checkpoint_snapshot().is_none());
+        append_on_cadence(&mut log, &mut db, 10);
+        // Checkpoints landed at 4 and 8; only the one at 8 is held, with
+        // the two entries past it.
+        assert_eq!(log.checkpoint_snapshot().map(|(p, _)| p), Some(8));
+        assert_eq!(log.first_retained(), 8);
+        assert_eq!(log.retained_len(), 2);
+        assert_eq!(log.rendered().count(), 2, "rendered() is the retained log");
+        assert!(!log.snapshot_due(), "2 of 4 writes since the checkpoint");
+    }
+
+    #[test]
+    fn truncation_bounds_memory_and_keeps_global_indices() {
+        let schema = schema();
+        let mut db = Database::new(Arc::clone(&schema));
+        db.execute(&schema.create_table("t")).unwrap();
+        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        log.set_snapshot_interval(8);
+        let n = 50 * 8 + 3;
+        for i in 0..n {
+            assert_eq!(log.append(w(i)), i as u64, "indices stay global");
+            db.execute(&w(i)).unwrap();
             if log.snapshot_due() {
                 log.install_snapshot(db.snapshot());
             }
+            assert!(log.retained_len() as u64 <= log.snapshot_interval());
         }
-        // Snapshots landed at positions 4 and 8.
-        assert_eq!(log.snapshot_count(), 2);
-        assert_eq!(log.nearest_snapshot(0).map(|(p, _)| *p), Some(8));
-        assert_eq!(log.nearest_snapshot(7).map(|(p, _)| *p), Some(8));
-        assert_eq!(log.nearest_snapshot(8).map(|(p, _)| *p), None);
-        assert_eq!(log.nearest_snapshot(99).map(|(p, _)| *p), None);
+        // head/backlog are what an untruncated log would report.
+        assert_eq!(log.head(), n as u64);
+        assert_eq!(log.backlog(0), n as u64);
+        assert_eq!(log.backlog(390), 13);
+        assert_eq!(log.backlog(n as u64 + 9), 0);
+        assert_eq!((log.first_retained(), log.retained_len()), (400, 3));
+        // A truncated range is not answered by a shorter slice …
+        assert!(log.entries_from(399).is_none());
+        assert_eq!(log.entries_from(400).unwrap()[0].index, 400);
+        assert_eq!(log.entries_from(402).unwrap().len(), 1);
+        assert!(log.entries_from(n as u64 + 9).unwrap().is_empty());
+        // … but by the checkpoint, which with the tail is the current
+        // state.
+        let plan = log.sync_plan(399);
+        let (pos, snap) = plan.snapshot.expect("checkpoint covers 399");
+        assert_eq!((pos, plan.entries.len(), plan.backlog), (400, 3, 4));
+        let mut joiner = Database::from_snapshot(&snap);
+        for e in &plan.entries {
+            joiner.execute(&e.statement).unwrap();
+        }
+        assert_eq!(joiner.digest(), db.digest());
     }
 
     #[test]
@@ -318,13 +389,7 @@ mod tests {
         db.execute(&schema.create_table("t")).unwrap();
         let mut log = RecoveryLog::new(Arc::clone(&schema));
         log.set_snapshot_interval(4);
-        for i in 0..6 {
-            log.append(w(i));
-            let _ = db.execute(&schema.insert("t", &[("a", Value::Int(i))]));
-            if log.snapshot_due() {
-                log.install_snapshot(db.snapshot());
-            }
-        }
+        append_on_cadence(&mut log, &mut db, 6);
         // Fresh joiner (checkpoint 0): snapshot at 4 + tail of 2, but the
         // latency model still sees all 6 entries.
         let plan = log.sync_plan(0);

@@ -419,15 +419,7 @@ impl Database {
             Statement::Count { table } => {
                 Ok(QueryResult::Count(self.table_ref(*table)?.live as u64))
             }
-            // The bulk of a dataset load: no delta is wanted, so the row
-            // goes straight to the mutator.
-            Statement::Insert { table, row } => {
-                let key = self.insert_row(*table, Arc::new(row.clone()))?;
-                Ok(QueryResult::Ack {
-                    inserted_key: Some(key),
-                    affected: 1,
-                })
-            }
+            Statement::Insert { .. } => self.execute_owned(stmt.clone()),
             write => match self.execute_capture(write)?.0 {
                 ExecSummary::Ack {
                     inserted_key,
@@ -438,6 +430,22 @@ impl Database {
                 }),
                 other => unreachable!("a write acknowledges, got {other:?}"),
             },
+        }
+    }
+
+    /// [`Database::execute`] of a statement the caller gives up. The bulk
+    /// of a dataset load is inserts: no delta is wanted, so the row moves
+    /// straight into the mutator — no copy of its values is made.
+    pub fn execute_owned(&mut self, stmt: Statement) -> Result<QueryResult, SqlError> {
+        match stmt {
+            Statement::Insert { table, row } => {
+                let key = self.insert_row(table, Arc::new(row))?;
+                Ok(QueryResult::Ack {
+                    inserted_key: Some(key),
+                    affected: 1,
+                })
+            }
+            other => self.execute(&other),
         }
     }
 

@@ -7,7 +7,8 @@ use jade::system::{J2eeApp, ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
 use jade_sim::{Addr, App, Ctx, Engine, SimDuration, SimTime};
-use jade_tiers::Tier;
+use jade_tiers::cjdbc::{BackendStatus, CjdbcController};
+use jade_tiers::{ServerId, Tier};
 
 fn recovery_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_managed();
@@ -237,4 +238,73 @@ fn crashed_node_cpu_timer_is_disarmed_and_the_replacement_arms() {
             .any(|&(t, n)| n == replacement[0] && t > crash_at),
         "the replacement node never completed a job"
     );
+}
+
+fn controller(eng: &Engine<J2eeApp>) -> &CjdbcController {
+    let (cj, _) = eng.app().cjdbc.expect("C-JDBC is deployed");
+    eng.app().legacy.cjdbc(cj).expect("controller")
+}
+
+/// The recovery log keeps one checkpoint and the writes past it. A
+/// replica that joins after the log was truncated — here the replacement
+/// of one crashed at 500 s, when position 0 is long gone — is synced from
+/// {checkpoint, retained tail} and converges with the survivors, while
+/// the log never holds more than one checkpoint interval of entries.
+#[test]
+fn replica_joining_after_truncation_syncs_from_the_checkpoint() {
+    let mut cfg = SystemConfig::paper_managed();
+    cfg.ramp = WorkloadRamp::constant(450);
+    cfg.jade.self_repair = true;
+    let seed = cfg.seed;
+    let mut eng = Engine::new(J2eeApp::new(cfg), seed);
+    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    // The load scales the database tier to four replicas by 157 s, all
+    // joined through the still-complete log; MySQL2 runs on NodeId(4).
+    let crash_at = SimTime::from_secs(500);
+    eng.schedule(crash_at, Addr::ROOT, Msg::CrashNode(NodeId(4)));
+    eng.run_until(SimTime::from_secs(499));
+    let interval = controller(&eng).recovery_log().snapshot_interval();
+    let veterans = controller(&eng).backends();
+    assert_eq!(controller(&eng).active_count(), 4);
+    assert!(
+        controller(&eng).recovery_log().first_retained() >= interval,
+        "the crash must come after the first checkpoint"
+    );
+
+    // Step to the event in which the replacement begins its sync.
+    let joiner = loop {
+        assert!(eng.step(), "the run drained before the repair synced");
+        let ctrl = controller(&eng);
+        assert!(ctrl.recovery_log().retained_len() as u64 <= interval);
+        let syncing = |b: &ServerId| ctrl.status(*b) == Ok(BackendStatus::Syncing);
+        if let Some(b) = ctrl.backends().into_iter().find(syncing) {
+            break b;
+        }
+    };
+    // A fresh replica registers at log position 0, which the log no
+    // longer holds: its plan can only have been {checkpoint, tail}.
+    assert!(!veterans.contains(&joiner), "{joiner:?} is not fresh");
+    let log = controller(&eng).recovery_log();
+    assert!(
+        log.first_retained() >= 2 * interval,
+        "two checkpoints so far"
+    );
+    assert!(log.entries_from(0).is_none());
+
+    for t in (510..=900).step_by(10) {
+        eng.run_until(SimTime::from_secs(t));
+        assert!(controller(&eng).recovery_log().retained_len() as u64 <= interval);
+    }
+    let ctrl = controller(&eng);
+    assert!(ctrl.recovery_log().head() >= 4 * interval);
+    assert_eq!(ctrl.status(joiner), Ok(BackendStatus::Active));
+    let app = eng.app();
+    assert_eq!(app.running_replicas(ManagedTier::Database), 4);
+    let replicas = app.legacy.running_servers_of(Tier::Database);
+    let digests: Vec<u64> = replicas
+        .iter()
+        .map(|&s| app.legacy.mysql(s).expect("mysql").digest())
+        .collect();
+    assert_eq!(digests.len(), 4);
+    assert!(digests.iter().all(|d| *d == digests[0]), "{digests:?}");
 }
