@@ -7,9 +7,14 @@
 //! instead of acting directly; the arbitrator
 //!
 //! * serializes execution (one reconfiguration at a time, matching the
-//!   paper's observation that concurrent reconfigurations conflict),
+//!   paper's observation that concurrent reconfigurations conflict): the
+//!   system pops a request only while its reconfiguration table is empty,
+//!   so the slot is derived from the operations in flight and freed by
+//!   the same exit that ends them, success or abort,
 //! * prioritizes repair over optimization (a broken replica must be fixed
-//!   before resizing decisions mean anything),
+//!   before resizing decisions mean anything): a queued repair is popped
+//!   first and, unlike a resize, is not held back by the inhibition
+//!   window,
 //! * coalesces conflicting requests: a pending scale-up and scale-down on
 //!   the same tier cancel out, duplicates collapse, and a repair on a
 //!   tier invalidates pending optimization requests for it (the repair
@@ -98,7 +103,6 @@ pub enum SubmitOutcome {
 #[derive(Debug, Default)]
 pub struct Arbitrator {
     queue: VecDeque<Request>,
-    executing: bool,
     submitted: u64,
     dropped: u64,
     executed: u64,
@@ -118,9 +122,7 @@ impl Arbitrator {
             return SubmitOutcome::Duplicate;
         }
         // Pending repair on the same tier supersedes optimization.
-        if req.source == Source::SelfOptimization
-            && self.queue.iter().any(|r| r.source == Source::SelfRecovery)
-        {
+        if req.source == Source::SelfOptimization && self.repair_pending() {
             self.dropped += 1;
             return SubmitOutcome::Superseded;
         }
@@ -146,14 +148,11 @@ impl Arbitrator {
         SubmitOutcome::Queued
     }
 
-    /// Pops the next request to execute, if the arbitrator is idle:
-    /// highest priority first, FIFO within a class. The caller must call
-    /// [`Arbitrator::complete`] when the reconfiguration finishes.
-    #[allow(clippy::should_implement_trait)] // not an iterator: gated by `executing`
+    /// Pops the next request to execute: highest priority first, FIFO
+    /// within a class. The caller pops only while no reconfiguration is
+    /// in flight.
+    #[allow(clippy::should_implement_trait)] // not an iterator: the caller gates it
     pub fn next(&mut self) -> Option<Request> {
-        if self.executing || self.queue.is_empty() {
-            return None;
-        }
         let best = self
             .queue
             .iter()
@@ -167,19 +166,13 @@ impl Arbitrator {
             })
             .map(|(i, _)| i)?;
         let req = self.queue.remove(best)?;
-        self.executing = true;
         self.executed += 1;
         Some(req)
     }
 
-    /// Marks the current reconfiguration finished.
-    pub fn complete(&mut self) {
-        self.executing = false;
-    }
-
-    /// True while a reconfiguration is executing.
-    pub fn is_executing(&self) -> bool {
-        self.executing
+    /// True while a repair is queued: [`Arbitrator::next`] pops it first.
+    pub fn repair_pending(&self) -> bool {
+        self.queue.iter().any(|r| r.source == Source::SelfRecovery)
     }
 
     /// Pending queue length.
@@ -220,10 +213,10 @@ mod tests {
         a.submit(opt(Action::ScaleUp(ManagedTier::Application), 1));
         let first = a.next().expect("first request");
         assert_eq!(first.action, Action::ScaleUp(ManagedTier::Database));
-        // Nothing else until completion.
+        // One request per pop; the system holds the slot in between.
+        let second = a.next().expect("second request");
+        assert_eq!(second.action, Action::ScaleUp(ManagedTier::Application));
         assert!(a.next().is_none());
-        a.complete();
-        assert!(a.next().is_some());
     }
 
     #[test]
@@ -286,8 +279,8 @@ mod tests {
         let mut a = Arbitrator::new();
         a.submit(rec(1, 0));
         a.submit(rec(2, 1));
+        assert!(a.repair_pending());
         assert_eq!(a.next().unwrap().action, Action::Repair(ServerId(1)));
-        a.complete();
         assert_eq!(a.next().unwrap().action, Action::Repair(ServerId(2)));
     }
 

@@ -74,22 +74,7 @@ impl J2eeApp {
             return;
         };
         // Out of rotation: unbind from the front-end (and mod_jk sets).
-        let lb = match tier {
-            ManagedTier::Application => self.plb.map(|(_, c)| ("workers", c)),
-            ManagedTier::Database => self.cjdbc.map(|(_, c)| ("backends", c)),
-        };
-        if let Some((itf, lb_comp)) = lb {
-            let _ = self
-                .registry
-                .unbind(&mut self.legacy, lb_comp, itf, Some(comp));
-        }
-        if tier == ManagedTier::Application {
-            for apache_comp in self.apache_components() {
-                let _ = self
-                    .registry
-                    .unbind(&mut self.legacy, apache_comp, "ajp-itf", Some(comp));
-            }
-        }
+        self.detach_replica(tier, comp);
         self.flush_legacy_outbox(ctx);
         let name = self.registry.name(comp).unwrap_or_default();
         self.log_reconfig(ctx, format!("rolling restart: draining {name}"));

@@ -1,11 +1,12 @@
 //! Jade's run-time management: probes, control loops, reconfiguration
 //! workflows (the actuators of paper §4.1) and failure handling.
 
-use super::msg::{DeployPhase, JobOwner, ManagedTier, Msg, PendingDeploy};
+use super::msg::{JobOwner, ManagedTier, Msg};
+use super::reconfig::{Outcome, ReconfigPhase};
 use super::J2eeApp;
 use crate::control::Decision;
 use jade_cluster::NodeId;
-use jade_sim::{Addr, Ctx, SimDuration, SlabKey};
+use jade_sim::{Addr, Ctx, JobId, SimDuration, SlabKey};
 use jade_tiers::{LegacyEvent, RequestId, ServerId, Tier};
 
 /// Extra installation latency for restoring the database dump onto a new
@@ -13,26 +14,6 @@ use jade_tiers::{LegacyEvent, RequestId, ServerId, Tier};
 const DB_DUMP_RESTORE: SimDuration = SimDuration::from_secs(5);
 
 impl J2eeApp {
-    fn tier_busy(&self, tier: ManagedTier) -> bool {
-        match tier {
-            ManagedTier::Application => self.app_busy,
-            ManagedTier::Database => self.db_busy,
-        }
-    }
-
-    fn set_tier_busy(&mut self, tier: ManagedTier, busy: bool) {
-        match tier {
-            ManagedTier::Application => self.app_busy = busy,
-            ManagedTier::Database => self.db_busy = busy,
-        }
-        // A finished reconfiguration frees the arbitration slot.
-        if !busy {
-            if let Some(arb) = self.arbitrator.as_mut() {
-                arb.complete();
-            }
-        }
-    }
-
     /// Components of the Apache replicas (web-tier topologies).
     pub(crate) fn apache_components(&self) -> Vec<jade_fractal::ComponentId> {
         let l4_comp = self.l4.map(|(_, c)| c);
@@ -49,7 +30,7 @@ impl J2eeApp {
         ctx.metrics().incr("reconfigurations", 1);
     }
 
-    fn record_replica_series(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    pub(crate) fn record_replica_series(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let ids = self.hot_ids(ctx);
         let app = self.running_replicas(ManagedTier::Application) as f64;
         let db = self.running_replicas(ManagedTier::Database) as f64;
@@ -158,15 +139,20 @@ impl J2eeApp {
         ctx.send_after_coarse(self.cfg.jade.probe_period, Addr::ROOT, Msg::MeasureTick);
     }
 
-    /// Executes the next arbitrated reconfiguration when permitted.
+    /// Executes the next arbitrated reconfiguration once none is in
+    /// flight. Repairs outrank the inhibition window; resizes wait for it.
     fn pump_arbitrator(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        if self.app_busy || self.db_busy || !self.inhibition.permits(now) {
+        let permits = self.inhibition.permits(now);
+        if self.reconfiguring() {
             return;
         }
         let Some(arb) = self.arbitrator.as_mut() else {
             return;
         };
+        if !permits && !arb.repair_pending() {
+            return;
+        }
         let Some(req) = arb.next() else { return };
         use crate::arbitration::Action;
         match req.action {
@@ -179,13 +165,6 @@ impl J2eeApp {
                 self.scale_down(ctx, tier);
             }
             Action::Repair(server) => self.repair_server(ctx, server),
-        }
-        // The action may have been a stale no-op (nothing became busy):
-        // free the slot immediately.
-        if !self.app_busy && !self.db_busy {
-            if let Some(arb) = self.arbitrator.as_mut() {
-                arb.complete();
-            }
         }
     }
 
@@ -307,15 +286,7 @@ impl J2eeApp {
             ManagedTier::Application => self.create_tomcat_replica(node),
             ManagedTier::Database => self.create_mysql_replica(node),
         };
-        self.pending_deploys.insert(
-            server,
-            PendingDeploy {
-                tier,
-                phase: DeployPhase::Installing,
-                comp,
-            },
-        );
-        self.set_tier_busy(tier, true);
+        self.begin_reconfiguration(tier, server, comp, ReconfigPhase::Installing, ctx.now());
         self.inhibition.note_reconfiguration(ctx.now());
         let name = self.registry.name(comp).unwrap_or_default();
         self.log_reconfig(
@@ -328,16 +299,12 @@ impl J2eeApp {
     /// Installation finished: start the replica (boot latency follows).
     #[cold]
     pub(crate) fn on_deploy_step(&mut self, ctx: &mut Ctx<'_, Msg>, server: ServerId) {
-        let Some(pending) = self.pending_deploys.get_mut(&server) else {
+        let Some((tier, op)) = self.reconfiguration_at(server, ReconfigPhase::Installing) else {
             return;
         };
-        debug_assert_eq!(pending.phase, DeployPhase::Installing);
-        pending.phase = DeployPhase::Booting;
-        let comp = pending.comp;
-        if self.registry.start(&mut self.legacy, comp).is_err() {
-            // Node died during installation; abandon the deployment.
-            let tier = self.pending_deploys.remove(&server).expect("checked").tier;
-            self.set_tier_busy(tier, false);
+        self.advance_reconfiguration(tier, ReconfigPhase::Booting);
+        if self.registry.start(&mut self.legacy, op.comp).is_err() {
+            self.end_reconfiguration(ctx, tier, Outcome::Aborted);
         }
         self.flush_legacy_outbox(ctx);
     }
@@ -361,36 +328,12 @@ impl J2eeApp {
         let Some(&victim_comp) = self.comp_of_server.get(&victim) else {
             return;
         };
-        let lb_comp = match tier {
-            ManagedTier::Application => self.plb.map(|(_, c)| c),
-            ManagedTier::Database => self.cjdbc.map(|(_, c)| c),
-        };
-        let Some(lb_comp) = lb_comp else { return };
-        let itf = match tier {
-            ManagedTier::Application => "workers",
-            ManagedTier::Database => "backends",
-        };
-        if self
-            .registry
-            .unbind(&mut self.legacy, lb_comp, itf, Some(victim_comp))
-            .is_err()
-        {
+        if !self.detach_replica(tier, victim_comp) {
             return;
         }
-        // Web topologies: retire the Tomcat from every Apache's rotation.
-        if tier == ManagedTier::Application {
-            for apache_comp in self.apache_components() {
-                let _ = self.registry.unbind(
-                    &mut self.legacy,
-                    apache_comp,
-                    "ajp-itf",
-                    Some(victim_comp),
-                );
-            }
-        }
-        self.pending_undeploys.insert(victim, tier);
-        self.set_tier_busy(tier, true);
-        self.inhibition.note_reconfiguration(ctx.now());
+        let now = ctx.now();
+        self.begin_reconfiguration(tier, victim, victim_comp, ReconfigPhase::Draining, now);
+        self.inhibition.note_reconfiguration(now);
         let name = self.registry.name(victim_comp).unwrap_or_default();
         self.log_reconfig(ctx, format!("scale-down {tier:?}: retiring {name}"));
         ctx.send_after(
@@ -402,26 +345,83 @@ impl J2eeApp {
     }
 
     /// Drain grace elapsed: stop the retired replica, destroy its
-    /// component and release its node.
+    /// component and release its node. This ends the retirement even when
+    /// the replica failed while draining and the repair manager already
+    /// destroyed it.
     #[cold]
     pub(crate) fn on_undeploy_stop(&mut self, ctx: &mut Ctx<'_, Msg>, server: ServerId) {
-        let Some(tier) = self.pending_undeploys.remove(&server) else {
+        let Some((tier, _)) = self.reconfiguration_at(server, ReconfigPhase::Draining) else {
             return;
         };
-        let Some(&comp) = self.comp_of_server.get(&server) else {
-            return;
+        let node = self.legacy.server(server).map(|s| s.process().node);
+        let released = match (self.comp_of_server.get(&server), node) {
+            (Some(&comp), Ok(node)) => {
+                // Stopping accepts a running, stopped or failed replica.
+                let _ = self.registry.stop(&mut self.legacy, comp);
+                self.flush_legacy_outbox(ctx);
+                // Abort whatever is still running on that node and fail the
+                // affected requests.
+                self.abort_node_jobs(ctx, node);
+                // Release the machine back to the pool ("release the nodes
+                // hosting these replicas if no longer used", §4.1);
+                // removing an absent package is a no-op.
+                for pkg in [tier.package(), "jade-daemon"] {
+                    let _ = self
+                        .legacy
+                        .sis
+                        .uninstall(&mut self.legacy.cluster, node, pkg);
+                }
+                self.dismantle_replica(tier, server, comp, node);
+                Some(node)
+            }
+            _ => None,
         };
-        let node = self
-            .legacy
-            .server(server)
-            .map(|s| s.process().node)
-            .expect("server still exists");
-        let _ = self.registry.stop(&mut self.legacy, comp);
-        self.flush_legacy_outbox(ctx);
-        // Abort whatever is still running on that node and fail the
-        // affected requests.
-        self.abort_node_jobs(ctx, node);
-        // Remove the component from the architecture.
+        self.end_reconfiguration(ctx, tier, Outcome::Done);
+        if let Some(node) = released {
+            self.log_reconfig(ctx, format!("released node {}", node.0 + 1));
+        }
+    }
+
+    /// Takes a replica out of rotation: unbinds it from its tier's
+    /// balancer and, for a Tomcat, from every Apache's mod_jk set. True
+    /// when the balancer held it (the Apaches hold exactly what it holds).
+    pub(crate) fn detach_replica(
+        &mut self,
+        tier: ManagedTier,
+        comp: jade_fractal::ComponentId,
+    ) -> bool {
+        let lb = match tier {
+            ManagedTier::Application => self.plb.map(|(_, c)| ("workers", c)),
+            ManagedTier::Database => self.cjdbc.map(|(_, c)| ("backends", c)),
+        };
+        let detached = lb.is_some_and(|(itf, lb_comp)| {
+            self.registry
+                .unbind(&mut self.legacy, lb_comp, itf, Some(comp))
+                .is_ok()
+        });
+        if tier == ManagedTier::Application {
+            for apache_comp in self.apache_components() {
+                let _ = self
+                    .registry
+                    .unbind(&mut self.legacy, apache_comp, "ajp-itf", Some(comp));
+            }
+        }
+        detached
+    }
+
+    /// Destroys a stopped or failed replica: drops its JDBC binding,
+    /// removes it from the architecture and the legacy layer, and returns
+    /// its node to the pool. Each step undoes what deployment did, and a
+    /// step with nothing left to undo (binding already gone, node already
+    /// released) errs harmlessly.
+    #[cold]
+    fn dismantle_replica(
+        &mut self,
+        tier: ManagedTier,
+        server: ServerId,
+        comp: jade_fractal::ComponentId,
+        node: NodeId,
+    ) {
         let tier_comp = match tier {
             ManagedTier::Application => self.app_tier,
             ManagedTier::Database => self.db_tier,
@@ -435,28 +435,15 @@ impl J2eeApp {
         let _ = self.registry.remove_child(tier_comp, comp);
         let _ = self.registry.remove(comp);
         self.comp_of_server.remove(&server);
-        // A destroyed database replica's trace is dropped for good (the
-        // unbind only disabled it, preserving the checkpoint for re-use).
+        // A destroyed database replica's trace is dropped for good (an
+        // unbind only disables it, preserving the checkpoint for re-use).
         if tier == ManagedTier::Database {
             if let Some((cj_server, _)) = self.cjdbc {
                 let _ = self.legacy.cjdbc_unregister_backend(cj_server, server);
             }
         }
         let _ = self.legacy.remove_server(server);
-        // Release the machine back to the pool ("release the nodes hosting
-        // these replicas if no longer used", §4.1).
-        let _ = self
-            .legacy
-            .sis
-            .uninstall(&mut self.legacy.cluster, node, tier.package());
-        let _ = self
-            .legacy
-            .sis
-            .uninstall(&mut self.legacy.cluster, node, "jade-daemon");
         let _ = self.legacy.cluster.release(node);
-        self.set_tier_busy(tier, false);
-        self.record_replica_series(ctx);
-        self.log_reconfig(ctx, format!("released node {}", node.0 + 1));
     }
 
     // ------------------------------------------------------------------
@@ -484,58 +471,58 @@ impl J2eeApp {
                     self.on_rolling_booted(ctx, server);
                     return;
                 }
-                if let Some(pending) = self.pending_deploys.get_mut(&server) {
-                    let comp = pending.comp;
-                    match pending.tier {
-                        ManagedTier::Application => {
-                            self.pending_deploys.remove(&server);
-                            if let Some((_, plb_comp)) = self.plb {
-                                let _ = self.registry.bind(
-                                    &mut self.legacy,
-                                    plb_comp,
-                                    "workers",
-                                    comp,
-                                    "ajp",
-                                );
-                            }
-                            // Web topologies: the new Tomcat also joins
-                            // every Apache's mod_jk rotation.
-                            for apache_comp in self.apache_components() {
-                                let _ = self.registry.bind(
-                                    &mut self.legacy,
-                                    apache_comp,
-                                    "ajp-itf",
-                                    comp,
-                                    "ajp",
-                                );
-                            }
-                            self.set_tier_busy(ManagedTier::Application, false);
-                            self.record_replica_series(ctx);
-                            self.log_reconfig(
-                                ctx,
-                                format!("replica {server:?} joined the application tier"),
+                // A bind below that errs in the wrapper is still recorded,
+                // and a balancer repair re-binds every recorded worker and
+                // backend (any other error means the balancer is gone).
+                match self.reconfiguration_at(server, ReconfigPhase::Booting) {
+                    Some((ManagedTier::Application, op)) => {
+                        if let Some((_, plb_comp)) = self.plb {
+                            let _ = self.registry.bind(
+                                &mut self.legacy,
+                                plb_comp,
+                                "workers",
+                                op.comp,
+                                "ajp",
                             );
                         }
-                        ManagedTier::Database => {
-                            pending.phase = DeployPhase::Syncing;
-                            if let Some((_, cj_comp)) = self.cjdbc {
-                                // Binding a running backend triggers
-                                // recovery-log replay (state
-                                // reconciliation, §4.1).
-                                let _ = self.registry.bind(
-                                    &mut self.legacy,
-                                    cj_comp,
-                                    "backends",
-                                    comp,
-                                    "mysql",
-                                );
-                            }
+                        // Web topologies: the new Tomcat also joins every
+                        // Apache's mod_jk rotation.
+                        for apache_comp in self.apache_components() {
+                            let _ = self.registry.bind(
+                                &mut self.legacy,
+                                apache_comp,
+                                "ajp-itf",
+                                op.comp,
+                                "ajp",
+                            );
+                        }
+                        self.end_reconfiguration(ctx, ManagedTier::Application, Outcome::Done);
+                        self.log_reconfig(
+                            ctx,
+                            format!("replica {server:?} joined the application tier"),
+                        );
+                    }
+                    Some((ManagedTier::Database, op)) => {
+                        self.advance_reconfiguration(ManagedTier::Database, ReconfigPhase::Syncing);
+                        // Binding a running backend triggers recovery-log
+                        // replay (state reconciliation, §4.1).
+                        if let Some((_, cj_comp)) = self.cjdbc {
+                            let _ = self.registry.bind(
+                                &mut self.legacy,
+                                cj_comp,
+                                "backends",
+                                op.comp,
+                                "mysql",
+                            );
                         }
                     }
+                    None => {}
                 }
                 self.flush_legacy_outbox(ctx);
             }
             LegacyEvent::ReplayBatchDone { cjdbc, backend } => {
+                // Errs only for a batch outdated by a failed backend or a
+                // replaced controller; the join ends elsewhere then.
                 let _ = self.legacy.cjdbc_replay_batch_done(cjdbc, backend);
                 self.flush_legacy_outbox(ctx);
             }
@@ -544,10 +531,8 @@ impl J2eeApp {
                     self.finish_rolling_step(ctx, backend);
                     return;
                 }
-                if let Some(p) = self.pending_deploys.remove(&backend) {
-                    debug_assert_eq!(p.tier, ManagedTier::Database);
-                    self.set_tier_busy(ManagedTier::Database, false);
-                    self.record_replica_series(ctx);
+                if let Some((tier, _)) = self.reconfiguration_at(backend, ReconfigPhase::Syncing) {
+                    self.end_reconfiguration(ctx, tier, Outcome::Done);
                     self.log_reconfig(
                         ctx,
                         format!("backend {backend:?} synchronized and activated"),
@@ -571,6 +556,14 @@ impl J2eeApp {
                         .and_then(|c| c.fail_backend(server).map_err(Into::into));
                 }
                 self.fail_requests_on_server(ctx, server);
+                // A replica that fails before it serves aborts its
+                // deployment (the repair manager tears the wreck down); one
+                // that fails while draining still retires on UndeployStop.
+                if let Some((tier, op)) = self.reconfiguration_on(server) {
+                    if op.phase != ReconfigPhase::Draining {
+                        self.end_reconfiguration(ctx, tier, Outcome::Aborted);
+                    }
+                }
             }
         }
     }
@@ -602,17 +595,18 @@ impl J2eeApp {
             Ok(n) => n.cpu.abort_all(ctx.now()),
             Err(_) => Vec::new(),
         };
+        self.fail_aborted_jobs(ctx, node, aborted);
+    }
+
+    /// Disarms a dead node's CPU timer and fails the requests its aborted
+    /// jobs belonged to.
+    #[cold]
+    fn fail_aborted_jobs(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId, aborted: Vec<JobId>) {
         self.cancel_cpu_timer(ctx, node);
         for job in aborted {
-            if let Some(owner) = self.job_owner.remove(SlabKey::from_raw(job.0)) {
-                match owner {
-                    JobOwner::ApacheServe(req)
-                    | JobOwner::ServletPre(req)
-                    | JobOwner::ServletPost(req)
-                    | JobOwner::DbRead { req, .. }
-                    | JobOwner::DbWrite { req, .. } => self.fail_request(ctx, req),
-                    JobOwner::Daemon | JobOwner::Routing => {}
-                }
+            let owner = self.job_owner.remove(SlabKey::from_raw(job.0));
+            if let Some(req) = owner.and_then(JobOwner::request) {
+                self.fail_request(ctx, req);
             }
         }
     }
@@ -625,19 +619,7 @@ impl J2eeApp {
     #[cold]
     pub(crate) fn on_crash_node(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId) {
         let aborted = self.legacy.crash_node(node, ctx.now());
-        self.cancel_cpu_timer(ctx, node);
-        for job in aborted {
-            if let Some(owner) = self.job_owner.remove(SlabKey::from_raw(job.0)) {
-                match owner {
-                    JobOwner::ApacheServe(req)
-                    | JobOwner::ServletPre(req)
-                    | JobOwner::ServletPost(req)
-                    | JobOwner::DbRead { req, .. }
-                    | JobOwner::DbWrite { req, .. } => self.fail_request(ctx, req),
-                    JobOwner::Daemon | JobOwner::Routing => {}
-                }
-            }
-        }
+        self.fail_aborted_jobs(ctx, node, aborted);
         self.log_reconfig(ctx, format!("node {} crashed", node.0 + 1));
         self.flush_legacy_outbox(ctx);
     }
@@ -734,47 +716,18 @@ impl J2eeApp {
                 self.registry.name(comp).unwrap_or_default()
             ),
         );
-        // Detach from the balancer.
-        let lb = match tier {
-            ManagedTier::Application => self.plb.map(|(_, c)| ("workers", c)),
-            ManagedTier::Database => self.cjdbc.map(|(_, c)| ("backends", c)),
-        };
-        if let Some((itf, lb_comp)) = lb {
-            let _ = self
-                .registry
-                .unbind(&mut self.legacy, lb_comp, itf, Some(comp));
-        }
+        // A joiner or a draining victim is already out of rotation.
+        self.detach_replica(tier, comp);
         if tier == ManagedTier::Application {
-            let _ = self
-                .registry
-                .unbind(&mut self.legacy, comp, "jdbc-itf", None);
-            for apache_comp in self.apache_components() {
-                let _ = self
-                    .registry
-                    .unbind(&mut self.legacy, apache_comp, "ajp-itf", Some(comp));
-            }
             self.clear_accept_queue(server);
         }
         // Destroy the broken replica.
         let _ = self.registry.stop(&mut self.legacy, comp);
-        let tier_comp = match tier {
-            ManagedTier::Application => self.app_tier,
-            ManagedTier::Database => self.db_tier,
-        };
-        let _ = self.registry.remove_child(tier_comp, comp);
-        let _ = self.registry.remove(comp);
-        self.comp_of_server.remove(&server);
-        if tier == ManagedTier::Database {
-            if let Some((cj_server, _)) = self.cjdbc {
-                let _ = self.legacy.cjdbc_unregister_backend(cj_server, server);
-            }
-        }
-        let _ = self.legacy.remove_server(server);
-        if self.legacy.cluster.is_allocated(node) {
-            let _ = self.legacy.cluster.release(node);
-        }
+        self.dismantle_replica(tier, server, comp, node);
         self.flush_legacy_outbox(ctx);
-        // Redeploy (repair has priority over the inhibition window).
+        // Redeploy (repair has priority over the inhibition window) unless
+        // the tier is busy: a retiring victim is not replaced, and a
+        // replica lost beside another deployment is left to the optimiser.
         if !self.tier_busy(tier) {
             self.scale_up(ctx, tier);
         }
@@ -905,23 +858,7 @@ impl J2eeApp {
             let new_server =
                 self.legacy
                     .create_cjdbc("C-JDBC", node, self.cfg.description.database.read_policy);
-            let new_comp = self.registry.new_primitive(
-                "C-JDBC",
-                vec![
-                    jade_fractal::InterfaceDecl::server("jdbc", "jdbc"),
-                    jade_fractal::InterfaceDecl::collection_client("backends", "mysql"),
-                ],
-                Box::new(jade_tiers::CjdbcWrapper { server: new_server }),
-            );
-            let _ = self.registry.set_attr(
-                &mut self.legacy,
-                new_comp,
-                "server-id",
-                new_server.0 as i64,
-            );
-            let _ = self.registry.add_child(self.db_tier, new_comp);
-            self.comp_of_server.insert(new_server, new_comp);
-            self.cjdbc = Some((new_server, new_comp));
+            let new_comp = self.adopt_cjdbc(new_server);
             let _ = self.registry.start(&mut self.legacy, new_comp);
             self.legacy.finish_boot(new_server).ok();
             // Backends that were Active held the current state: they can
@@ -958,12 +895,7 @@ impl J2eeApp {
                 let _ = self.legacy.set_mysql_base_from(src);
             }
             for &(c, sid) in &stale_backends {
-                let restorable = self
-                    .legacy
-                    .server(sid)
-                    .map(|s| s.process().state.is_running())
-                    .unwrap_or(false);
-                if !restorable {
+                if !running(self, sid) {
                     continue; // dead too; its own repair handles it
                 }
                 if let Some(src) = restore_source.filter(|&src| src != sid) {
@@ -1005,37 +937,12 @@ impl J2eeApp {
                     .map(|w| w.balance_policy)
                     .unwrap_or(self.cfg.description.application.balance_policy)
             };
-            let (new_server, kind_name, sig) = if is_plb {
-                (self.legacy.create_plb("PLB", node, policy), "PLB", "ajp")
+            let new_server = if is_plb {
+                self.legacy.create_plb("PLB", node, policy)
             } else {
-                (
-                    self.legacy.create_l4switch("L4-switch", node, policy),
-                    "L4-switch",
-                    "http",
-                )
+                self.legacy.create_l4switch("L4-switch", node, policy)
             };
-            let new_comp = self.registry.new_primitive(
-                kind_name,
-                vec![
-                    jade_fractal::InterfaceDecl::server("http", "http"),
-                    jade_fractal::InterfaceDecl::collection_client("workers", sig),
-                ],
-                Box::new(jade_tiers::BalancerWrapper { server: new_server }),
-            );
-            let _ = self.registry.set_attr(
-                &mut self.legacy,
-                new_comp,
-                "server-id",
-                new_server.0 as i64,
-            );
-            let parent = if is_plb { self.app_tier } else { self.web_tier };
-            let _ = self.registry.add_child(parent, new_comp);
-            self.comp_of_server.insert(new_server, new_comp);
-            if is_plb {
-                self.plb = Some((new_server, new_comp));
-            } else {
-                self.l4 = Some((new_server, new_comp));
-            }
+            let new_comp = self.adopt_balancer(new_server, is_plb);
             let _ = self.registry.start(&mut self.legacy, new_comp);
             self.legacy.finish_boot(new_server).ok();
             let server_itf = if is_plb { "ajp" } else { "http" };

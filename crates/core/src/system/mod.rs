@@ -10,9 +10,11 @@
 mod admin;
 mod manage;
 mod msg;
+mod reconfig;
 mod workload;
 
-pub use msg::{DeployPhase, JobOwner, ManagedTier, Msg, PendingDeploy, RequestPhase, RequestState};
+pub use msg::{JobOwner, ManagedTier, Msg, RequestPhase, RequestState};
+pub use reconfig::{ReconfigPhase, Reconfiguration};
 
 use crate::config::SystemConfig;
 use crate::control::{AdaptiveThresholds, CpuAvgSensor, InhibitionWindow, ThresholdReactor};
@@ -130,10 +132,8 @@ pub struct J2eeApp {
     pub(crate) inhibition: InhibitionWindow,
     /// The policy-arbitration manager, when enabled (paper §7).
     pub arbitrator: Option<crate::arbitration::Arbitrator>,
-    pub(crate) app_busy: bool,
-    pub(crate) db_busy: bool,
-    pub(crate) pending_deploys: BTreeMap<ServerId, PendingDeploy>,
-    pub(crate) pending_undeploys: BTreeMap<ServerId, ManagedTier>,
+    /// In-flight reconfigurations, one slot per managed tier.
+    pub(crate) reconfigs: reconfig::Reconfigs,
     pub(crate) latest_app_cpu: f64,
     pub(crate) latest_db_cpu: f64,
     /// Last heartbeat received from each node's management daemon,
@@ -311,10 +311,7 @@ impl J2eeApp {
             jobs_recycle: Vec::new(),
             inhibition,
             arbitrator: cfg_arbitration.then(crate::arbitration::Arbitrator::new),
-            app_busy: false,
-            db_busy: false,
-            pending_deploys: BTreeMap::new(),
-            pending_undeploys: BTreeMap::new(),
+            reconfigs: reconfig::Reconfigs::default(),
             latest_app_cpu: 0.0,
             latest_db_cpu: 0.0,
             last_heartbeat: Vec::new(),
@@ -528,24 +525,12 @@ impl J2eeApp {
         self.tomcat_seq += 1;
         let name = format!("Tomcat{}", self.tomcat_seq);
         let server = self.legacy.create_tomcat(&name, node);
-        let comp = self.registry.new_primitive(
-            &name,
-            vec![
-                InterfaceDecl::server("ajp", "ajp"),
-                InterfaceDecl::optional_client("jdbc-itf", "jdbc"),
-            ],
-            Box::new(TomcatWrapper { server }),
-        );
-        self.registry
-            .set_attr(&mut self.legacy, comp, "server-id", server.0 as i64)
-            .expect("fresh component");
-        self.registry
-            .set_attr(&mut self.legacy, comp, "port", 8098i64)
-            .expect("fresh component");
-        self.registry
-            .add_child(self.app_tier, comp)
-            .expect("tier composite");
-        self.comp_of_server.insert(server, comp);
+        let itfs = vec![
+            InterfaceDecl::server("ajp", "ajp"),
+            InterfaceDecl::optional_client("jdbc-itf", "jdbc"),
+        ];
+        let wrapper = Box::new(TomcatWrapper { server });
+        let comp = self.adopt_server(&name, server, itfs, wrapper, Some(8098), self.app_tier);
         // Architectural record: this Tomcat talks JDBC to the C-JDBC
         // front-end (Figure 2's tier bindings).
         if let Some((_, cj_comp)) = self.cjdbc {
@@ -564,24 +549,12 @@ impl J2eeApp {
         self.apache_seq += 1;
         let name = format!("Apache{}", self.apache_seq);
         let server = self.legacy.create_apache(&name, node);
-        let comp = self.registry.new_primitive(
-            &name,
-            vec![
-                InterfaceDecl::server("http", "http"),
-                jade_fractal::InterfaceDecl::collection_client("ajp-itf", "ajp"),
-            ],
-            Box::new(jade_tiers::ApacheWrapper { server }),
-        );
-        self.registry
-            .set_attr(&mut self.legacy, comp, "server-id", server.0 as i64)
-            .expect("fresh component");
-        self.registry
-            .set_attr(&mut self.legacy, comp, "port", 80i64)
-            .expect("fresh component");
-        self.registry
-            .add_child(self.web_tier, comp)
-            .expect("tier composite");
-        self.comp_of_server.insert(server, comp);
+        let itfs = vec![
+            InterfaceDecl::server("http", "http"),
+            InterfaceDecl::collection_client("ajp-itf", "ajp"),
+        ];
+        let wrapper = Box::new(jade_tiers::ApacheWrapper { server });
+        let comp = self.adopt_server(&name, server, itfs, wrapper, Some(80), self.web_tier);
         (server, comp)
     }
 
@@ -591,22 +564,70 @@ impl J2eeApp {
         self.mysql_seq += 1;
         let name = format!("MySQL{}", self.mysql_seq);
         let server = self.legacy.create_mysql(&name, node);
-        let comp = self.registry.new_primitive(
-            &name,
-            vec![InterfaceDecl::server("mysql", "mysql")],
-            Box::new(MysqlWrapper { server }),
-        );
+        let itfs = vec![InterfaceDecl::server("mysql", "mysql")];
+        let wrapper = Box::new(MysqlWrapper { server });
+        let comp = self.adopt_server(&name, server, itfs, wrapper, Some(3306), self.db_tier);
+        (server, comp)
+    }
+
+    /// Gives a freshly created server process its component: named after
+    /// the process, tagged with its `server-id` (and `port`), contained
+    /// in `parent`.
+    #[cold]
+    fn adopt_server(
+        &mut self,
+        name: &str,
+        server: ServerId,
+        interfaces: Vec<InterfaceDecl>,
+        wrapper: Box<dyn jade_fractal::Wrapper<LegacyLayer> + Send + Sync>,
+        port: Option<i64>,
+        parent: ComponentId,
+    ) -> ComponentId {
+        let comp = self.registry.new_primitive(name, interfaces, wrapper);
+        let attrs = std::iter::once(("server-id", server.0 as i64));
+        for (attr, value) in attrs.chain(port.map(|p| ("port", p))) {
+            self.registry
+                .set_attr(&mut self.legacy, comp, attr, value)
+                .expect("fresh component");
+        }
         self.registry
-            .set_attr(&mut self.legacy, comp, "server-id", server.0 as i64)
-            .expect("fresh component");
-        self.registry
-            .set_attr(&mut self.legacy, comp, "port", 3306i64)
-            .expect("fresh component");
-        self.registry
-            .add_child(self.db_tier, comp)
+            .add_child(parent, comp)
             .expect("tier composite");
         self.comp_of_server.insert(server, comp);
-        (server, comp)
+        comp
+    }
+
+    /// Adopts a fresh C-JDBC controller as the database tier's front-end.
+    #[cold]
+    pub(crate) fn adopt_cjdbc(&mut self, server: ServerId) -> ComponentId {
+        let itfs = vec![
+            InterfaceDecl::server("jdbc", "jdbc"),
+            InterfaceDecl::collection_client("backends", "mysql"),
+        ];
+        let wrapper = Box::new(CjdbcWrapper { server });
+        let comp = self.adopt_server("C-JDBC", server, itfs, wrapper, None, self.db_tier);
+        self.cjdbc = Some((server, comp));
+        comp
+    }
+
+    /// Adopts a fresh HTTP balancer: the PLB in front of the Tomcats, or
+    /// (`is_plb` false) the L4 switch in front of the Apaches.
+    #[cold]
+    pub(crate) fn adopt_balancer(&mut self, server: ServerId, is_plb: bool) -> ComponentId {
+        let (name, sig, parent) = if is_plb {
+            ("PLB", "ajp", self.app_tier)
+        } else {
+            ("L4-switch", "http", self.web_tier)
+        };
+        let itfs = vec![
+            InterfaceDecl::server("http", "http"),
+            InterfaceDecl::collection_client("workers", sig),
+        ];
+        let wrapper = Box::new(BalancerWrapper { server });
+        let comp = self.adopt_server(name, server, itfs, wrapper, None, parent);
+        let front = if is_plb { &mut self.plb } else { &mut self.l4 };
+        *front = Some((server, comp));
+        comp
     }
 
     /// Deploys the initial architecture synchronously (bootstrap).
@@ -626,22 +647,7 @@ impl J2eeApp {
         let cj_server =
             self.legacy
                 .create_cjdbc("C-JDBC", cj_node, self.cfg.description.database.read_policy);
-        let cj_comp = self.registry.new_primitive(
-            "C-JDBC",
-            vec![
-                InterfaceDecl::server("jdbc", "jdbc"),
-                InterfaceDecl::collection_client("backends", "mysql"),
-            ],
-            Box::new(CjdbcWrapper { server: cj_server }),
-        );
-        self.registry
-            .set_attr(&mut self.legacy, cj_comp, "server-id", cj_server.0 as i64)
-            .expect("fresh component");
-        self.registry
-            .add_child(self.db_tier, cj_comp)
-            .expect("tier composite");
-        self.comp_of_server.insert(cj_server, cj_comp);
-        self.cjdbc = Some((cj_server, cj_comp));
+        let cj_comp = self.adopt_cjdbc(cj_server);
 
         // PLB front-end.
         let mut plb_pkgs = vec!["plb"];
@@ -652,22 +658,7 @@ impl J2eeApp {
             plb_node,
             self.cfg.description.application.balance_policy,
         );
-        let plb_comp = self.registry.new_primitive(
-            "PLB",
-            vec![
-                InterfaceDecl::server("http", "http"),
-                InterfaceDecl::collection_client("workers", "ajp"),
-            ],
-            Box::new(BalancerWrapper { server: plb_server }),
-        );
-        self.registry
-            .set_attr(&mut self.legacy, plb_comp, "server-id", plb_server.0 as i64)
-            .expect("fresh component");
-        self.registry
-            .add_child(self.app_tier, plb_comp)
-            .expect("tier composite");
-        self.comp_of_server.insert(plb_server, plb_comp);
-        self.plb = Some((plb_server, plb_comp));
+        let plb_comp = self.adopt_balancer(plb_server, true);
 
         // Initial replicas.
         let mut tomcats = Vec::new();
@@ -695,22 +686,7 @@ impl J2eeApp {
             let l4_server = self
                 .legacy
                 .create_l4switch("L4-switch", l4_node, web.balance_policy);
-            let l4_comp = self.registry.new_primitive(
-                "L4-switch",
-                vec![
-                    InterfaceDecl::server("http", "http"),
-                    InterfaceDecl::collection_client("workers", "http"),
-                ],
-                Box::new(BalancerWrapper { server: l4_server }),
-            );
-            self.registry
-                .set_attr(&mut self.legacy, l4_comp, "server-id", l4_server.0 as i64)
-                .expect("fresh component");
-            self.registry
-                .add_child(self.web_tier, l4_comp)
-                .expect("tier composite");
-            self.comp_of_server.insert(l4_server, l4_comp);
-            self.l4 = Some((l4_server, l4_comp));
+            self.adopt_balancer(l4_server, false);
             for _ in 0..web.replicas {
                 let mut pkgs = vec!["apache"];
                 pkgs.extend(&daemon);

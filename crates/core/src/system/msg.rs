@@ -188,17 +188,6 @@ pub struct RequestState {
     pub abandon: Option<EventToken>,
 }
 
-/// A staged deployment in progress (scale-up workflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeployPhase {
-    /// Software being installed on the node.
-    Installing,
-    /// Server process booting.
-    Booting,
-    /// Database backend replaying the recovery log.
-    Syncing,
-}
-
 /// Tier targeted by a reconfiguration (mirrors `jade_tiers::Tier` for the
 /// two managed tiers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,14 +223,6 @@ impl ManagedTier {
         }
     }
 
-    /// Metric-series name of the tier's spatial-average CPU.
-    pub fn cpu_series(self) -> &'static str {
-        match self {
-            ManagedTier::Application => "cpu.app",
-            ManagedTier::Database => "cpu.db",
-        }
-    }
-
     /// Metric-series name of the smoothed CPU (sensor output).
     pub fn smoothed_series(self) -> &'static str {
         match self {
@@ -249,15 +230,4 @@ impl ManagedTier {
             ManagedTier::Database => "cpu.db.smoothed",
         }
     }
-}
-
-/// Info tracked for a replica whose deployment is staged.
-#[derive(Debug, Clone, Copy)]
-pub struct PendingDeploy {
-    /// Tier the replica joins.
-    pub tier: ManagedTier,
-    /// Current workflow phase.
-    pub phase: DeployPhase,
-    /// Management component of the replica.
-    pub comp: jade_fractal::ComponentId,
 }

@@ -1,0 +1,154 @@
+//! The one record of "a reconfiguration is in flight".
+//!
+//! Each managed tier has at most one operation in flight (a resize, or the
+//! redeploy of a repair), kept here and nowhere else: whether a tier is
+//! busy and whether the arbitration slot is taken are read off this table.
+//! Handlers check an event against the operation's current phase, so a
+//! stale or mismatched event is ignored, and every operation leaves the
+//! table through [`J2eeApp::end_reconfiguration`] — on success, or aborted
+//! when its server fails before it serves.
+
+use super::msg::{ManagedTier, Msg};
+use super::J2eeApp;
+use jade_fractal::ComponentId;
+use jade_sim::{Ctx, SimTime};
+use jade_tiers::ServerId;
+
+/// Step an in-flight reconfiguration has reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReconfigPhase {
+    /// Software being installed on the new replica's node.
+    Installing,
+    /// The new replica's server process booting.
+    Booting,
+    /// A new database backend replaying the recovery log.
+    Syncing,
+    /// A retired replica draining before it is stopped.
+    Draining,
+}
+
+/// One in-flight reconfiguration of a managed tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reconfiguration {
+    /// The replica being deployed or retired.
+    pub server: ServerId,
+    /// Its management component.
+    pub comp: ComponentId,
+    /// Current step.
+    pub phase: ReconfigPhase,
+    /// When the operation began.
+    pub started: SimTime,
+}
+
+/// How an operation ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// The replica joined (or, retiring, was released).
+    Done,
+    /// The deployment was given up; counted in `reconfig.aborted`.
+    Aborted,
+}
+
+/// The table: one slot per managed tier.
+#[derive(Debug, Default)]
+pub(crate) struct Reconfigs {
+    app: Option<Reconfiguration>,
+    db: Option<Reconfiguration>,
+}
+
+impl J2eeApp {
+    /// The operation in flight on `tier`, if any.
+    pub fn in_flight(&self, tier: ManagedTier) -> Option<&Reconfiguration> {
+        match tier {
+            ManagedTier::Application => self.reconfigs.app.as_ref(),
+            ManagedTier::Database => self.reconfigs.db.as_ref(),
+        }
+    }
+
+    /// True while any reconfiguration is in flight: the arbitration slot
+    /// is taken.
+    pub fn reconfiguring(&self) -> bool {
+        self.reconfigs.app.is_some() || self.reconfigs.db.is_some()
+    }
+
+    fn reconfig_slot(&mut self, tier: ManagedTier) -> &mut Option<Reconfiguration> {
+        match tier {
+            ManagedTier::Application => &mut self.reconfigs.app,
+            ManagedTier::Database => &mut self.reconfigs.db,
+        }
+    }
+
+    pub(crate) fn tier_busy(&self, tier: ManagedTier) -> bool {
+        self.in_flight(tier).is_some()
+    }
+
+    /// The operation deploying or retiring `server`, with its tier.
+    pub(crate) fn reconfiguration_on(
+        &self,
+        server: ServerId,
+    ) -> Option<(ManagedTier, Reconfiguration)> {
+        [ManagedTier::Application, ManagedTier::Database]
+            .into_iter()
+            .find_map(|tier| {
+                self.in_flight(tier)
+                    .filter(|op| op.server == server)
+                    .map(|&op| (tier, op))
+            })
+    }
+
+    /// The operation on `server` when it is in `phase`: a stale or
+    /// mismatched event finds none and is ignored.
+    pub(crate) fn reconfiguration_at(
+        &self,
+        server: ServerId,
+        phase: ReconfigPhase,
+    ) -> Option<(ManagedTier, Reconfiguration)> {
+        self.reconfiguration_on(server)
+            .filter(|(_, op)| op.phase == phase)
+    }
+
+    /// Opens an operation on an idle tier (callers gate on
+    /// [`J2eeApp::tier_busy`], or on [`J2eeApp::reconfiguring`] under
+    /// arbitration).
+    pub(crate) fn begin_reconfiguration(
+        &mut self,
+        tier: ManagedTier,
+        server: ServerId,
+        comp: ComponentId,
+        phase: ReconfigPhase,
+        started: SimTime,
+    ) {
+        let entry = self.reconfig_slot(tier);
+        debug_assert!(entry.is_none(), "{tier:?} already reconfiguring");
+        *entry = Some(Reconfiguration {
+            server,
+            comp,
+            phase,
+            started,
+        });
+    }
+
+    /// Moves `tier`'s operation on to `phase`.
+    pub(crate) fn advance_reconfiguration(&mut self, tier: ManagedTier, phase: ReconfigPhase) {
+        if let Some(op) = self.reconfig_slot(tier) {
+            op.phase = phase;
+        }
+    }
+
+    /// The one exit: removes `tier`'s operation from the table. A
+    /// finished one records the new replica count.
+    pub(crate) fn end_reconfiguration(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        tier: ManagedTier,
+        outcome: Outcome,
+    ) {
+        if self.reconfig_slot(tier).take().is_none() {
+            return;
+        }
+        match outcome {
+            Outcome::Done => self.record_replica_series(ctx),
+            Outcome::Aborted => ctx.metrics().incr("reconfig.aborted", 1),
+        }
+    }
+}

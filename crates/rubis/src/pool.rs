@@ -181,6 +181,9 @@ impl ClientPool {
     /// state the session ended the interaction in (or [`FRESH_BUCKET`]
     /// under the i.i.d. mix, which tracks no state). Retirement debt
     /// from ramp-down is settled here instead of re-idling.
+    // jade-audit: allow(hot-panic): bucket is the return bucket a dispatch
+    // carried — a tick bucket or a navigation state, both within the
+    // fixed idle[] layout (see set_target).
     pub fn complete(&mut self, bucket: usize) {
         debug_assert!(self.busy > 0);
         self.busy -= 1;

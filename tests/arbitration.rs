@@ -4,10 +4,10 @@
 
 use jade::config::SystemConfig;
 use jade::experiment::{run_experiment, run_experiment_with};
-use jade::system::{ManagedTier, Msg};
+use jade::system::{J2eeApp, ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
-use jade_sim::{Addr, SimDuration, SimTime};
+use jade_sim::{Addr, Engine, SimDuration, SimTime};
 
 fn arb_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_managed();
@@ -29,7 +29,33 @@ fn arbitrated_system_still_scales() {
     let (submitted, _, executed) = arb.counters();
     assert!(submitted >= executed);
     assert!(executed >= 1);
-    assert!(!arb.is_executing(), "slot released after completion");
+    assert!(!out.app.reconfiguring(), "slot released after completion");
+}
+
+/// At 450 clients both tiers keep asking to resize, yet at no instant do
+/// both have a reconfiguration in flight.
+#[test]
+fn arbitration_runs_one_reconfiguration_at_a_time() {
+    let mut cfg = arb_cfg();
+    cfg.ramp = WorkloadRamp::constant(450);
+    let seed = cfg.seed;
+    let mut eng = Engine::new(J2eeApp::new(cfg), seed);
+    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    let mut tiers_seen = Vec::new();
+    for t in 1..=600 {
+        eng.run_until(SimTime::from_secs(t));
+        let app = eng.app();
+        let busy: Vec<ManagedTier> = [ManagedTier::Application, ManagedTier::Database]
+            .into_iter()
+            .filter(|&tier| app.in_flight(tier).is_some())
+            .collect();
+        assert!(busy.len() <= 1, "two reconfigurations at {t} s: {busy:?}");
+        assert_eq!(app.reconfiguring(), !busy.is_empty());
+        tiers_seen.extend(busy);
+    }
+    for tier in [ManagedTier::Application, ManagedTier::Database] {
+        assert!(tiers_seen.contains(&tier), "{tier:?} never reconfigured");
+    }
 }
 
 #[test]
@@ -57,6 +83,32 @@ fn repair_outranks_optimization_under_load() {
     assert!(executed >= 1);
     // The repeated detector re-submissions collapsed as duplicates.
     assert!(dropped > 0 || submitted == executed);
+}
+
+#[test]
+fn arbitrated_repair_is_not_held_by_the_inhibition_window() {
+    let mut cfg = arb_cfg();
+    cfg.ramp = WorkloadRamp::constant(450);
+    cfg.jade.self_repair = true;
+    let crash_at = 45.0;
+    let bound = crash_at + (cfg.jade.failure_timeout + cfg.jade.probe_period).as_secs_f64();
+    // MySQL1's node crashes inside the window the 2 s scale-up opened.
+    let out = run_experiment_with(cfg, SimDuration::from_secs(80), |eng| {
+        eng.schedule(
+            SimTime::from_secs(crash_at as u64),
+            Addr::ROOT,
+            Msg::CrashNode(NodeId(3)),
+        );
+    });
+    let log = &out.app.reconfig_log;
+    let repair_t = log
+        .iter()
+        .find(|(_, l)| l.starts_with("self-recovery: repairing MySQL1"))
+        .map(|(t, _)| t.as_secs_f64());
+    assert!(
+        repair_t.is_some_and(|t| t <= bound),
+        "repair at {repair_t:?}, bound {bound}: {log:?}"
+    );
 }
 
 #[test]

@@ -86,6 +86,17 @@ fn managed_system_upholds_invariants_under_chaos() {
         let issued: u64 = out.app.stats.total_completed() + out.app.stats.total_failed();
         assert!(issued > 0, "no requests flowed");
 
+        // Liveness: no reconfiguration outlives one inhibition period plus
+        // one deployment (the slowest, a database replica's, takes under
+        // 45 s) — a crash mid-operation aborts it instead of wedging it.
+        let limit = out.app.cfg.jade.inhibition + SimDuration::from_secs(45);
+        for tier in [ManagedTier::Application, ManagedTier::Database] {
+            if let Some(op) = out.app.in_flight(tier) {
+                let age = out.horizon.since(op.started);
+                assert!(age <= limit, "{tier:?} stuck in {op:?} for {age:?}");
+            }
+        }
+
         // With self-repair on and at least one spare node at the end,
         // both tiers are back to >= 1 running replica (the service is up)
         // unless every crash wiped an irreplaceable balancer.

@@ -1,0 +1,283 @@
+//! Faults in the middle of a reconfiguration (ROADMAP item 1): a replica
+//! whose node crashes while it installs, boots, replays the recovery log
+//! or drains must not wedge its tier — nor, under arbitration, the whole
+//! management plane. Every operation leaves the reconfiguration table,
+//! aborted or done, and the repair brings the tier back.
+
+use jade::config::SystemConfig;
+use jade::experiment::{run_experiment_with, ExperimentOutput};
+use jade::system::{J2eeApp, ManagedTier, Msg, ReconfigPhase};
+use jade_cluster::NodeId;
+use jade_rubis::WorkloadRamp;
+use jade_sim::{Addr, Engine, SimDuration, SimTime};
+
+/// The slowest deployment: MySQL install 20 s + daemon 4 s + dump restore
+/// 5 s + boot 5 s, plus the recovery-log replay.
+const DEPLOYMENT_S: f64 = 45.0;
+
+/// How long after its crash a sweep run continues.
+const AFTER_CRASH_S: f64 = 150.0;
+
+/// Horizon of the joiner-crash recipes (ROADMAP item 1's runs).
+const RECIPE_HORIZON_S: f64 = 900.0;
+
+/// `paper_managed()` at a constant 450 clients with self-repair: the
+/// database tier scales up at once (MySQL2 on node 5 from 1 s, booting at
+/// 30 s, syncing at 35 s), the application tier at 181 s (Tomcat2 on
+/// node 8, booting at 200 s, joining at 206 s).
+fn faults_cfg(arbitration: bool) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_managed();
+    cfg.ramp = WorkloadRamp::constant(450);
+    cfg.jade.self_repair = true;
+    cfg.jade.arbitration = arbitration;
+    cfg
+}
+
+fn secs(t: f64) -> SimTime {
+    SimTime::from_micros((t * 1e6) as u64)
+}
+
+fn crash_run(cfg: SystemConfig, horizon_s: f64, crash: Option<(f64, NodeId)>) -> ExperimentOutput {
+    let horizon = SimDuration::from_micros((horizon_s * 1e6) as u64);
+    run_experiment_with(cfg, horizon, |eng| {
+        if let Some((t, node)) = crash {
+            eng.schedule(secs(t), Addr::ROOT, Msg::CrashNode(node));
+        }
+    })
+}
+
+/// Replica count of `tier` at `t` (the last probe at or before it).
+fn replicas_at(out: &ExperimentOutput, tier: ManagedTier, t: f64) -> f64 {
+    out.series(tier.replicas_series())
+        .into_iter()
+        .take_while(|&(at, _)| at <= t)
+        .last()
+        .map_or(0.0, |(_, v)| v)
+}
+
+/// First time at or after the crash when `tier` runs one replica more
+/// than it did at the crash — the replica the crash took away.
+fn regained_at(out: &ExperimentOutput, tier: ManagedTier, crash_s: f64) -> Option<f64> {
+    let target = replicas_at(out, tier, crash_s) + 1.0;
+    out.series(tier.replicas_series())
+        .into_iter()
+        .find(|&(t, v)| t >= crash_s && v >= target)
+        .map(|(t, _)| t)
+}
+
+/// A joiner's node crashes: the deployment aborts, the repair redeploys at
+/// once, and the tier regains the replica within detection + one
+/// deployment (tighter than the inhibition period + one deployment the
+/// wedge-free bound asks for), completing ≥ 90 % of the fault-free work.
+fn assert_joiner_crash_recovers(arbitration: bool, tier: ManagedTier, crash_s: f64, node: u32) {
+    let horizon = RECIPE_HORIZON_S;
+    let cfg = faults_cfg(arbitration);
+    let detection = (cfg.jade.failure_timeout + cfg.jade.probe_period).as_secs_f64();
+    let fault_free = crash_run(cfg.clone(), horizon, None);
+    let out = crash_run(cfg, horizon, Some((crash_s, NodeId(node))));
+    let log = &out.app.reconfig_log;
+    let regained = regained_at(&out, tier, crash_s);
+    assert!(
+        regained.is_some_and(|t| t <= crash_s + detection + DEPLOYMENT_S),
+        "{tier:?} regained at {regained:?} after a crash at {crash_s}: {log:?}"
+    );
+    assert_eq!(out.metrics.counter("reconfig.aborted"), 1, "{log:?}");
+    let (done, base) = (
+        out.app.stats.total_completed(),
+        fault_free.app.stats.total_completed(),
+    );
+    assert!(
+        done as f64 >= 0.9 * base as f64,
+        "{done} completed vs {base} fault-free: {log:?}"
+    );
+}
+
+#[test]
+fn database_joiner_crash_is_repaired() {
+    // MySQL2 boots from 30 s on node 5.
+    assert_joiner_crash_recovers(false, ManagedTier::Database, 33.0, 4);
+}
+
+#[test]
+fn database_joiner_crash_is_repaired_under_arbitration() {
+    // The aborted deployment frees the arbitration slot, so the repair
+    // runs at all.
+    assert_joiner_crash_recovers(true, ManagedTier::Database, 32.5, 4);
+}
+
+#[test]
+fn application_joiner_crash_is_repaired() {
+    // Tomcat2 boots from 200 s on node 8.
+    assert_joiner_crash_recovers(false, ManagedTier::Application, 203.0, 7);
+}
+
+#[test]
+fn crash_during_installation_is_redeployed_by_the_repair() {
+    let cfg = faults_cfg(false);
+    let detection = (cfg.jade.failure_timeout + cfg.jade.probe_period).as_secs_f64();
+    for crash_s in [12.5, 20.5] {
+        let out = crash_run(
+            cfg.clone(),
+            crash_s + AFTER_CRASH_S,
+            Some((crash_s, NodeId(4))),
+        );
+        let log = &out.app.reconfig_log;
+        let repair = log
+            .iter()
+            .position(|(_, l)| l.starts_with("self-recovery: repairing MySQL2"))
+            .unwrap_or_else(|| panic!("no repair: {log:?}"));
+        // The repair's own redeploy, not the optimiser's next firing a
+        // minute later.
+        let (at, next) = &log[repair + 1];
+        assert!(
+            next.starts_with("scale-up Database: deploying") && *at == log[repair].0,
+            "{log:?}"
+        );
+        let regained = regained_at(&out, ManagedTier::Database, crash_s);
+        assert!(
+            regained.is_some_and(|t| t <= crash_s + detection + DEPLOYMENT_S),
+            "regained at {regained:?}: {log:?}"
+        );
+    }
+}
+
+#[test]
+fn crash_while_a_scale_down_victim_drains_does_not_wedge_the_tier() {
+    // 450 clients, 800 from 400 s. Tomcat3 (node 9) retires from 302 s
+    // and its node crashes at 304 s, before the drain ends at 307 s. A
+    // tenth node stands in for the crashed one.
+    let mut cfg = faults_cfg(false);
+    cfg.nodes = 10;
+    cfg.ramp = WorkloadRamp {
+        base_clients: 450,
+        peak_clients: 800,
+        step_clients: 350,
+        step_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::from_secs(399),
+        plateau: SimDuration::from_secs(100_000),
+    };
+    let out = crash_run(cfg, 500.0, Some((304.0, NodeId(8))));
+    let log = &out.app.reconfig_log;
+    assert!(
+        log.iter()
+            .any(|(t, l)| *t == secs(302.0) && l == "scale-down Application: retiring Tomcat3"),
+        "the recipe must crash a draining victim: {log:?}"
+    );
+    assert!(out.app.in_flight(ManagedTier::Application).is_none());
+    assert_eq!(
+        out.app.running_replicas(ManagedTier::Application),
+        3,
+        "the app tier must scale again after the 400 s step: {log:?}"
+    );
+    // Nothing redeployed the replica the optimiser was removing.
+    assert_eq!(replicas_at(&out, ManagedTier::Application, 399.0), 2.0);
+    assert_eq!(out.metrics.counter("reconfig.aborted"), 0);
+}
+
+/// Sweep scenarios: one operation on `tier`, whose outcome the bounds pin
+/// so the final replica count does not depend on when it happened.
+fn sweep_cfg(tier: ManagedTier, draining: bool, arbitration: bool) -> SystemConfig {
+    let mut cfg = faults_cfg(arbitration);
+    match (tier, draining) {
+        (ManagedTier::Database, _) => {
+            cfg.jade.db_loop.max_replicas = 2;
+            cfg.jade.app_loop.max_replicas = 1;
+        }
+        (ManagedTier::Application, false) => {
+            // Four backends from the start: the application tier is the
+            // bottleneck and scales up at once.
+            cfg.description.database.replicas = 4;
+            cfg.jade.db_loop.min_replicas = 4;
+            cfg.jade.app_loop.max_replicas = 2;
+        }
+        (ManagedTier::Application, true) => {
+            // A light load retires the second Tomcat at once.
+            cfg.ramp = WorkloadRamp::constant(60);
+            cfg.description.application.replicas = 2;
+        }
+    }
+    cfg
+}
+
+/// Steps a fault-free run and returns, per phase the operation on `tier`
+/// went through, the span it was seen in and its replica's node.
+fn discover_phases(cfg: SystemConfig, tier: ManagedTier) -> Vec<(ReconfigPhase, f64, f64, NodeId)> {
+    let seed = cfg.seed;
+    let mut eng = Engine::new(J2eeApp::new(cfg), seed);
+    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    let mut phases: Vec<(ReconfigPhase, f64, f64, NodeId)> = Vec::new();
+    let mut t = 0.0;
+    while t < 90.0 {
+        t += 0.25;
+        eng.run_until(secs(t));
+        let app = eng.app();
+        let Some(op) = app.in_flight(tier) else {
+            if phases.is_empty() {
+                continue;
+            }
+            break;
+        };
+        let node = app
+            .legacy
+            .server(op.server)
+            .expect("in flight")
+            .process()
+            .node;
+        match phases.last_mut() {
+            Some(last) if last.0 == op.phase => last.2 = t,
+            _ => phases.push((op.phase, t, t, node)),
+        }
+    }
+    phases
+}
+
+/// Crashes the operation's node at two instants inside each of its
+/// phases: by the horizon no operation is left in flight and the tier
+/// runs as many replicas as without the crash.
+fn sweep_phases(tier: ManagedTier, expect: &[ReconfigPhase]) {
+    let draining = expect == [ReconfigPhase::Draining];
+    for arbitration in [false, true] {
+        let cfg = sweep_cfg(tier, draining, arbitration);
+        let phases = discover_phases(cfg.clone(), tier);
+        let seen: Vec<ReconfigPhase> = phases.iter().map(|p| p.0).collect();
+        assert_eq!(seen, expect, "arbitration={arbitration}");
+        let last_crash = phases.last().map_or(0.0, |p| p.2);
+        let fault_free = crash_run(cfg.clone(), last_crash + AFTER_CRASH_S, None);
+        for &(phase, from, to, node) in &phases {
+            for crash_s in [from + (to - from) / 3.0, from + 2.0 * (to - from) / 3.0] {
+                let horizon = crash_s + AFTER_CRASH_S;
+                let out = crash_run(cfg.clone(), horizon, Some((crash_s, node)));
+                let ctx = format!("arbitration={arbitration} {phase:?} crash at {crash_s}");
+                assert_eq!(
+                    out.app.in_flight(tier),
+                    None,
+                    "{ctx}: {:?}",
+                    out.app.reconfig_log
+                );
+                assert_eq!(
+                    replicas_at(&out, tier, horizon),
+                    replicas_at(&fault_free, tier, horizon),
+                    "{ctx}: {:?}",
+                    out.app.reconfig_log
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn database_deployment_survives_a_crash_in_every_phase() {
+    use ReconfigPhase::*;
+    sweep_phases(ManagedTier::Database, &[Installing, Booting, Syncing]);
+}
+
+#[test]
+fn application_deployment_survives_a_crash_in_every_phase() {
+    use ReconfigPhase::*;
+    sweep_phases(ManagedTier::Application, &[Installing, Booting]);
+}
+
+#[test]
+fn application_retirement_survives_a_crash_while_draining() {
+    sweep_phases(ManagedTier::Application, &[ReconfigPhase::Draining]);
+}
