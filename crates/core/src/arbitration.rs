@@ -46,14 +46,6 @@ pub enum Action {
 }
 
 impl Action {
-    /// Tier the action concerns, when tier-scoped.
-    pub fn tier(&self) -> Option<ManagedTier> {
-        match self {
-            Action::ScaleUp(t) | Action::ScaleDown(t) => Some(*t),
-            Action::Repair(_) => None,
-        }
-    }
-
     /// True when `self` and `other` pull the same tier in opposite
     /// directions.
     fn opposes(&self, other: &Action) -> bool {

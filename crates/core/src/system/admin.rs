@@ -5,19 +5,40 @@
 //! (§3.2).
 //!
 //! The rolling restart bounces every replica of a tier, one at a time,
-//! keeping the service up throughout: unbind from the balancer → drain →
-//! stop → start → (database: recovery-log resynchronization) → rebind →
-//! next replica.
+//! keeping the service up throughout. Each bounce is a rolling step, an
+//! operation of the reconfiguration table like any resize: unbind from
+//! the balancer and drain (`Draining`) → stop and start (`Booting`) →
+//! (database: recovery-log resynchronization, `Syncing`) → rebind through
+//! the deployment's join path. So a step and a resize of the same tier
+//! exclude each other, the restart waits while its tier is busy, and the
+//! operation's end resumes it; a step whose replica fails, in any phase,
+//! is aborted and the restart moves on; a repair goes before the next step.
 
 use super::msg::{ManagedTier, Msg};
-use super::{J2eeApp, RollingRestart};
+use super::reconfig::{Outcome, ReconfigKind, ReconfigPhase};
+use super::J2eeApp;
+use jade_fractal::ComponentId;
 use jade_sim::{Addr, Ctx};
 use jade_tiers::ServerId;
 use std::collections::VecDeque;
 
+/// What is left of a rolling restart between its steps.
+#[derive(Debug)]
+pub(crate) struct RollingRestart {
+    /// Tier being restarted.
+    pub(crate) tier: ManagedTier,
+    /// Replicas still to bounce, with their components.
+    pub(crate) queue: VecDeque<(ServerId, ComponentId)>,
+    /// Replicas bounced so far.
+    pub(crate) done: usize,
+    /// Repaired replicas whose redeploy waits for the tier to free.
+    pub(crate) redeploys: usize,
+}
+
 impl J2eeApp {
-    /// Begins a rolling restart of a tier. Ignored when one is already in
-    /// progress or the tier has a reconfiguration running.
+    /// Begins a rolling restart of a tier. Refused when one is already in
+    /// progress or the tier runs fewer than two replicas; when the tier
+    /// has a reconfiguration in flight, the first step waits for its end.
     #[cold]
     pub(crate) fn start_rolling_restart(&mut self, ctx: &mut Ctx<'_, Msg>, tier: ManagedTier) {
         if self.rolling.is_some() {
@@ -27,8 +48,13 @@ impl J2eeApp {
             );
             return;
         }
-        let mut replicas = self.legacy.running_servers_of(tier.tier());
-        replicas.sort_unstable();
+        let running = self.legacy.running_servers_of(tier.tier());
+        let replicas: VecDeque<(ServerId, ComponentId)> = self
+            .comp_of_server
+            .iter()
+            .filter(|(server, _)| running.contains(server))
+            .map(|(&server, &comp)| (server, comp))
+            .collect();
         if replicas.len() < 2 {
             self.log_reconfig(
                 ctx,
@@ -42,23 +68,38 @@ impl J2eeApp {
         );
         self.rolling = Some(RollingRestart {
             tier,
-            queue: replicas.into_iter().collect::<VecDeque<_>>(),
-            current: None,
+            queue: replicas,
             done: 0,
+            redeploys: 0,
         });
         ctx.send_now(Addr::ROOT, Msg::RollingNext);
     }
 
-    /// Takes the next replica out of rotation.
+    /// Takes the next replica out of rotation once the tier is idle, or
+    /// ends the restart when no replica is left to bounce or bouncing one
+    /// would leave none in rotation. Under arbitration a queued repair
+    /// runs first.
     #[cold]
     pub(crate) fn on_rolling_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let Some(tier) = self.rolling.as_ref().map(|r| r.tier) else {
+            return;
+        };
+        if self.arbitrator.as_ref().is_some_and(|a| a.repair_pending()) {
+            self.pump_arbitrator(ctx);
+        }
+        if self.tier_busy(tier) {
+            return; // that operation's end sends the next RollingNext
+        }
+        let running = self.legacy.running_servers_of(tier.tier());
         let Some(rolling) = self.rolling.as_mut() else {
             return;
         };
-        debug_assert!(rolling.current.is_none());
-        let Some(server) = rolling.queue.pop_front() else {
+        // A replica retired, failed or repaired since the restart began
+        // is skipped.
+        rolling.queue.retain(|(server, _)| running.contains(server));
+        let next = rolling.queue.pop_front().filter(|_| running.len() >= 2);
+        let Some((server, comp)) = next else {
             let done = rolling.done;
-            let tier = rolling.tier;
             self.rolling = None;
             self.log_reconfig(
                 ctx,
@@ -66,16 +107,17 @@ impl J2eeApp {
             );
             return;
         };
-        let tier = rolling.tier;
-        rolling.current = Some(server);
-        let Some(&comp) = self.comp_of_server.get(&server) else {
-            self.rolling.as_mut().expect("set above").current = None;
-            ctx.send_now(Addr::ROOT, Msg::RollingNext);
-            return;
-        };
         // Out of rotation: unbind from the front-end (and mod_jk sets).
         self.detach_replica(tier, comp);
         self.flush_legacy_outbox(ctx);
+        self.begin_reconfiguration(
+            tier,
+            ReconfigKind::RollingStep,
+            server,
+            comp,
+            ReconfigPhase::Draining,
+            ctx.now(),
+        );
         let name = self.registry.name(comp).unwrap_or_default();
         self.log_reconfig(ctx, format!("rolling restart: draining {name}"));
         ctx.send_after(
@@ -85,85 +127,35 @@ impl J2eeApp {
         );
     }
 
-    /// Drain grace elapsed: bounce the replica (stop + start).
+    /// A replica of `tier` was repaired while another operation held the
+    /// tier. During a rolling restart of `tier` its redeploy is owed, and
+    /// [`J2eeApp::end_reconfiguration`] starts it once the tier frees.
+    pub(crate) fn defer_redeploy(&mut self, tier: ManagedTier) {
+        if let Some(rolling) = self.rolling.as_mut().filter(|r| r.tier == tier) {
+            rolling.redeploys += 1;
+        }
+    }
+
+    /// Drain grace elapsed: bounce the replica (stop + start). The boot
+    /// event rebinds it through the deployment's join path.
     #[cold]
     pub(crate) fn on_rolling_stop(&mut self, ctx: &mut Ctx<'_, Msg>, server: ServerId) {
-        if self.rolling.as_ref().and_then(|r| r.current) != Some(server) {
-            return; // operation cancelled (e.g. the replica failed meanwhile)
-        }
-        let Some(&comp) = self.comp_of_server.get(&server) else {
-            return;
+        let Some((tier, op)) = self.reconfiguration_at(server, ReconfigPhase::Draining) else {
+            return; // the step was aborted: its replica failed meanwhile
         };
         let node = self
             .legacy
             .server(server)
             .map(|s| s.process().node)
             .expect("rolling server exists");
-        let _ = self.registry.stop(&mut self.legacy, comp);
+        self.advance_reconfiguration(tier, ReconfigPhase::Booting);
+        // Stopping accepts a running, stopped or failed replica.
+        let _ = self.registry.stop(&mut self.legacy, op.comp);
         self.flush_legacy_outbox(ctx);
         self.abort_node_jobs(ctx, node);
-        // Start again; the boot event re-enters the rotation via
-        // `on_rolling_booted`.
-        let _ = self.registry.start(&mut self.legacy, comp);
+        if self.registry.start(&mut self.legacy, op.comp).is_err() {
+            self.end_reconfiguration(ctx, tier, Outcome::Aborted);
+        }
         self.flush_legacy_outbox(ctx);
-    }
-
-    /// A rolling replica finished rebooting: wire it back in.
-    pub(crate) fn on_rolling_booted(&mut self, ctx: &mut Ctx<'_, Msg>, server: ServerId) {
-        let Some(rolling) = self.rolling.as_ref() else {
-            return;
-        };
-        if rolling.current != Some(server) {
-            return;
-        }
-        let tier = rolling.tier;
-        let Some(&comp) = self.comp_of_server.get(&server) else {
-            return;
-        };
-        match tier {
-            ManagedTier::Application => {
-                if let Some((_, plb_comp)) = self.plb {
-                    let _ = self
-                        .registry
-                        .bind(&mut self.legacy, plb_comp, "workers", comp, "ajp");
-                }
-                for apache_comp in self.apache_components() {
-                    let _ =
-                        self.registry
-                            .bind(&mut self.legacy, apache_comp, "ajp-itf", comp, "ajp");
-                }
-                self.finish_rolling_step(ctx, server);
-            }
-            ManagedTier::Database => {
-                // Rebinding triggers recovery-log resynchronization; the
-                // step completes on BackendActivated.
-                if let Some((_, cj_comp)) = self.cjdbc {
-                    let _ =
-                        self.registry
-                            .bind(&mut self.legacy, cj_comp, "backends", comp, "mysql");
-                }
-                self.flush_legacy_outbox(ctx);
-            }
-        }
-    }
-
-    /// The bounced replica is serving again: proceed to the next one.
-    #[cold]
-    pub(crate) fn finish_rolling_step(&mut self, ctx: &mut Ctx<'_, Msg>, server: ServerId) {
-        let Some(rolling) = self.rolling.as_mut() else {
-            return;
-        };
-        if rolling.current != Some(server) {
-            return;
-        }
-        rolling.current = None;
-        rolling.done += 1;
-        let name = self
-            .comp_of_server
-            .get(&server)
-            .and_then(|&c| self.registry.name(c).ok())
-            .unwrap_or_default();
-        self.log_reconfig(ctx, format!("rolling restart: {name} back in rotation"));
-        ctx.send_now(Addr::ROOT, Msg::RollingNext);
     }
 }

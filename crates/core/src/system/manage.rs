@@ -2,7 +2,7 @@
 //! workflows (the actuators of paper §4.1) and failure handling.
 
 use super::msg::{JobOwner, ManagedTier, Msg};
-use super::reconfig::{Outcome, ReconfigPhase};
+use super::reconfig::{Outcome, ReconfigKind, ReconfigPhase, Reconfiguration};
 use super::J2eeApp;
 use crate::control::Decision;
 use jade_cluster::NodeId;
@@ -87,15 +87,7 @@ impl J2eeApp {
                 .sum::<f64>()
                 / allocated.len() as f64
         };
-        let cpu_all_avg = if allocated.is_empty() {
-            0.0
-        } else {
-            allocated
-                .iter()
-                .map(|&n| samples[n.0 as usize])
-                .sum::<f64>()
-                / allocated.len() as f64
-        };
+        let cpu_all_avg = avg(&allocated);
         // One batched append per probe tick: every sample shares `now`.
         let ids = self.hot_ids(ctx);
         ctx.metrics().record_series_batch(
@@ -140,10 +132,12 @@ impl J2eeApp {
     }
 
     /// Executes the next arbitrated reconfiguration once none is in
-    /// flight. Repairs outrank the inhibition window; resizes wait for it.
-    fn pump_arbitrator(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        let permits = self.inhibition.permits(now);
+    /// flight (each probe tick, and before a rolling restart's next step).
+    /// Repairs outrank the inhibition window; resizes wait for it,
+    /// and run only if the tier's manager still decides them: one queued
+    /// behind another resize may no longer be wanted (`arbitration.stale`).
+    pub(crate) fn pump_arbitrator(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let permits = self.inhibition.permits(ctx.now());
         if self.reconfiguring() {
             return;
         }
@@ -155,24 +149,47 @@ impl J2eeApp {
         }
         let Some(req) = arb.next() else { return };
         use crate::arbitration::Action;
-        match req.action {
-            Action::ScaleUp(tier) => {
-                self.note_adaptive(tier, Decision::ScaleUp, now);
-                self.scale_up(ctx, tier);
-            }
-            Action::ScaleDown(tier) => {
-                self.note_adaptive(tier, Decision::ScaleDown, now);
-                self.scale_down(ctx, tier);
-            }
-            Action::Repair(server) => self.repair_server(ctx, server),
+        let (tier, decision) = match req.action {
+            Action::ScaleUp(tier) => (tier, Decision::ScaleUp),
+            Action::ScaleDown(tier) => (tier, Decision::ScaleDown),
+            Action::Repair(server) => return self.repair_server(ctx, server),
+        };
+        if self.manager_decision(tier) == decision {
+            self.execute_decision(ctx, tier, decision);
+        } else {
+            ctx.metrics().incr("arbitration.stale", 1);
         }
     }
 
-    fn note_adaptive(&mut self, tier: ManagedTier, d: Decision, now: jade_sim::SimTime) {
+    /// What `tier`'s manager decides from its latest smoothed load and the
+    /// current replica count (`Stay` before the sensor has a value).
+    fn manager_decision(&self, tier: ManagedTier) -> Decision {
+        use crate::control::Sensor as _;
+        let Some(mgr) = self.managers.iter().find(|m| m.tier == tier) else {
+            return Decision::Stay;
+        };
+        let Some(load) = mgr.sensor.value() else {
+            return Decision::Stay;
+        };
+        let replicas = self.running_replicas(tier);
+        match mgr.adaptive.as_ref() {
+            Some(a) => a.decide(load, replicas),
+            None => mgr.reactor.decide(load, replicas),
+        }
+    }
+
+    /// Carries out a resize decision; adaptive thresholds learn from it.
+    fn execute_decision(&mut self, ctx: &mut Ctx<'_, Msg>, tier: ManagedTier, decision: Decision) {
+        let now = ctx.now();
         if let Some(mgr) = self.managers.iter_mut().find(|m| m.tier == tier) {
             if let Some(a) = mgr.adaptive.as_mut() {
-                a.note_executed(d, now);
+                a.note_executed(decision, now);
             }
+        }
+        match decision {
+            Decision::ScaleUp => self.scale_up(ctx, tier),
+            Decision::ScaleDown => self.scale_down(ctx, tier),
+            Decision::Stay => {}
         }
     }
 
@@ -206,38 +223,27 @@ impl J2eeApp {
         if let Some(v) = smoothed {
             ctx.metrics().record_series(tier.smoothed_series(), now, v);
         }
-        if self.cfg.jade.managed {
-            if let Some(v) = smoothed {
-                let replicas = self.running_replicas(tier);
-                let decision = match self.managers[idx].adaptive.as_ref() {
-                    Some(a) => a.decide(v, replicas),
-                    None => self.managers[idx].reactor.decide(v, replicas),
+        let decision = if self.cfg.jade.managed {
+            self.manager_decision(tier)
+        } else {
+            Decision::Stay
+        };
+        if decision != Decision::Stay {
+            if let Some(arb) = self.arbitrator.as_mut() {
+                // Arbitration mode: submit; the pump executes under the
+                // global serialization rules.
+                let action = if decision == Decision::ScaleUp {
+                    crate::arbitration::Action::ScaleUp(tier)
+                } else {
+                    crate::arbitration::Action::ScaleDown(tier)
                 };
-                if decision != Decision::Stay {
-                    if let Some(arb) = self.arbitrator.as_mut() {
-                        // Arbitration mode: submit; the pump executes
-                        // under the global serialization rules.
-                        let action = match decision {
-                            Decision::ScaleUp => crate::arbitration::Action::ScaleUp(tier),
-                            Decision::ScaleDown => crate::arbitration::Action::ScaleDown(tier),
-                            Decision::Stay => unreachable!(),
-                        };
-                        let _ = arb.submit(crate::arbitration::Request {
-                            source: crate::arbitration::Source::SelfOptimization,
-                            action,
-                            submitted: now,
-                        });
-                    } else if self.inhibition.permits(now) && !self.tier_busy(tier) {
-                        if let Some(a) = self.managers[idx].adaptive.as_mut() {
-                            a.note_executed(decision, now);
-                        }
-                        match decision {
-                            Decision::ScaleUp => self.scale_up(ctx, tier),
-                            Decision::ScaleDown => self.scale_down(ctx, tier),
-                            Decision::Stay => unreachable!(),
-                        }
-                    }
-                }
+                let _ = arb.submit(crate::arbitration::Request {
+                    source: crate::arbitration::Source::SelfOptimization,
+                    action,
+                    submitted: now,
+                });
+            } else if self.inhibition.permits(now) && !self.tier_busy(tier) {
+                self.execute_decision(ctx, tier, decision);
             }
         }
         ctx.send_after_coarse(period, Addr::ROOT, Msg::SensorTick(idx));
@@ -286,7 +292,14 @@ impl J2eeApp {
             ManagedTier::Application => self.create_tomcat_replica(node),
             ManagedTier::Database => self.create_mysql_replica(node),
         };
-        self.begin_reconfiguration(tier, server, comp, ReconfigPhase::Installing, ctx.now());
+        self.begin_reconfiguration(
+            tier,
+            ReconfigKind::Resize,
+            server,
+            comp,
+            ReconfigPhase::Installing,
+            ctx.now(),
+        );
         self.inhibition.note_reconfiguration(ctx.now());
         let name = self.registry.name(comp).unwrap_or_default();
         self.log_reconfig(
@@ -314,15 +327,12 @@ impl J2eeApp {
     /// release the node.
     #[cold]
     pub(crate) fn scale_down(&mut self, ctx: &mut Ctx<'_, Msg>, tier: ManagedTier) {
-        let mut running = self.legacy.running_servers_of(tier.tier());
-        running.sort_unstable();
-        // Guard against stale (e.g. arbitrated) requests.
-        if let Some(mgr) = self.managers.iter().find(|m| m.tier == tier) {
-            if running.len() <= mgr.reactor.min_replicas {
-                return;
-            }
-        }
-        let Some(&victim) = running.last() else {
+        let Some(victim) = self
+            .legacy
+            .running_servers_of(tier.tier())
+            .into_iter()
+            .max()
+        else {
             return;
         };
         let Some(&victim_comp) = self.comp_of_server.get(&victim) else {
@@ -332,7 +342,14 @@ impl J2eeApp {
             return;
         }
         let now = ctx.now();
-        self.begin_reconfiguration(tier, victim, victim_comp, ReconfigPhase::Draining, now);
+        self.begin_reconfiguration(
+            tier,
+            ReconfigKind::Resize,
+            victim,
+            victim_comp,
+            ReconfigPhase::Draining,
+            now,
+        );
         self.inhibition.note_reconfiguration(now);
         let name = self.registry.name(victim_comp).unwrap_or_default();
         self.log_reconfig(ctx, format!("scale-down {tier:?}: retiring {name}"));
@@ -409,6 +426,49 @@ impl J2eeApp {
         detached
     }
 
+    /// Puts a replica (back) into rotation, the counterpart of
+    /// [`J2eeApp::detach_replica`]. A bind that errs in the wrapper is
+    /// still recorded, and a balancer repair re-binds every recorded
+    /// worker and backend (any other error means the balancer is gone).
+    fn attach_replica(&mut self, tier: ManagedTier, comp: jade_fractal::ComponentId) {
+        let lb = match tier {
+            ManagedTier::Application => self.plb.map(|(_, c)| ("workers", c, "ajp")),
+            ManagedTier::Database => self.cjdbc.map(|(_, c)| ("backends", c, "mysql")),
+        };
+        if let Some((itf, lb_comp, server_itf)) = lb {
+            let _ = self
+                .registry
+                .bind(&mut self.legacy, lb_comp, itf, comp, server_itf);
+        }
+        if tier == ManagedTier::Application {
+            for apache_comp in self.apache_components() {
+                let _ = self
+                    .registry
+                    .bind(&mut self.legacy, apache_comp, "ajp-itf", comp, "ajp");
+            }
+        }
+    }
+
+    /// A deployed or bounced replica serves again: its operation is done.
+    /// The kind only selects the journal line, written before whatever
+    /// the tier's end starts.
+    fn finish_join(&mut self, ctx: &mut Ctx<'_, Msg>, tier: ManagedTier, op: Reconfiguration) {
+        let line = match (op.kind, tier) {
+            (ReconfigKind::RollingStep, _) => format!(
+                "rolling restart: {} back in rotation",
+                self.registry.name(op.comp).unwrap_or_default()
+            ),
+            (ReconfigKind::Resize, ManagedTier::Application) => {
+                format!("replica {:?} joined the application tier", op.server)
+            }
+            (ReconfigKind::Resize, ManagedTier::Database) => {
+                format!("backend {:?} synchronized and activated", op.server)
+            }
+        };
+        self.log_reconfig(ctx, line);
+        self.end_reconfiguration(ctx, tier, Outcome::Done);
+    }
+
     /// Destroys a stopped or failed replica: drops its JDBC binding,
     /// removes it from the architecture and the legacy layer, and returns
     /// its node to the pool. Each step undoes what deployment did, and a
@@ -466,57 +526,17 @@ impl J2eeApp {
                 if !became_running {
                     return;
                 }
-                // A replica bounced by a rolling restart re-enters here.
-                if self.rolling.as_ref().and_then(|r| r.current) == Some(server) {
-                    self.on_rolling_booted(ctx, server);
-                    return;
-                }
-                // A bind below that errs in the wrapper is still recorded,
-                // and a balancer repair re-binds every recorded worker and
-                // backend (any other error means the balancer is gone).
-                match self.reconfiguration_at(server, ReconfigPhase::Booting) {
-                    Some((ManagedTier::Application, op)) => {
-                        if let Some((_, plb_comp)) = self.plb {
-                            let _ = self.registry.bind(
-                                &mut self.legacy,
-                                plb_comp,
-                                "workers",
-                                op.comp,
-                                "ajp",
-                            );
-                        }
-                        // Web topologies: the new Tomcat also joins every
-                        // Apache's mod_jk rotation.
-                        for apache_comp in self.apache_components() {
-                            let _ = self.registry.bind(
-                                &mut self.legacy,
-                                apache_comp,
-                                "ajp-itf",
-                                op.comp,
-                                "ajp",
-                            );
-                        }
-                        self.end_reconfiguration(ctx, ManagedTier::Application, Outcome::Done);
-                        self.log_reconfig(
-                            ctx,
-                            format!("replica {server:?} joined the application tier"),
-                        );
-                    }
-                    Some((ManagedTier::Database, op)) => {
-                        self.advance_reconfiguration(ManagedTier::Database, ReconfigPhase::Syncing);
-                        // Binding a running backend triggers recovery-log
-                        // replay (state reconciliation, §4.1).
-                        if let Some((_, cj_comp)) = self.cjdbc {
-                            let _ = self.registry.bind(
-                                &mut self.legacy,
-                                cj_comp,
-                                "backends",
-                                op.comp,
-                                "mysql",
-                            );
+                // The join of a deployed or bounced replica: a database
+                // backend then replays the recovery log (state
+                // reconciliation, §4.1) and joins on BackendActivated.
+                if let Some((tier, op)) = self.reconfiguration_at(server, ReconfigPhase::Booting) {
+                    self.attach_replica(tier, op.comp);
+                    match tier {
+                        ManagedTier::Application => self.finish_join(ctx, tier, op),
+                        ManagedTier::Database => {
+                            self.advance_reconfiguration(tier, ReconfigPhase::Syncing)
                         }
                     }
-                    None => {}
                 }
                 self.flush_legacy_outbox(ctx);
             }
@@ -527,16 +547,8 @@ impl J2eeApp {
                 self.flush_legacy_outbox(ctx);
             }
             LegacyEvent::BackendActivated { backend, .. } => {
-                if self.rolling.as_ref().and_then(|r| r.current) == Some(backend) {
-                    self.finish_rolling_step(ctx, backend);
-                    return;
-                }
-                if let Some((tier, _)) = self.reconfiguration_at(backend, ReconfigPhase::Syncing) {
-                    self.end_reconfiguration(ctx, tier, Outcome::Done);
-                    self.log_reconfig(
-                        ctx,
-                        format!("backend {backend:?} synchronized and activated"),
-                    );
+                if let Some((tier, op)) = self.reconfiguration_at(backend, ReconfigPhase::Syncing) {
+                    self.finish_join(ctx, tier, op);
                 }
             }
             LegacyEvent::ServerStopped(server) => {
@@ -557,10 +569,11 @@ impl J2eeApp {
                 }
                 self.fail_requests_on_server(ctx, server);
                 // A replica that fails before it serves aborts its
-                // deployment (the repair manager tears the wreck down); one
-                // that fails while draining still retires on UndeployStop.
+                // deployment or rolling step, in any phase (the repair
+                // manager tears the wreck down); a scale-down victim that
+                // fails while draining still retires on UndeployStop.
                 if let Some((tier, op)) = self.reconfiguration_on(server) {
-                    if op.phase != ReconfigPhase::Draining {
+                    if op.kind == ReconfigKind::RollingStep || op.phase != ReconfigPhase::Draining {
                         self.end_reconfiguration(ctx, tier, Outcome::Aborted);
                     }
                 }
@@ -602,7 +615,7 @@ impl J2eeApp {
     /// jobs belonged to.
     #[cold]
     fn fail_aborted_jobs(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId, aborted: Vec<JobId>) {
-        self.cancel_cpu_timer(ctx, node);
+        ctx.disarm_timer(node.0);
         for job in aborted {
             let owner = self.job_owner.remove(SlabKey::from_raw(job.0));
             if let Some(req) = owner.and_then(JobOwner::request) {
@@ -675,7 +688,6 @@ impl J2eeApp {
             if let Some(arb) = self.arbitrator.as_mut() {
                 // Submit to the arbitrator (repairs outrank optimization;
                 // re-submissions on later ticks collapse as duplicates).
-                let now = ctx.now();
                 let _ = arb.submit(crate::arbitration::Request {
                     source: crate::arbitration::Source::SelfRecovery,
                     action: crate::arbitration::Action::Repair(server),
@@ -727,9 +739,12 @@ impl J2eeApp {
         self.flush_legacy_outbox(ctx);
         // Redeploy (repair has priority over the inhibition window) unless
         // the tier is busy: a retiring victim is not replaced, and a
-        // replica lost beside another deployment is left to the optimiser.
-        if !self.tier_busy(tier) {
-            self.scale_up(ctx, tier);
+        // replica lost beside another operation is left to the optimiser,
+        // or, during a rolling restart, redeployed once the tier frees.
+        match self.in_flight(tier) {
+            None => self.scale_up(ctx, tier),
+            Some(op) if op.server != server => self.defer_redeploy(tier),
+            Some(_) => {}
         }
         self.record_replica_series(ctx);
     }

@@ -14,7 +14,7 @@ mod reconfig;
 mod workload;
 
 pub use msg::{JobOwner, ManagedTier, Msg, RequestPhase, RequestState};
-pub use reconfig::{ReconfigPhase, Reconfiguration};
+pub use reconfig::{ReconfigKind, ReconfigPhase, Reconfiguration};
 
 use crate::config::SystemConfig;
 use crate::control::{AdaptiveThresholds, CpuAvgSensor, InhibitionWindow, ThresholdReactor};
@@ -149,8 +149,9 @@ pub struct J2eeApp {
     pub(crate) probe_db_nodes: Vec<NodeId>,
     /// Recycled allocated-node list (probe tick).
     pub(crate) probe_allocated: Vec<NodeId>,
-    /// A rolling restart in progress, if any.
-    pub(crate) rolling: Option<RollingRestart>,
+    /// A rolling restart in progress, if any (its steps are operations
+    /// of `reconfigs`).
+    pub(crate) rolling: Option<admin::RollingRestart>,
     /// Interned metric handles for the hot recording paths (lazy).
     pub(crate) hot_ids: Option<HotMetricIds>,
 }
@@ -190,19 +191,6 @@ impl HotMetricIds {
             abandoned: hub.counter_id("requests.abandoned"),
         }
     }
-}
-
-/// State of a rolling-restart administration operation.
-#[derive(Debug)]
-pub struct RollingRestart {
-    /// Tier being restarted.
-    pub tier: ManagedTier,
-    /// Replicas still to bounce.
-    pub queue: VecDeque<ServerId>,
-    /// Replica currently out of rotation.
-    pub current: Option<ServerId>,
-    /// Replicas restarted so far.
-    pub done: usize,
 }
 
 impl J2eeApp {
@@ -412,11 +400,6 @@ impl J2eeApp {
         self.last_heartbeat[slot] = Some(now);
     }
 
-    /// Clears the pending CPU timer of `node`, if any.
-    pub(crate) fn cancel_cpu_timer(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId) {
-        ctx.disarm_timer(node.0);
-    }
-
     // ------------------------------------------------------------------
     // CPU job plumbing
     // ------------------------------------------------------------------
@@ -491,31 +474,23 @@ impl J2eeApp {
         panic!("bootstrap did not converge");
     }
 
+    /// Allocates a node and installs `package` on it, followed by the
+    /// management daemon on a managed system.
     #[cold]
-    fn allocate_and_install(&mut self, packages: &[&str]) -> (NodeId, SimDuration) {
+    fn allocate_and_install(&mut self, package: &str) -> NodeId {
         let node = self
             .legacy
             .cluster
             .allocate()
             .expect("initial deployment must fit the node pool");
-        let mut latency = SimDuration::ZERO;
-        for pkg in packages {
-            latency += self
-                .legacy
+        let daemon = self.cfg.jade.managed.then_some("jade-daemon");
+        for pkg in std::iter::once(package).chain(daemon) {
+            self.legacy
                 .sis
                 .install(&mut self.legacy.cluster, node, pkg)
                 .expect("installation on a fresh node");
         }
-        (node, latency)
-    }
-
-    #[cold]
-    fn daemon_packages(&self) -> Vec<&'static str> {
-        if self.cfg.jade.managed {
-            vec!["jade-daemon"]
-        } else {
-            vec![]
-        }
+        node
     }
 
     /// Creates a Tomcat replica (legacy process + management component)
@@ -638,21 +613,15 @@ impl J2eeApp {
         let dump = dataset_statements(self.cfg.dataset, &mut dump_rng);
         self.legacy.set_mysql_dump(rubis_schema(), dump);
 
-        let daemon = self.daemon_packages();
-
         // C-JDBC controller.
-        let mut cj_pkgs = vec!["cjdbc"];
-        cj_pkgs.extend(&daemon);
-        let (cj_node, _) = self.allocate_and_install(&cj_pkgs);
+        let cj_node = self.allocate_and_install("cjdbc");
         let cj_server =
             self.legacy
                 .create_cjdbc("C-JDBC", cj_node, self.cfg.description.database.read_policy);
         let cj_comp = self.adopt_cjdbc(cj_server);
 
         // PLB front-end.
-        let mut plb_pkgs = vec!["plb"];
-        plb_pkgs.extend(&daemon);
-        let (plb_node, _) = self.allocate_and_install(&plb_pkgs);
+        let plb_node = self.allocate_and_install("plb");
         let plb_server = self.legacy.create_plb(
             "PLB",
             plb_node,
@@ -663,16 +632,12 @@ impl J2eeApp {
         // Initial replicas.
         let mut tomcats = Vec::new();
         for _ in 0..self.cfg.description.application.replicas {
-            let mut pkgs = vec!["tomcat"];
-            pkgs.extend(&daemon);
-            let (node, _) = self.allocate_and_install(&pkgs);
+            let node = self.allocate_and_install("tomcat");
             tomcats.push(self.create_tomcat_replica(node));
         }
         let mut mysqls = Vec::new();
         for _ in 0..self.cfg.description.database.replicas {
-            let mut pkgs = vec!["mysql"];
-            pkgs.extend(&daemon);
-            let (node, _) = self.allocate_and_install(&pkgs);
+            let node = self.allocate_and_install("mysql");
             mysqls.push(self.create_mysql_replica(node));
         }
 
@@ -680,17 +645,13 @@ impl J2eeApp {
         // Apache servers (paper Figure 2).
         let mut apaches = Vec::new();
         if let Some(web) = self.cfg.description.web {
-            let mut l4_pkgs = vec!["plb"]; // same software class
-            l4_pkgs.extend(&daemon);
-            let (l4_node, _) = self.allocate_and_install(&l4_pkgs);
+            let l4_node = self.allocate_and_install("plb"); // same software class
             let l4_server = self
                 .legacy
                 .create_l4switch("L4-switch", l4_node, web.balance_policy);
             self.adopt_balancer(l4_server, false);
             for _ in 0..web.replicas {
-                let mut pkgs = vec!["apache"];
-                pkgs.extend(&daemon);
-                let (node, _) = self.allocate_and_install(&pkgs);
+                let node = self.allocate_and_install("apache");
                 apaches.push(self.create_apache_replica(node));
             }
         }

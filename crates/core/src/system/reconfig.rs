@@ -1,36 +1,50 @@
 //! The one record of "a reconfiguration is in flight".
 //!
-//! Each managed tier has at most one operation in flight (a resize, or the
-//! redeploy of a repair), kept here and nowhere else: whether a tier is
-//! busy and whether the arbitration slot is taken are read off this table.
-//! Handlers check an event against the operation's current phase, so a
-//! stale or mismatched event is ignored, and every operation leaves the
-//! table through [`J2eeApp::end_reconfiguration`] — on success, or aborted
-//! when its server fails before it serves.
+//! Each managed tier has at most one operation in flight (a resize, the
+//! redeploy of a repair, or one step of a rolling restart), kept here and
+//! nowhere else: whether a tier is busy and whether the arbitration slot
+//! is taken are read off this table. Handlers check an event against the
+//! operation's current phase, so a stale or mismatched event is ignored,
+//! and every operation leaves the table through
+//! [`J2eeApp::end_reconfiguration`] — on success, or aborted when its
+//! server fails before it serves. That exit also resumes a rolling
+//! restart waiting for the tier.
 
 use super::msg::{ManagedTier, Msg};
 use super::J2eeApp;
 use jade_fractal::ComponentId;
-use jade_sim::{Ctx, SimTime};
+use jade_sim::{Addr, Ctx, SimTime};
 use jade_tiers::ServerId;
+
+/// What an operation does to its replica: the handlers that branch on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReconfigKind {
+    /// Deploys a replica (scale-up, repair) or retires one (scale-down).
+    Resize,
+    /// Bounces a replica for a rolling restart: out of rotation, stopped,
+    /// started, back in.
+    RollingStep,
+}
 
 /// Step an in-flight reconfiguration has reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigPhase {
     /// Software being installed on the new replica's node.
     Installing,
-    /// The new replica's server process booting.
+    /// The new (or bounced) replica's server process booting.
     Booting,
-    /// A new database backend replaying the recovery log.
+    /// A new (or bounced) database backend replaying the recovery log.
     Syncing,
-    /// A retired replica draining before it is stopped.
+    /// A retired (or bounced) replica draining before it is stopped.
     Draining,
 }
 
 /// One in-flight reconfiguration of a managed tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconfiguration {
-    /// The replica being deployed or retired.
+    /// Resize or rolling step.
+    pub kind: ReconfigKind,
+    /// The replica being deployed, retired or bounced.
     pub server: ServerId,
     /// Its management component.
     pub comp: ComponentId,
@@ -45,7 +59,7 @@ pub struct Reconfiguration {
 pub(crate) enum Outcome {
     /// The replica joined (or, retiring, was released).
     Done,
-    /// The deployment was given up; counted in `reconfig.aborted`.
+    /// The operation was given up; counted in `reconfig.aborted`.
     Aborted,
 }
 
@@ -82,7 +96,8 @@ impl J2eeApp {
         self.in_flight(tier).is_some()
     }
 
-    /// The operation deploying or retiring `server`, with its tier.
+    /// The operation deploying, retiring or bouncing `server`, with its
+    /// tier.
     pub(crate) fn reconfiguration_on(
         &self,
         server: ServerId,
@@ -113,6 +128,7 @@ impl J2eeApp {
     pub(crate) fn begin_reconfiguration(
         &mut self,
         tier: ManagedTier,
+        kind: ReconfigKind,
         server: ServerId,
         comp: ComponentId,
         phase: ReconfigPhase,
@@ -121,6 +137,7 @@ impl J2eeApp {
         let entry = self.reconfig_slot(tier);
         debug_assert!(entry.is_none(), "{tier:?} already reconfiguring");
         *entry = Some(Reconfiguration {
+            kind,
             server,
             comp,
             phase,
@@ -136,19 +153,30 @@ impl J2eeApp {
     }
 
     /// The one exit: removes `tier`'s operation from the table. A
-    /// finished one records the new replica count.
+    /// finished one records the new replica count, and a rolling restart
+    /// of `tier` (waiting for the tier, or between two steps) moves on,
+    /// after the redeploy it owes a replica repaired meanwhile.
     pub(crate) fn end_reconfiguration(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         tier: ManagedTier,
         outcome: Outcome,
     ) {
-        if self.reconfig_slot(tier).take().is_none() {
+        let Some(op) = self.reconfig_slot(tier).take() else {
             return;
-        }
+        };
         match outcome {
             Outcome::Done => self.record_replica_series(ctx),
             Outcome::Aborted => ctx.metrics().incr("reconfig.aborted", 1),
+        }
+        if let Some(rolling) = self.rolling.as_mut().filter(|r| r.tier == tier) {
+            let bounced = op.kind == ReconfigKind::RollingStep && outcome == Outcome::Done;
+            rolling.done += usize::from(bounced);
+            ctx.send_now(Addr::ROOT, Msg::RollingNext);
+            if rolling.redeploys > 0 {
+                rolling.redeploys -= 1;
+                self.scale_up(ctx, tier);
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 //! whose node crashes while it installs, boots, replays the recovery log
 //! or drains must not wedge its tier — nor, under arbitration, the whole
 //! management plane. Every operation leaves the reconfiguration table,
-//! aborted or done, and the repair brings the tier back.
+//! aborted or done, and the repair brings the tier back. The same holds
+//! for the steps of a rolling restart.
 
 use jade::config::SystemConfig;
 use jade::experiment::{run_experiment_with, ExperimentOutput};
@@ -199,13 +200,26 @@ fn sweep_cfg(tier: ManagedTier, draining: bool, arbitration: bool) -> SystemConf
     cfg
 }
 
-/// Steps a fault-free run and returns, per phase the operation on `tier`
-/// went through, the span it was seen in and its replica's node.
-fn discover_phases(cfg: SystemConfig, tier: ManagedTier) -> Vec<(ReconfigPhase, f64, f64, NodeId)> {
+/// A bootstrapped engine for `cfg`, with a rolling restart of `roll` at
+/// [`ROLL_AT_S`].
+fn engine(cfg: SystemConfig, roll: Option<ManagedTier>) -> Engine<J2eeApp> {
     let seed = cfg.seed;
     let mut eng = Engine::new(J2eeApp::new(cfg), seed);
     eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    if let Some(tier) = roll {
+        eng.schedule(secs(ROLL_AT_S), Addr::ROOT, Msg::RollingRestart(tier));
+    }
+    eng
+}
+
+/// Steps a fault-free run and returns, per phase the first operation on
+/// `tier` went through, the span it was seen in and its replica's node.
+fn discover_phases(
+    mut eng: Engine<J2eeApp>,
+    tier: ManagedTier,
+) -> Vec<(ReconfigPhase, f64, f64, NodeId)> {
     let mut phases: Vec<(ReconfigPhase, f64, f64, NodeId)> = Vec::new();
+    let mut first = None;
     let mut t = 0.0;
     while t < 90.0 {
         t += 0.25;
@@ -217,6 +231,10 @@ fn discover_phases(cfg: SystemConfig, tier: ManagedTier) -> Vec<(ReconfigPhase, 
             }
             break;
         };
+        // A rolling restart's next step follows its first at once.
+        if *first.get_or_insert(op.server) != op.server {
+            break;
+        }
         let node = app
             .legacy
             .server(op.server)
@@ -238,7 +256,7 @@ fn sweep_phases(tier: ManagedTier, expect: &[ReconfigPhase]) {
     let draining = expect == [ReconfigPhase::Draining];
     for arbitration in [false, true] {
         let cfg = sweep_cfg(tier, draining, arbitration);
-        let phases = discover_phases(cfg.clone(), tier);
+        let phases = discover_phases(engine(cfg.clone(), None), tier);
         let seen: Vec<ReconfigPhase> = phases.iter().map(|p| p.0).collect();
         assert_eq!(seen, expect, "arbitration={arbitration}");
         let last_crash = phases.last().map_or(0.0, |p| p.2);
@@ -280,4 +298,74 @@ fn application_deployment_survives_a_crash_in_every_phase() {
 #[test]
 fn application_retirement_survives_a_crash_while_draining() {
     sweep_phases(ManagedTier::Application, &[ReconfigPhase::Draining]);
+}
+
+/// When the rolling sweeps issue their restart.
+const ROLL_AT_S: f64 = 30.0;
+
+/// Time allowed for a rolling restart of two replicas: per replica, 5 s of
+/// drain, the boot and, for a backend, the replay of what it missed.
+const ROLLING_RESTART_S: f64 = 45.0;
+
+/// Rolling sweeps: 120 clients on two replicas of each tier, pinned by the
+/// bounds, so the restart is the only reconfiguration.
+fn rolling_cfg(arbitration: bool) -> SystemConfig {
+    let mut cfg = faults_cfg(arbitration);
+    cfg.ramp = WorkloadRamp::constant(120);
+    cfg.description.application.replicas = 2;
+    cfg.description.database.replicas = 2;
+    for bounds in [&mut cfg.jade.app_loop, &mut cfg.jade.db_loop] {
+        bounds.min_replicas = 2;
+        bounds.max_replicas = 2;
+    }
+    cfg
+}
+
+/// Crashes the node of the first replica a rolling restart bounces at two
+/// instants inside each phase of its step. The step aborts in any phase,
+/// so by crash + 150 s the repair has left no operation in flight, and a
+/// restart issued then bounces both replicas.
+fn sweep_rolling_phases(tier: ManagedTier, expect: &[ReconfigPhase]) {
+    let done = format!("rolling restart of {tier:?} complete: 2 replicas bounced");
+    for arbitration in [false, true] {
+        let cfg = rolling_cfg(arbitration);
+        let phases = discover_phases(engine(cfg.clone(), Some(tier)), tier);
+        let seen: Vec<ReconfigPhase> = phases.iter().map(|p| p.0).collect();
+        assert_eq!(seen, expect, "arbitration={arbitration}");
+        for &(phase, from, to, node) in &phases {
+            for crash_s in [from + (to - from) / 3.0, from + 2.0 * (to - from) / 3.0] {
+                let ctx = format!("arbitration={arbitration} {phase:?} crash at {crash_s}");
+                let mut eng = engine(cfg.clone(), Some(tier));
+                eng.schedule(secs(crash_s), Addr::ROOT, Msg::CrashNode(node));
+                let settled = crash_s + AFTER_CRASH_S;
+                eng.run_until(secs(settled));
+                let log = &eng.app().reconfig_log;
+                assert_eq!(eng.app().in_flight(tier), None, "{ctx}: {log:?}");
+                assert_eq!(
+                    eng.metrics().counter("reconfig.aborted"),
+                    1,
+                    "{ctx}: {log:?}"
+                );
+                eng.schedule(secs(settled), Addr::ROOT, Msg::RollingRestart(tier));
+                eng.run_until(secs(settled + ROLLING_RESTART_S));
+                let log = &eng.app().reconfig_log;
+                assert!(
+                    log.iter().any(|(t, l)| *t >= secs(settled) && *l == done),
+                    "{ctx}: {log:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn database_rolling_step_survives_a_crash_in_every_phase() {
+    use ReconfigPhase::*;
+    sweep_rolling_phases(ManagedTier::Database, &[Draining, Booting, Syncing]);
+}
+
+#[test]
+fn application_rolling_step_survives_a_crash_in_every_phase() {
+    use ReconfigPhase::*;
+    sweep_rolling_phases(ManagedTier::Application, &[Draining, Booting]);
 }
