@@ -42,8 +42,10 @@
 //!   copy-on-write only when a result or replica still holds the row;
 //! * tables are themselves `Arc`'d copy-on-write: [`Database::snapshot`]
 //!   is an O(#tables) checkpoint and [`Database::from_snapshot`] an
-//!   O(#tables) restore; a restored replica deep-copies a table only when
-//!   a later write actually touches it.
+//!   O(#tables) restore. The first write to a shared table copies its
+//!   row-chunk pointers and only the index postings changed since the
+//!   share (each index is a shared base plus this table's own postings),
+//!   so a joiner's sync and its crash cost what its delta tail touched.
 //!
 //! [`Database::digest`] hashes tables in name order, columns in name
 //! order, `Null`s skipped — the same bytes as the name-keyed reference
@@ -60,16 +62,86 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// One secondary index: filter value → keys of matching rows, kept
-/// sorted ascending (keys are assigned monotonically, so insertion is an
-/// O(1) push; only update/delete need a binary-searched removal). Uses
-/// the workspace-wide deterministic fx hasher ([`jade_sim::det`]) — no
-/// per-process random state, a few ns per value instead of SipHash's
-/// tens. Posting lists are `Arc`'d so a copy-on-write table unshare
-/// (first write after [`Database::snapshot`]) clones the map skeleton
-/// but shares every posting allocation; only postings actually mutated
-/// afterwards are copied.
-type Index = DetHashMap<Value, Arc<Vec<u64>>>;
+/// Filter value → posting: the keys of matching rows, kept sorted
+/// ascending (keys are assigned monotonically, so insertion is an O(1)
+/// push; only update/delete need a binary-searched removal). Postings are
+/// `Arc`'d, so copying a map copies pointers, not key lists. Uses the
+/// workspace-wide deterministic fx hasher ([`jade_sim::det`]) — no
+/// per-process random state, a few ns per value instead of SipHash's tens.
+type PostingMap = DetHashMap<Value, Arc<Vec<u64>>>;
+
+/// An [`Index`]'s `own` postings fold into its `base` once they number
+/// more than `1 / OWN_FOLD` of it: one copy of a shared base per that many
+/// changed values.
+const OWN_FOLD: usize = 4;
+
+/// One secondary index, copy-on-write per posting — a shared checkpoint
+/// plus a tail, like the recovery log. `base` is shared with snapshots,
+/// the replicas restored from them and the dataset image; `own` holds the
+/// postings this table changed while `base` was shared (an empty one is a
+/// tombstone). A lookup checks `own`, then `base`; a sole owner of `base`
+/// writes straight into it. Unsharing a table thus copies `own`, not the
+/// index, and dropping a replica frees only `own`.
+#[derive(Debug, Clone, Default)]
+struct Index {
+    base: Arc<PostingMap>,
+    own: PostingMap,
+}
+
+impl Index {
+    /// The keys of the rows holding `value` (empty when none does).
+    fn posting(&self, value: &Value) -> &[u64] {
+        let posting = self.own.get(value).or_else(|| self.base.get(value));
+        posting.map_or(&[], |p| p.as_slice())
+    }
+
+    /// Applies `edit` to the posting of `value` (created empty when
+    /// absent), unsharing only that posting.
+    fn edit_posting(&mut self, value: &Value, edit: impl FnOnce(&mut Vec<u64>)) {
+        if let Some(base) = Arc::get_mut(&mut self.base) {
+            if !self.own.is_empty() {
+                fold_postings(base, &mut self.own);
+            }
+            let posting = Arc::make_mut(base.entry(value.clone()).or_default());
+            edit(posting);
+            if posting.is_empty() {
+                base.remove(value);
+            }
+            return;
+        }
+        let base = &self.base;
+        let seed = || base.get(value).cloned().unwrap_or_default();
+        let posting = self.own.entry(value.clone()).or_insert_with(seed);
+        edit(Arc::make_mut(posting));
+        if self.own.len() * OWN_FOLD > self.base.len() {
+            fold_postings(Arc::make_mut(&mut self.base), &mut self.own);
+        }
+    }
+}
+
+/// Equal when every value has the same posting on both sides, however
+/// each side splits its postings between `base` and `own`.
+impl PartialEq for Index {
+    fn eq(&self, other: &Self) -> bool {
+        let covered_by = |a: &Index, b: &Index| {
+            let same = |v: &Value| a.posting(v) == b.posting(v);
+            a.own.keys().all(same) && a.base.keys().all(same)
+        };
+        covered_by(self, other) && covered_by(other, self)
+    }
+}
+
+/// Moves every posting of `own` into `base`, dropping tombstoned values.
+/// The visit order cannot matter: each value is inserted or removed once.
+fn fold_postings(base: &mut PostingMap, own: &mut PostingMap) {
+    for (value, posting) in std::mem::take(own) {
+        if posting.is_empty() {
+            base.remove(&value);
+        } else {
+            base.insert(value, posting);
+        }
+    }
+}
 
 /// Rows per [`RowStore`] chunk. Small enough that unsharing one chunk
 /// after a snapshot is cheap, large enough that the per-chunk `Arc`
@@ -83,8 +155,8 @@ const ROW_CHUNK: usize = 256;
 /// makes the store copy-on-write at chunk granularity: cloning it (the
 /// first write to a table after [`Database::snapshot`]) copies
 /// O(#chunks) pointers, and only chunks actually written afterwards are
-/// deep-copied. A replica catching up from a checkpoint therefore does
-/// work proportional to the delta tail it applies, not to table size.
+/// deep-copied. A replica catching up from a checkpoint therefore copies
+/// one pointer per chunk plus the chunks its delta tail writes.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct RowStore {
     chunks: Vec<Arc<Vec<Option<SharedRow>>>>,
@@ -177,9 +249,10 @@ impl Table {
             return;
         }
         if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            let posting = Arc::make_mut(idx.entry(value.clone()).or_default());
-            debug_assert!(posting.last().is_none_or(|&last| last < key));
-            posting.push(key);
+            idx.edit_posting(value, |posting| {
+                debug_assert!(posting.last().is_none_or(|&last| last < key));
+                posting.push(key);
+            });
         }
     }
 
@@ -188,15 +261,11 @@ impl Table {
             return;
         }
         if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            if let Some(posting) = idx.get_mut(value) {
-                let posting = Arc::make_mut(posting);
+            idx.edit_posting(value, |posting| {
                 if let Ok(pos) = posting.binary_search(&key) {
                     posting.remove(pos);
                 }
-                if posting.is_empty() {
-                    idx.remove(value);
-                }
-            }
+            });
         }
     }
 
@@ -209,10 +278,11 @@ impl Table {
             return;
         }
         if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            let posting = Arc::make_mut(idx.entry(new.clone()).or_default());
-            if let Err(pos) = posting.binary_search(&key) {
-                posting.insert(pos, key);
-            }
+            idx.edit_posting(new, |posting| {
+                if let Err(pos) = posting.binary_search(&key) {
+                    posting.insert(pos, key);
+                }
+            });
         }
     }
 }
@@ -273,7 +343,8 @@ pub enum WriteDelta {
 /// A copy-on-write checkpoint of a database's full contents: cloning,
 /// taking and restoring are all O(#tables) reference bumps. A restored
 /// replica shares every table with the snapshot until a write touches it
-/// (`Arc::make_mut` then deep-copies just that table).
+/// (`Arc::make_mut` then copies that table's chunk pointers and its
+/// indexes' own postings; the index bases stay shared).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     schema: Arc<Schema>,
@@ -286,8 +357,9 @@ pub struct Database {
     schema: Arc<Schema>,
     /// Parallel to `schema`'s table list. Each table is `Arc`'d so
     /// snapshots and base-image restores share structure; the write path
-    /// pays one pointer check (`Arc::make_mut`) per statement and a deep
-    /// copy only on the first write after a snapshot was taken.
+    /// pays one pointer check (`Arc::make_mut`) per statement and a
+    /// shallow table copy only on the first write after a snapshot was
+    /// taken.
     tables: Vec<Arc<Table>>,
 }
 
@@ -335,8 +407,9 @@ impl Database {
         }
     }
 
-    /// Mutable access to a created table (copy-on-write: deep-copies the
-    /// table only when a snapshot or base image still shares it).
+    /// Mutable access to a created table (copy-on-write: copies the
+    /// table's chunk pointers and own postings only when a snapshot or
+    /// base image still shares it).
     // jade-audit: allow(hot-panic): every caller validates the TableId
     // through table_ref on the preceding line; ids come from compiled
     // plans resolved against this same catalog.
@@ -398,11 +471,9 @@ impl Database {
                 }
                 match t.indexes.get(column.0 as usize) {
                     Some(Some(idx)) => {
-                        if let Some(posting) = idx.get(value) {
-                            for &key in posting.iter().take(*limit) {
-                                let row = t.rows.get(key).expect("indexed row");
-                                out.push((key, Arc::clone(row)));
-                            }
+                        for &key in idx.posting(value).iter().take(*limit) {
+                            let row = t.rows.get(key).expect("indexed row");
+                            out.push((key, Arc::clone(row)));
                         }
                     }
                     // Unindexed column: key-ordered scan, identical
@@ -631,9 +702,7 @@ impl Database {
                     return Ok(ExecSummary::Rows(0));
                 }
                 let n = match t.indexes.get(column.0 as usize) {
-                    Some(Some(idx)) => idx
-                        .get(value)
-                        .map_or(0, |posting| posting.len().min(*limit)),
+                    Some(Some(idx)) => idx.posting(value).len().min(*limit),
                     _ => {
                         let mut n = 0usize;
                         for (_, row) in t.iter() {
@@ -1189,5 +1258,96 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(now[0], Value::Int(2));
+    }
+
+    /// The index on `t.a` (the test schema's one indexed column) among a
+    /// database's or a snapshot's tables.
+    fn t_a_index(tables: &[Arc<Table>]) -> &Index {
+        let t = &tables[schema().table_id("t").unwrap().0 as usize];
+        t.indexes[0].as_ref().expect("t.a is indexed")
+    }
+
+    /// A restored replica's sync costs its tail, not its table: after 16
+    /// deltas against 10 000 indexed values, the index base is still the
+    /// snapshot's and the replica owns at most one posting per delta and
+    /// indexed column — a count, not a timing.
+    #[test]
+    fn restored_replica_copies_only_the_postings_its_tail_touches() {
+        let schema = schema();
+        let mut primary = db();
+        primary.execute(&schema.create_table("t")).unwrap();
+        for v in 0..10_000 {
+            primary
+                .execute(&schema.insert("t", &[("a", Value::Int(v))]))
+                .unwrap();
+        }
+        let snap = primary.snapshot();
+        let tail: Vec<WriteDelta> = (0..8)
+            .flat_map(|i| {
+                let insert = schema.insert("t", &[("a", Value::Int(20_000 + i))]);
+                [insert, schema.delete("t", 100 * i as u64)]
+            })
+            .map(|stmt| primary.execute_capture(&stmt).unwrap().1)
+            .collect();
+        assert_eq!(tail.len(), 16);
+        let mut joiner = Database::from_snapshot(&snap);
+        for delta in &tail {
+            joiner.apply_delta(delta).unwrap();
+        }
+        let (restored, frozen) = (t_a_index(&joiner.tables), t_a_index(&snap.tables));
+        assert!(Arc::ptr_eq(&restored.base, &frozen.base));
+        let indexed_columns = schema
+            .table(schema.table_id("t").unwrap())
+            .unwrap()
+            .indexed()
+            .len();
+        assert!(restored.own.len() <= tail.len() * indexed_columns);
+        assert!(frozen.own.is_empty() && frozen.base.len() == 10_000);
+        assert_eq!(joiner, primary);
+        let deleted = schema.select_where("t", "a", Value::Int(700), 10);
+        assert_eq!(joiner.execute(&deleted).unwrap().cardinality(), 0);
+    }
+
+    /// Equality compares what the indexes hold, not how each splits it
+    /// between base and own postings: a database written directly equals
+    /// one that reached the same rows through a restore, a tail that
+    /// folded, and a second share that left tombstones.
+    #[test]
+    fn equality_compares_index_content_not_its_layering() {
+        let schema = schema();
+        let ins = |v: i64| schema.insert("t", &[("a", Value::Int(v))]);
+        let prefix: Vec<Statement> = std::iter::once(schema.create_table("t"))
+            .chain((0..40).map(ins))
+            .collect();
+        // Twelve tombstones against a 40-value base: more than a quarter
+        // of it, so the own postings fold.
+        let folding: Vec<Statement> = (0..12).map(|k| schema.delete("t", k)).collect();
+        let tail = [
+            schema.delete("t", 20),
+            schema.update("t", 21, &[("a", Value::Int(22))]),
+            ins(99),
+        ];
+        let mut direct = db();
+        for stmt in prefix.iter().chain(&folding).chain(&tail) {
+            direct.execute(stmt).unwrap();
+        }
+        let mut primary = db();
+        for stmt in &prefix {
+            primary.execute(stmt).unwrap();
+        }
+        let first = primary.snapshot();
+        let mut layered = Database::from_snapshot(&first);
+        for stmt in &folding {
+            layered.execute(stmt).unwrap();
+        }
+        let _second = layered.snapshot();
+        for stmt in &tail {
+            layered.execute(stmt).unwrap();
+        }
+        let idx = t_a_index(&layered.tables);
+        assert!(!Arc::ptr_eq(&idx.base, &t_a_index(&first.tables).base));
+        assert!(idx.own.values().any(|posting| posting.is_empty()));
+        assert_eq!(layered, direct);
+        assert_eq!(layered.digest(), direct.digest());
     }
 }

@@ -16,14 +16,22 @@
 //! snapshot path is actually taken), and at the end every replica must
 //! match a from-scratch replay of every statement the cluster accepted —
 //! recorded by the test's model, not read back from the (truncating) log
-//! under test.
+//! under test. Digests hash rows only, so the churn property also probes
+//! every indexed column × every value of the case's domain with a `Scan`
+//! — at the end of each case and after every snapshot restore — and
+//! holds the counts to a replica built by plain replay: an index that
+//! diverged under copy-on-write (a lost tombstone, a bad fold) fails
+//! there. A second domain, wide enough that each table's own postings
+//! outlive several shares before they fold, runs the same property.
 //!
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
 use jade_bench::NaiveReplication;
 use jade_propcheck::{run, Gen};
+use jade_sim::SimDuration;
 use jade_tiers::cjdbc::{BackendStatus, CjdbcController, ReadPolicy};
+use jade_tiers::plan::{Operand, PlanStep, StepOp};
 use jade_tiers::recovery::SyncPlan;
 use jade_tiers::sql::{ColId, Schema, Statement, TableId, Value};
 use jade_tiers::storage::Database;
@@ -33,7 +41,31 @@ use std::sync::Arc;
 
 const TABLE_NAMES: &[&str] = &["t0", "t1", "t2"];
 const COL_NAMES: &[&str] = &["c0", "c1", "c2", "c3"];
-const MAX_KEY: u64 = 32;
+const TEXTS: &[&str] = &["x", "y", "zz"];
+
+/// The values and keys a case draws from, and how many churn ops it runs.
+#[derive(Debug, Clone, Copy)]
+struct Domain {
+    ints: u64,
+    max_key: u64,
+    max_ops: usize,
+}
+
+/// A small value domain so no-op column sets and index moves hit.
+const NARROW: Domain = Domain {
+    ints: 6,
+    max_key: 32,
+    max_ops: 100,
+};
+
+/// Enough distinct values that a table's own postings stay a small part
+/// of its shared base across snapshots, and enough writes that they
+/// still outgrow it and fold.
+const WIDE: Domain = Domain {
+    ints: 160,
+    max_key: 96,
+    max_ops: 320,
+};
 
 /// A random schema: 1–3 tables, 1–4 columns each, roughly half of the
 /// columns carrying a secondary index (so delta application exercises
@@ -57,41 +89,85 @@ fn gen_schema(g: &mut Gen) -> Arc<Schema> {
     b.build()
 }
 
-fn gen_value(g: &mut Gen) -> Value {
+fn gen_value(g: &mut Gen, domain: Domain) -> Value {
     match g.weighted(&[2, 5, 2]) {
         0 => Value::Null,
-        // A small value domain so no-op column sets and index moves hit.
-        1 => Value::Int(g.u64(0..6) as i64),
-        _ => Value::Text(g.choose(&["x", "y", "zz"]).to_string()),
+        1 => Value::Int(g.u64(0..domain.ints) as i64),
+        _ => Value::Text(g.choose(TEXTS).to_string()),
+    }
+}
+
+/// Every non-null value `gen_value` can draw in `domain`.
+fn domain_values(domain: Domain) -> impl Iterator<Item = Value> {
+    let ints = (0..domain.ints as i64).map(Value::Int);
+    ints.chain(TEXTS.iter().map(|t| Value::Text(t.to_string())))
+}
+
+/// `Scan` results for every indexed column × every domain value (errors
+/// included, for tables not created yet), in a fixed order.
+fn index_scans(db: &Database, domain: Domain) -> Vec<String> {
+    let schema = Arc::clone(db.schema());
+    let mut out = Vec::new();
+    for t in 0..schema.len() {
+        let table = TableId(t as u16);
+        for &column in schema.table(table).expect("in range").indexed() {
+            for value in domain_values(domain) {
+                let op = StepOp::Scan {
+                    table,
+                    column,
+                    value: Operand::Const(value.clone()),
+                    limit: usize::MAX,
+                };
+                let step = PlanStep {
+                    op,
+                    demand: SimDuration::ZERO,
+                };
+                let got = db.read_step_summary(&step, &[]);
+                out.push(format!("t{t}.c{} = {value:?}: {got:?}", column.0));
+            }
+        }
+    }
+    out
+}
+
+/// Panics at the first indexed `Scan` on which `db` and `oracle` differ.
+fn assert_same_index_scans(db: &Database, oracle: &Database, domain: Domain, what: &str) {
+    let want = index_scans(oracle, domain);
+    let got = index_scans(db, domain);
+    if let Some((got, want)) = got.iter().zip(&want).find(|(got, want)| got != want) {
+        panic!("{what}: {got}, but plain replay gives {want}");
     }
 }
 
 /// One random *write* against `schema`, including creates of existing
 /// tables (idempotent) and updates/deletes of missing keys (error or
 /// no-op paths — both must capture faithfully).
-fn gen_write(g: &mut Gen, schema: &Schema) -> Statement {
+fn gen_write(g: &mut Gen, schema: &Schema, domain: Domain) -> Statement {
     let table = TableId(g.u64(0..schema.len() as u64) as u16);
     let def = schema.table(table).expect("in range");
     let width = def.width();
     match g.weighted(&[2, 6, 4, 2]) {
         0 => Statement::CreateTable { table },
         1 => {
-            let row = (0..width).map(|_| gen_value(g)).collect();
+            let row = (0..width).map(|_| gen_value(g, domain)).collect();
             Statement::Insert { table, row }
         }
         2 => {
             let set = (0..g.usize(1..width + 1))
-                .map(|_| (ColId(g.u64(0..width as u64) as u16), gen_value(g)))
+                .map(|_| {
+                    let col = ColId(g.u64(0..width as u64) as u16);
+                    (col, gen_value(g, domain))
+                })
                 .collect();
             Statement::Update {
                 table,
-                key: g.u64(0..MAX_KEY),
+                key: g.u64(0..domain.max_key),
                 set,
             }
         }
         _ => Statement::Delete {
             table,
-            key: g.u64(0..MAX_KEY),
+            key: g.u64(0..domain.max_key),
         },
     }
 }
@@ -104,7 +180,7 @@ fn delta_apply_matches_reexecution() {
     run("delta_apply_matches_reexecution", 256, |g| {
         let schema = gen_schema(g);
         let writes: Vec<Arc<Statement>> = g
-            .vec(1..80, |g| gen_write(g, &schema))
+            .vec(1..80, |g| gen_write(g, &schema, NARROW))
             .into_iter()
             .map(Arc::new)
             .collect();
@@ -184,13 +260,14 @@ struct Model {
     dbs: BTreeMap<ServerId, Database>,
     pending: BTreeMap<ServerId, SyncPlan>,
     schema: Arc<Schema>,
+    domain: Domain,
     /// Every statement the controller accepted, in log order — the
     /// oracle's input, independent of what the recovery log retains.
     accepted: Vec<Arc<Statement>>,
 }
 
 impl Model {
-    fn new(schema: Arc<Schema>, backends: u32, snapshot_every: u64) -> Self {
+    fn new(schema: Arc<Schema>, domain: Domain, backends: u32, snapshot_every: u64) -> Self {
         let mut ctrl = CjdbcController::new(ReadPolicy::RoundRobin, Arc::clone(&schema));
         ctrl.set_snapshot_interval(snapshot_every);
         let mut dbs = BTreeMap::new();
@@ -206,8 +283,19 @@ impl Model {
             dbs,
             pending: BTreeMap::new(),
             schema,
+            domain,
             accepted: Vec::new(),
         }
+    }
+
+    /// The oracle: a fresh database replaying the first `n` accepted
+    /// statements, ignoring the log, snapshots and deltas entirely.
+    fn replay(&self, n: usize) -> Database {
+        let mut oracle = Database::new(Arc::clone(&self.schema));
+        for stmt in &self.accepted[..n] {
+            let _ = oracle.execute(stmt);
+        }
+        oracle
     }
 
     fn write(&mut self, stmt: Statement) {
@@ -263,6 +351,14 @@ impl Model {
                 }
             }
         }
+        // A restored replica reads its indexes through the snapshot's
+        // shared postings: hold them to a plain replay of the same prefix.
+        if let Some((position, _)) = &plan.snapshot {
+            let reached = plan.entries.last().map_or(*position, |e| e.index + 1);
+            let oracle = self.replay(reached as usize);
+            let what = format!("{id:?} restored at {position}, synced to {reached}");
+            assert_same_index_scans(&self.dbs[&id], &oracle, self.domain, &what);
+        }
     }
 
     /// Applies the open batch and acknowledges it; returns true when the
@@ -299,7 +395,7 @@ impl Model {
     fn apply(&mut self, g: &mut Gen, op: &Op) {
         match op {
             Op::Write => {
-                let stmt = gen_write(g, &Arc::clone(&self.schema));
+                let stmt = gen_write(g, &Arc::clone(&self.schema), self.domain);
                 self.write(stmt);
             }
             Op::Disable(i) => {
@@ -340,50 +436,65 @@ impl Model {
     }
 }
 
+/// One churn case over `domain`: random membership churn, then every
+/// replica brought back in and held to a from-scratch replay of every
+/// accepted statement — by digest (rows) and by indexed scans.
+fn churn_case(g: &mut Gen, domain: Domain) {
+    let schema = gen_schema(g);
+    let backends = g.u32(2..5);
+    // Aggressively small snapshot cadence so joins actually take the
+    // snapshot path (interval 1 checkpoints — and empties the log —
+    // after every write).
+    let snapshot_every = g.u64(1..6);
+    let mut m = Model::new(Arc::clone(&schema), domain, backends, snapshot_every);
+    // Seed the schema's tables so most writes land.
+    for t in 0..schema.len() {
+        m.write(Statement::CreateTable {
+            table: TableId(t as u16),
+        });
+    }
+    let ops = g.vec(1..domain.max_ops, gen_op);
+    for op in &ops {
+        m.apply(g, op);
+    }
+    // Bring everyone back in (finishing half-open syncs first).
+    let ids: Vec<ServerId> = m.dbs.keys().copied().collect();
+    for id in ids {
+        m.enable_fully(id);
+    }
+    assert_eq!(m.ctrl.recovery_log().head(), m.accepted.len() as u64);
+    let oracle = m.replay(m.accepted.len());
+    let expect = oracle.digest();
+    for (id, db) in &m.dbs {
+        assert_eq!(
+            db.digest(),
+            expect,
+            "replica {id:?} diverged from full-log replay \
+             (snapshot_every={snapshot_every})"
+        );
+        assert_same_index_scans(db, &oracle, domain, &format!("replica {id:?} at the end"));
+    }
+}
+
 /// Under arbitrary membership churn — including syncs left open across
 /// racing writes and checkpoints that truncate the log under them —
-/// snapshot+tail joins converge every replica to the digest of a
-/// from-scratch replay of every accepted statement.
+/// snapshot+tail joins converge every replica to a from-scratch replay of
+/// every accepted statement, rows and indexes alike.
 #[test]
 fn churned_replicas_match_full_log_replay() {
     run("churned_replicas_match_full_log_replay", 192, |g| {
-        let schema = gen_schema(g);
-        let backends = g.u32(2..5);
-        // Aggressively small snapshot cadence so joins actually take the
-        // snapshot path (interval 1 checkpoints — and empties the log —
-        // after every write).
-        let snapshot_every = g.u64(1..6);
-        let mut m = Model::new(Arc::clone(&schema), backends, snapshot_every);
-        // Seed the schema's tables so most writes land.
-        for t in 0..schema.len() {
-            m.write(Statement::CreateTable {
-                table: TableId(t as u16),
-            });
-        }
-        let ops = g.vec(1..100, gen_op);
-        for op in &ops {
-            m.apply(g, op);
-        }
-        // Bring everyone back in (finishing half-open syncs first).
-        let ids: Vec<ServerId> = m.dbs.keys().copied().collect();
-        for id in ids {
-            m.enable_fully(id);
-        }
-        // Oracle: replay every accepted statement from scratch, ignoring
-        // the log, snapshots and deltas entirely.
-        assert_eq!(m.ctrl.recovery_log().head(), m.accepted.len() as u64);
-        let mut oracle = Database::new(Arc::clone(&schema));
-        for stmt in &m.accepted {
-            let _ = oracle.execute(stmt);
-        }
-        let expect = oracle.digest();
-        for (id, db) in &m.dbs {
-            assert_eq!(
-                db.digest(),
-                expect,
-                "replica {id:?} diverged from full-log replay \
-                 (snapshot_every={snapshot_every})"
-            );
-        }
+        churn_case(g, NARROW)
     });
+}
+
+/// The same property over a wide value domain and a longer run: own
+/// postings (tombstones included) survive several snapshots, restores
+/// and unshares before they outgrow their base and fold into it.
+#[test]
+fn churned_wide_domain_replicas_match_full_log_replay() {
+    run(
+        "churned_wide_domain_replicas_match_full_log_replay",
+        48,
+        |g| churn_case(g, WIDE),
+    );
 }
