@@ -41,7 +41,7 @@ pub struct FnSym {
 /// Why a function is hot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HotCause {
-    /// Textually annotated (`#[jade_hot]` / `// jade-audit: hot`).
+    /// Textually annotated (`#[jade_hot]`).
     Root,
     /// Reachable from a root; the payload is the qualified name of the
     /// immediate caller that propagated hotness (for diagnostics).
@@ -201,7 +201,7 @@ mod tests {
 
     fn hot_names(src: &str) -> Vec<(String, bool)> {
         let lexed = lex(src);
-        let items = parse_items(&lexed, &[]);
+        let items = parse_items(&lexed);
         let files = vec![(lexed.tokens.as_slice(), items.as_slice())];
         let cg = CallGraph::build(&files);
         let hs = cg.hot_reachability(&files);

@@ -85,15 +85,14 @@ pub struct SourceFile {
     pub src: String,
     /// Token stream + comments.
     pub lexed: Lexed,
-    /// Parsed fn items (hot markers already attached).
+    /// Parsed fn items.
     pub items: Vec<FnItem>,
 }
 
 /// Lexes and parses one source file.
 fn load_source(rel: String, src: String) -> SourceFile {
     let lexed = lexer::lex(&src);
-    let markers = rules::hot_marker_lines(&lexed);
-    let items = parse::parse_items(&lexed, &markers);
+    let items = parse::parse_items(&lexed);
     SourceFile {
         rel,
         src,
@@ -229,7 +228,7 @@ pub struct UnitInventory {
     pub unsafe_tokens: usize,
     /// Whether any file declares `#![forbid(unsafe_code)]`.
     pub forbids_unsafe: bool,
-    /// `#[jade_hot]` / `jade-audit: hot` marked functions.
+    /// `#[jade_hot]` marked functions.
     pub hot_fns: usize,
     /// Functions hot-*reachable* through the workspace call graph
     /// (always ≥ the textually marked count for units with roots).
@@ -238,21 +237,23 @@ pub struct UnitInventory {
     pub suppressions: usize,
 }
 
-/// A `#[jade_hot]` root as reported by [`hot_report`].
+/// A `#[jade_hot]` root as reported by [`hot_report`]. Roots are keyed
+/// (and sorted) by file and name; the line is for the text inventory
+/// only, so code moving above a root never changes the JSON snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct HotRoot {
     /// Workspace-relative file.
     pub file: String,
-    /// Line of the `fn` signature.
-    pub line: u32,
     /// Qualified name (`Type::name` or `name`).
     pub name: String,
+    /// Line of the `fn` signature.
+    pub line: u32,
 }
 
 /// The interprocedural hot-path report (the `inventory` extension).
 #[derive(Debug, Default)]
 pub struct HotReport {
-    /// Textually marked roots, sorted by (file, line).
+    /// Textually marked roots, sorted by (file, name).
     pub roots: Vec<HotRoot>,
     /// Unit → number of hot-reachable functions, sorted by unit.
     pub reachable_by_unit: Vec<(String, usize)>,
@@ -277,8 +278,8 @@ pub fn hot_report(files: &[SourceFile]) -> HotReport {
         if it.hot_marked {
             report.roots.push(HotRoot {
                 file: f.rel.clone(),
-                line: it.sig_line,
                 name: it.qualified_name(),
+                line: it.sig_line,
             });
         }
     }
@@ -293,9 +294,8 @@ pub fn hot_report_json(report: &HotReport) -> String {
     let mut out = String::from("{\n  \"roots\": [\n");
     for (i, r) in report.roots.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"name\": \"{}\"}}{}\n",
+            "    {{\"file\": \"{}\", \"name\": \"{}\"}}{}\n",
             json_escape(&r.file),
-            r.line,
             json_escape(&r.name),
             if i + 1 < report.roots.len() { "," } else { "" }
         ));
@@ -369,12 +369,10 @@ pub fn inventory_of(files: &[SourceFile]) -> Vec<UnitInventory> {
             let t = c
                 .text
                 .trim_start_matches(|c: char| c == '!' || c == '/' || c.is_whitespace());
-            if let Some(rest) = t.strip_prefix("jade-audit:").map(str::trim) {
-                if rest.starts_with("allow") {
-                    inv.suppressions += 1;
-                } else if rest == "hot" {
-                    inv.hot_fns += 1;
-                }
+            if t.strip_prefix("jade-audit:")
+                .is_some_and(|rest| rest.trim().starts_with("allow"))
+            {
+                inv.suppressions += 1;
             }
         }
     }

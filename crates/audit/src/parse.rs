@@ -42,7 +42,7 @@ pub struct FnItem {
     /// Last line of the item (closing brace, or the signature line for
     /// bodyless declarations).
     pub end_line: u32,
-    /// Carries `#[jade_hot]` or a `// jade-audit: hot` marker.
+    /// Carries `#[jade_hot]`.
     pub hot_marked: bool,
     /// Carries `#[cold]` — excluded from hot-path propagation.
     pub cold: bool,
@@ -133,11 +133,8 @@ struct PendingAttrs {
     cold: bool,
 }
 
-/// Parses all `fn` items out of a lexed file. `hot_marker_lines` are the
-/// lines of `// jade-audit: hot` comments (the comment form of
-/// `#[jade_hot]`): a marker whose next code line is the item's first
-/// line marks that item hot.
-pub fn parse_items(lexed: &Lexed, hot_marker_lines: &[u32]) -> Vec<FnItem> {
+/// Parses all `fn` items out of a lexed file.
+pub fn parse_items(lexed: &Lexed) -> Vec<FnItem> {
     let toks = &lexed.tokens;
     let closes = match_braces(toks);
     let ident = |i: usize| -> Option<&str> {
@@ -147,9 +144,6 @@ pub fn parse_items(lexed: &Lexed, hot_marker_lines: &[u32]) -> Vec<FnItem> {
         })
     };
     let punct = |i: usize, c: char| matches!(toks.get(i), Some(Token { tok: Tok::Punct(p), .. }) if *p == c);
-    // First code line after `line`, for attaching comment hot markers.
-    let next_code_line =
-        |after: u32| -> Option<u32> { toks.iter().map(|t| t.line).find(|&l| l > after) };
 
     let mut out = Vec::new();
     // (self type, token index of the scope's closing brace)
@@ -269,9 +263,6 @@ pub fn parse_items(lexed: &Lexed, hot_marker_lines: &[u32]) -> Vec<FnItem> {
                 let end_line = body
                     .and_then(|(_, c)| toks.get(c).map(|t| t.line))
                     .unwrap_or(sig_line);
-                let hot_comment = hot_marker_lines
-                    .iter()
-                    .any(|&m| m < attr_line && next_code_line(m) == Some(attr_line));
                 out.push(FnItem {
                     name: name.to_owned(),
                     self_ty: scope_stack.last().map(|(t, _)| t.clone()),
@@ -279,7 +270,7 @@ pub fn parse_items(lexed: &Lexed, hot_marker_lines: &[u32]) -> Vec<FnItem> {
                     sig_line,
                     body,
                     end_line,
-                    hot_marked: attrs.hot || hot_comment,
+                    hot_marked: attrs.hot,
                     cold: attrs.cold,
                 });
                 // Continue scanning *inside* the body too: nested items
@@ -318,7 +309,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> Vec<FnItem> {
-        parse_items(&lex(src), &[])
+        parse_items(&lex(src))
     }
 
     #[test]
@@ -360,14 +351,6 @@ mod tests {
         assert!(items[1].cold && !items[1].hot_marked);
         assert_eq!(items[1].attr_line, 3);
         assert!(!items[2].hot_marked && !items[2].cold);
-    }
-
-    #[test]
-    fn hot_comment_marker_binds_to_next_item() {
-        let src = "// jade-audit: hot\nfn marked() {}\nfn unmarked() {}\n";
-        let items = parse_items(&lex(src), &[1]);
-        assert!(items[0].hot_marked);
-        assert!(!items[1].hot_marked);
     }
 
     #[test]

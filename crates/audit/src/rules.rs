@@ -8,9 +8,9 @@
 //!
 //! | rule | what it catches |
 //! |------|-----------------|
-//! | `nondet-time`      | `Instant::now` / `SystemTime::now` outside the bench crate |
+//! | `nondet-time`      | `Instant::now` / `SystemTime::now` (wall-clock reads) |
 //! | `nondet-rand`      | `thread_rng` / `from_entropy` (OS-seeded randomness) |
-//! | `nondet-env`       | `std::env::var*` outside `crates/bench/src/cli.rs` |
+//! | `nondet-env`       | `std::env::var*` (ambient knobs instead of CLI flags) |
 //! | `nondet-hasher`    | `HashMap`/`HashSet` with the default `RandomState` in digest crates |
 //! | `unordered-iter`   | iterating a hash map/set without an ordered sink |
 //! | `packing-cast`     | truncating `as` casts on id-like integers outside the packing modules |
@@ -116,7 +116,7 @@ impl Rule {
         match self {
             Rule::NondetTime => "wall-clock reads; simulation code must use virtual time (SimTime)",
             Rule::NondetRand => "OS-seeded randomness; use the run's seeded SimRng",
-            Rule::NondetEnv => "environment reads outside crates/bench/src/cli.rs",
+            Rule::NondetEnv => "environment reads; configure runs through CLI flags",
             Rule::NondetHasher => {
                 "HashMap/HashSet with the default RandomState hasher in digest-feeding crates"
             }
@@ -182,8 +182,8 @@ impl fmt::Display for Diagnostic {
 /// How path-based scoping is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScopeMode {
-    /// Workspace layout scoping (digest crates, bench exemptions, packing
-    /// modules) — the CI configuration.
+    /// Workspace layout scoping (digest crates, packing modules) — the CI
+    /// configuration.
     Workspace,
     /// Every enabled rule applies to every file — used for explicit file
     /// arguments and the fixture tests.
@@ -238,12 +238,9 @@ pub fn rule_in_scope(rule: Rule, path: &str, mode: ScopeMode) -> bool {
         return true;
     }
     match rule {
-        // The bench harness measures wall-clock by design (its numbers are
-        // *labelled* wall-clock); everything else runs on virtual time.
-        Rule::NondetTime => !path.starts_with("crates/bench/"),
-        Rule::NondetRand => true,
-        // All environment knobs funnel through the bench CLI module.
-        Rule::NondetEnv => path != "crates/bench/src/cli.rs",
+        // The clock, OS entropy and the environment are off limits in
+        // every crate: a run is a function of its flags, scenario and seed.
+        Rule::NondetTime | Rule::NondetRand | Rule::NondetEnv => true,
         Rule::NondetHasher | Rule::UnorderedIter | Rule::FloatFold => in_digest_scope(path),
         Rule::PackingCast => in_digest_scope(path) && !PACKING_MODULES.contains(&path),
         // The hot contract is a property of the simulation substrate;
@@ -262,7 +259,6 @@ enum Directive {
     /// where the flagged idiom *is* the design and a per-site comment
     /// would repeat the same structural invariant dozens of times.
     AllowFile(Vec<Rule>),
-    Hot,
 }
 
 /// Parses the directive out of a comment body, if any. `Some(Err)` is a
@@ -274,9 +270,6 @@ enum Directive {
 fn parse_directive(text: &str) -> Option<Result<Directive, String>> {
     let t = text.trim_start_matches(|c: char| c == '!' || c == '/' || c.is_whitespace());
     let rest = t.strip_prefix("jade-audit:")?.trim();
-    if rest == "hot" {
-        return Some(Ok(Directive::Hot));
-    }
     if let Some(args) = rest.strip_prefix("allow") {
         let file_scope = args.starts_with("-file");
         let args = args.strip_prefix("-file").unwrap_or(args).trim_start();
@@ -314,19 +307,6 @@ fn parse_directive(text: &str) -> Option<Result<Directive, String>> {
         }));
     }
     Some(Err(format!("unrecognized jade-audit directive '{rest}'")))
-}
-
-/// Lines of `// jade-audit: hot` markers (the comment form of
-/// `#[jade_hot]`) in a lexed file, for the item parser.
-pub fn hot_marker_lines(lexed: &Lexed) -> Vec<u32> {
-    lexed
-        .comments
-        .iter()
-        .filter_map(|c| match parse_directive(&c.text) {
-            Some(Ok(Directive::Hot)) => Some(c.line),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Identifiers (or snake_case segments) that mark an integer as id-like
@@ -456,8 +436,7 @@ impl HotRegion {
 /// diagnostic.
 pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
     let lexed = crate::lexer::lex(src);
-    let markers = hot_marker_lines(&lexed);
-    let items = crate::parse::parse_items(&lexed, &markers);
+    let items = crate::parse::parse_items(&lexed);
     let files = vec![(lexed.tokens.as_slice(), items.as_slice())];
     let cg = crate::callgraph::CallGraph::build(&files);
     let hot = cg.hot_reachability(&files);
@@ -513,14 +492,13 @@ pub fn analyze_file(
     };
 
     // ------------------------------------------------------------------
-    // Comments: suppressions and bad directives (hot markers were already
-    // consumed by the parser).
+    // Comments: suppressions and bad directives.
     // ------------------------------------------------------------------
     let mut suppressions: Vec<(u32, Vec<Rule>)> = Vec::new();
     let mut file_allows: BTreeSet<Rule> = BTreeSet::new();
     for Comment { line, text } in &lexed.comments {
         match parse_directive(text) {
-            None | Some(Ok(Directive::Hot)) => {}
+            None => {}
             Some(Ok(Directive::Allow(rules))) => suppressions.push((*line, rules)),
             Some(Ok(Directive::AllowFile(rules))) => file_allows.extend(rules),
             Some(Err(msg)) if enabled(Rule::BadSuppression) => {
@@ -731,8 +709,8 @@ pub fn analyze_file(
                             line,
                             Rule::NondetEnv,
                             format!(
-                                "env::{} reads process environment; route knobs through \
-                                 crates/bench/src/cli.rs so runs are self-describing",
+                                "env::{} reads process environment; take the knob as a \
+                                 CLI flag so runs are self-describing",
                                 ident(i + 3).unwrap_or("var")
                             ),
                         ));

@@ -128,13 +128,15 @@ fn unbounded_growth_fixtures() {
 #[test]
 fn suppression_fixtures() {
     // Reason-less, unknown-rule and unrecognized directives are each a
-    // bad-suppression violation at the directive's own line.
+    // bad-suppression violation at the directive's own line — including
+    // a leftover `hot` comment, which `#[jade_hot]` replaced.
     assert_eq!(
         diags("bad_suppression.rs"),
         vec![
             (3, Rule::BadSuppression),
             (8, Rule::BadSuppression),
-            (13, Rule::BadSuppression)
+            (13, Rule::BadSuppression),
+            (17, Rule::BadSuppression)
         ]
     );
     // Reasoned suppressions (preceding-line and same-line forms) silence
@@ -145,7 +147,7 @@ fn suppression_fixtures() {
 #[test]
 fn suppression_binds_to_the_item_through_attributes() {
     // A suppression directly above `#[jade_hot]` (or above the signature,
-    // below a `hot` marker) covers the item's whole body, not just the
+    // below the attribute) covers the item's whole body, not just the
     // next line.
     assert_eq!(diags("good_suppression_item.rs"), vec![]);
 }
@@ -204,6 +206,18 @@ fn plan_module_is_inside_the_digest_scope() {
     assert!(rule_in_scope(
         Rule::UnorderedIter,
         req,
+        ScopeMode::Workspace
+    ));
+    // The figure harness reads no clock and its CLI no environment: the
+    // wall-clock and environment rules hold in every crate.
+    assert!(rule_in_scope(
+        Rule::NondetTime,
+        "crates/bench/src/harness.rs",
+        ScopeMode::Workspace
+    ));
+    assert!(rule_in_scope(
+        Rule::NondetEnv,
+        "crates/bench/src/cli.rs",
         ScopeMode::Workspace
     ));
 }

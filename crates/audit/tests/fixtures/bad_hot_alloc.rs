@@ -13,7 +13,7 @@ impl Q {
         out
     }
 
-    // jade-audit: hot
+    #[jade_hot]
     pub fn snapshot(&self) -> Vec<u64> {
         self.items.to_vec()
     }

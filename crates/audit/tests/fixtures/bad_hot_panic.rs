@@ -9,7 +9,7 @@ impl Q {
         self.items[i]
     }
 
-    // jade-audit: hot
+    #[jade_hot]
     pub fn head(&self) -> u64 {
         *self.items.first().unwrap()
     }

@@ -13,3 +13,8 @@ pub fn c() -> u64 {
     // jade-audit: frobnicate
     0
 }
+
+// jade-audit: hot
+pub fn d() -> u64 {
+    0
+}

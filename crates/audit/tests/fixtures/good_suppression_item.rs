@@ -11,7 +11,7 @@ impl Q {
         self.items[i]
     }
 
-    // jade-audit: hot
+    #[jade_hot]
     // jade-audit: allow(hot-panic): fixture — indexes are dense ids.
     pub fn last(&self, i: usize) -> u64 {
         self.items[i] + self.items[i + 1]

@@ -63,16 +63,6 @@ fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, CliError> {
         .map_err(|_| CliError(format!("{flag}: '{s}' is not a valid number")))
 }
 
-/// True when `JADE_BENCH_FAST` is set: benchmark runners shrink their
-/// sample budgets (used by CI smoke runs).
-///
-/// This module is the one place the workspace reads process environment
-/// (`jade-audit`'s `nondet-env` rule enforces it); benchmark code
-/// consults the knob through here so runs stay self-describing.
-pub fn bench_fast() -> bool {
-    std::env::var_os("JADE_BENCH_FAST").is_some()
-}
-
 /// Parses CLI arguments (excluding `argv[0]`). `read_file` abstracts file
 /// access so tests need no filesystem.
 pub fn parse_args<'a>(

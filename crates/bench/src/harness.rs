@@ -13,12 +13,13 @@
 //! * returns results in spec order regardless of which worker finished
 //!   first, and
 //! * writes a machine-readable manifest (`results/<name>.json`) recording
-//!   for each run the seed, config digest, outcome digest, wall time and
-//!   events/sec.
+//!   for each run the seed, config digest, outcome digest, event count
+//!   and the run's request totals.
 //!
 //! The outcome digest of a run depends only on its configuration — never
 //! on the worker count, scheduling order, or wall-clock conditions —
-//! which is what `tests/determinism.rs` locks in.
+//! which is what `tests/determinism.rs` locks in. The harness reads no
+//! clock: host timings come from the `benchmark/` package alone.
 
 use jade::config::SystemConfig;
 use jade::experiment::{config_digest, run_experiment, ExperimentOutput};
@@ -28,7 +29,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// One scenario to simulate.
 #[derive(Debug, Clone)]
@@ -78,11 +78,6 @@ pub struct RunRecord {
     pub outcome_digest: u64,
     /// Engine events processed.
     pub events: u64,
-    /// Wall-clock time of the run, milliseconds. Host-dependent: printed
-    /// in the run summary, never written to the manifest.
-    pub wall_ms: f64,
-    /// Simulation speed, events per wall-clock second (as `wall_ms`).
-    pub events_per_sec: f64,
     /// Requests completed.
     pub completed: u64,
     /// Requests failed.
@@ -113,7 +108,7 @@ harness flags:
 /// The experiment runner: worker-pool width plus optional seed rebase.
 #[derive(Debug, Clone)]
 pub struct Harness {
-    /// Worker threads (>= 1). Affects wall time only, never outcomes.
+    /// Worker threads (>= 1). Affects scheduling only, never outcomes.
     pub jobs: usize,
     /// When set, every spec's seed becomes
     /// `SimRng::stream_seed(seed, spec.stream)`.
@@ -196,10 +191,7 @@ impl Harness {
 
     /// Runs all specs across the worker pool. The result vector is in
     /// spec order, and every run's outcome digest is independent of
-    /// `jobs` — scheduling affects only wall-clock numbers.
-    // Sanctioned wall-clock user: `wall_ms` is labelled wall time and is
-    // excluded from every outcome digest.
-    #[allow(clippy::disallowed_methods)]
+    /// `jobs`.
     pub fn run(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
         let specs: Vec<RunSpec> = specs
             .into_iter()
@@ -223,18 +215,13 @@ impl Harness {
                         break;
                     }
                     let spec = &specs[i];
-                    let started = Instant::now();
                     let out = run_experiment(spec.cfg.clone(), spec.duration);
-                    let wall = started.elapsed();
-                    let wall_ms = wall.as_secs_f64() * 1e3;
                     let record = RunRecord {
                         label: spec.label.clone(),
                         seed: spec.cfg.seed,
                         config_digest: config_digest(&spec.cfg),
                         outcome_digest: out.outcome_digest(),
                         events: out.events,
-                        wall_ms,
-                        events_per_sec: out.events as f64 / wall.as_secs_f64().max(1e-9),
                         completed: out.app.stats.total_completed(),
                         failed: out.app.stats.total_failed(),
                         mean_latency_ms: out.mean_latency_ms(),
@@ -296,10 +283,10 @@ impl Harness {
     }
 
     /// Writes the manifest to `results/<name>.json` (anchored at the
-    /// repository root regardless of working directory) and prints the
-    /// path.
+    /// repository root, two levels above this crate's manifest, regardless
+    /// of working directory) and prints the path.
     pub fn write_manifest(&self, name: &str, results: &[RunResult]) {
-        let dir = crate::microbench::repo_relative(Path::new("results"));
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         let path = self.write_manifest_under(&dir, name, results);
         if let Some(path) = path {
             println!("  wrote {}", path.display());
@@ -326,7 +313,7 @@ impl Harness {
     pub fn print_record(rec: &RunRecord) {
         println!(
             "{}: {} completed, {} failed, mean latency {:.0} ms, throughput {:.1} req/s | \
-             seed {}, {} events in {:.0} ms ({:.2} Mev/s), outcome {:016x}",
+             seed {}, {} events, outcome {:016x}",
             rec.label,
             rec.completed,
             rec.failed,
@@ -334,8 +321,6 @@ impl Harness {
             rec.throughput,
             rec.seed,
             rec.events,
-            rec.wall_ms,
-            rec.events_per_sec / 1e6,
             rec.outcome_digest,
         );
     }

@@ -18,15 +18,13 @@
 //! | `rubis_report` | RUBiS's per-interaction statistics table         |
 //! | `run_experiment` | General experiment CLI (see `--help`)          |
 //!
-//! Micro-benchmarks (`cargo bench`) cover component-model operations,
-//! C-JDBC routing/replay and whole-experiment runs. Absolute end-to-end
-//! and per-layer figures come from the `benchmark/` package.
+//! Everything here runs on virtual time and reads no clock; end-to-end
+//! and per-layer timings come from the `benchmark/` package alone.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod harness;
-pub mod microbench;
 pub mod reference;
 
 pub use harness::{Harness, RunRecord, RunResult, RunSpec, HARNESS_USAGE};

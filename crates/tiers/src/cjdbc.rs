@@ -324,26 +324,15 @@ impl CjdbcController {
             .map(|(&id, _)| id)
     }
 
-    /// Routes a write: appends it to the recovery log and returns the set
-    /// of active backends that must execute it (write broadcast). The
-    /// statement is `Arc`-shared — broadcasting to N mirrored backends and
-    /// logging it performs zero statement clones. All active backends'
-    /// checkpoints advance — in this deterministic model the broadcast is
-    /// applied atomically with respect to membership changes.
-    pub fn route_write(
-        &mut self,
-        stmt: Arc<Statement>,
-    ) -> Result<(u64, Vec<ServerId>), CjdbcError> {
-        let mut targets = Vec::new();
-        let index = self.route_write_into(stmt, None, &mut targets)?;
-        Ok((index, targets))
-    }
-
-    /// Scratch-buffer variant of [`CjdbcController::route_write`]: fills
-    /// `out` with the broadcast set (id order, so `out[0]` is the write
-    /// primary) instead of allocating, and logs the write together with
-    /// the delta its primary captured, if any. The steady-state write path
-    /// performs zero allocations here.
+    /// Routes a write: appends it to the recovery log, together with the
+    /// delta its primary captured if any, and fills `out` with the active
+    /// backends that must execute it (write broadcast, id order, so
+    /// `out[0]` is the write primary). The statement is `Arc`-shared —
+    /// broadcasting to N mirrored backends and logging it performs zero
+    /// statement clones, and reusing `out` keeps the steady-state write
+    /// path allocation-free. All active backends' checkpoints advance — in
+    /// this deterministic model the broadcast is applied atomically with
+    /// respect to membership changes.
     // jade-audit: allow(hot-panic): the ids in `out` were collected from
     // the backend map a few lines above; the expect restates that.
     pub fn route_write_into(
@@ -434,6 +423,16 @@ mod tests {
         Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
     }
 
+    /// Logs a statement-only write and returns its index and broadcast set.
+    fn broadcast_write(
+        c: &mut CjdbcController,
+        stmt: Arc<Statement>,
+    ) -> Result<(u64, Vec<ServerId>), CjdbcError> {
+        let mut targets = Vec::new();
+        let index = c.route_write_into(stmt, None, &mut targets)?;
+        Ok((index, targets))
+    }
+
     fn controller_with_active(n: u32) -> CjdbcController {
         let mut c = CjdbcController::new(ReadPolicy::RoundRobin, schema());
         for i in 0..n {
@@ -455,7 +454,7 @@ mod tests {
     #[test]
     fn writes_broadcast_to_all_active() {
         let mut c = controller_with_active(3);
-        let (idx, targets) = c.route_write(write(1)).unwrap();
+        let (idx, targets) = broadcast_write(&mut c, write(1)).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(targets.len(), 3);
         assert_eq!(c.recovery_log().head(), 1);
@@ -558,7 +557,7 @@ mod tests {
     fn late_joiner_gets_exact_backlog() {
         let mut c = controller_with_active(1);
         for i in 0..5 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -574,7 +573,7 @@ mod tests {
     #[test]
     fn writes_during_sync_produce_second_batch() {
         let mut c = controller_with_active(1);
-        c.route_write(write(0)).unwrap();
+        broadcast_write(&mut c, write(0)).unwrap();
         let id = ServerId(9);
         c.register_backend(id);
         let batch1 = c.begin_enable(id).unwrap();
@@ -582,7 +581,7 @@ mod tests {
         // A write lands while the new backend replays batch 1. It goes to
         // the active backend only (the syncing one is not in the broadcast
         // set).
-        let (_, targets) = c.route_write(write(1)).unwrap();
+        let (_, targets) = broadcast_write(&mut c, write(1)).unwrap();
         assert!(!targets.contains(&id));
         let batch2 = c.finish_replay(id).unwrap().expect("second batch");
         assert!(
@@ -598,12 +597,12 @@ mod tests {
     #[test]
     fn disable_records_checkpoint_and_reenable_replays_only_missing() {
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        broadcast_write(&mut c, write(0)).unwrap();
         c.disable_backend(ServerId(1)).unwrap();
         assert_eq!(c.checkpoint(ServerId(1)).unwrap(), 1);
         // Two writes happen while disabled.
-        c.route_write(write(1)).unwrap();
-        c.route_write(write(2)).unwrap();
+        broadcast_write(&mut c, write(1)).unwrap();
+        broadcast_write(&mut c, write(2)).unwrap();
         let plan = c.begin_enable(ServerId(1)).unwrap();
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.entries[0].index, 1);
@@ -612,7 +611,7 @@ mod tests {
     #[test]
     fn failed_backend_resyncs_from_scratch() {
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        broadcast_write(&mut c, write(0)).unwrap();
         c.fail_backend(ServerId(1)).unwrap();
         assert_eq!(c.checkpoint(ServerId(1)).unwrap(), 0);
         let plan = c.begin_enable(ServerId(1)).unwrap();
@@ -623,7 +622,7 @@ mod tests {
     fn abort_enable_restores_the_applied_checkpoint() {
         let mut c = controller_with_active(1);
         for i in 0..4 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -638,7 +637,7 @@ mod tests {
         assert_eq!(batch.entries.len(), 4);
         // Acknowledge the first batch, then writes arrive, then abort:
         // the checkpoint keeps the acknowledged prefix.
-        let (_, _) = c.route_write(write(100)).unwrap();
+        let (_, _) = broadcast_write(&mut c, write(100)).unwrap();
         let next = c.finish_replay(id).unwrap().expect("second batch");
         assert_eq!(next.entries.len(), 1);
         c.abort_enable(id).unwrap();
@@ -653,10 +652,10 @@ mod tests {
     fn disable_then_reenable_replays_only_the_gap() {
         // The paper's §4.1 symmetric removal: disable keeps the trace.
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        broadcast_write(&mut c, write(0)).unwrap();
         c.disable_backend(ServerId(1)).unwrap();
         for i in 1..4 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         let plan = c.begin_enable(ServerId(1)).unwrap();
         let indices: Vec<u64> = plan.entries.iter().map(|e| e.index).collect();
@@ -695,11 +694,11 @@ mod tests {
         let mut db = Database::new(schema());
         db.execute(&schema().create_table("t")).unwrap();
         // The create-table broadcast is also a logged write.
-        let (_, targets) = c.route_write(Arc::new(schema().create_table("t"))).unwrap();
+        let (_, targets) = broadcast_write(&mut c, Arc::new(schema().create_table("t"))).unwrap();
         assert_eq!(targets.len(), 1);
         for i in 0..9 {
             let stmt = write(i);
-            c.route_write(Arc::clone(&stmt)).unwrap();
+            broadcast_write(&mut c, Arc::clone(&stmt)).unwrap();
             db.execute(&stmt).unwrap();
             if c.snapshot_due() {
                 c.install_snapshot(db.snapshot());
@@ -725,7 +724,7 @@ mod tests {
     /// `db`, checkpointing on cadence like the legacy layer does.
     fn write_through(c: &mut CjdbcController, db: &mut Database, i: i64) {
         let stmt = write(i);
-        c.route_write(Arc::clone(&stmt)).unwrap();
+        broadcast_write(c, Arc::clone(&stmt)).unwrap();
         db.execute(&stmt).unwrap();
         if c.snapshot_due() {
             c.install_snapshot(db.snapshot());
@@ -823,7 +822,7 @@ mod tests {
     fn fail_during_syncing_discards_session_and_resets_checkpoint() {
         let mut c = controller_with_active(1);
         for i in 0..3 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -844,12 +843,12 @@ mod tests {
         // acknowledged prefix (checkpoint falls back to `applied`).
         let mut c = controller_with_active(1);
         for i in 0..3 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         let id = ServerId(9);
         c.register_backend(id);
         c.begin_enable(id).unwrap();
-        c.route_write(write(3)).unwrap();
+        broadcast_write(&mut c, write(3)).unwrap();
         // First batch (3 entries) acknowledged; second (1 entry) handed
         // out but never acknowledged before the abort.
         assert!(c.finish_replay(id).unwrap().is_some());
@@ -864,7 +863,7 @@ mod tests {
     fn fail_then_reregister_starts_from_scratch() {
         let mut c = controller_with_active(2);
         for i in 0..4 {
-            c.route_write(write(i)).unwrap();
+            broadcast_write(&mut c, write(i)).unwrap();
         }
         c.fail_backend(ServerId(1)).unwrap();
         // The node is released, then a replacement registers under the

@@ -885,7 +885,7 @@ mod tests {
     use super::*;
     use crate::plan::{Operand, PlanStep, StepOp};
     use crate::request::DbQuery;
-    use crate::sql::{Schema, Value};
+    use crate::sql::{Schema, TableId, Value};
     use jade_cluster::{NodeSpec, SoftwareRepository};
 
     fn test_schema() -> Arc<Schema> {
@@ -972,7 +972,17 @@ mod tests {
 
     /// Broadcasts `INSERT INTO t (a) VALUES (i)` through the controller.
     fn write(l: &mut LegacyLayer, cj: ServerId, i: i64) -> Vec<ServerId> {
-        let table = test_schema().must_table("t");
+        broadcast_insert(l, cj, test_schema().must_table("t"), i)
+    }
+
+    /// Broadcasts `INSERT INTO <table> (a) VALUES (i)` through the
+    /// controller, returning the broadcast set.
+    fn broadcast_insert(
+        l: &mut LegacyLayer,
+        cj: ServerId,
+        table: TableId,
+        i: i64,
+    ) -> Vec<ServerId> {
         let row = vec![Operand::Param(0)];
         let insert = step(StepOp::Insert { table, row }, 5);
         let query = DbQuery {
@@ -985,48 +995,56 @@ mod tests {
         targets
     }
 
-    /// Deploys a C-JDBC with `n` active MySQL backends (synchronously
-    /// draining boot/replay events).
+    /// Deploys a C-JDBC with `n` active MySQL backends over a base image
+    /// holding the (empty) table `t`.
     fn db_cluster(l: &mut LegacyLayer, n: usize) -> (ServerId, Vec<ServerId>) {
-        // The base image every replica starts from holds the (empty) table.
         l.set_mysql_dump(test_schema(), vec![test_schema().create_table("t")]);
+        let cj = deploy_cjdbc(l);
+        let backends = (1..=n).map(|i| join_mysql_replica(l, cj, i)).collect();
+        (cj, backends)
+    }
+
+    /// Starts a C-JDBC controller on a fresh node.
+    fn deploy_cjdbc(l: &mut LegacyLayer) -> ServerId {
         let cj_node = l.cluster.allocate().unwrap();
         install(l, cj_node, "cjdbc");
         let cj = l.create_cjdbc("C-JDBC", cj_node, ReadPolicy::LeastPending);
         l.start_server(cj).unwrap();
         l.finish_boot(cj).unwrap();
-        let mut backends = Vec::new();
-        for i in 0..n {
-            let node = l.cluster.allocate().unwrap();
-            install(l, node, "mysql");
-            let m = l.create_mysql(&format!("MySQL{}", i + 1), node);
-            l.start_server(m).unwrap();
-            l.finish_boot(m).unwrap();
-            l.cjdbc_register_backend(cj, m).unwrap();
-            l.cjdbc_enable_backend(cj, m).unwrap();
-            // Synchronously process replay events.
-            loop {
-                let events = l.drain_outbox();
-                if events.is_empty() {
-                    break;
-                }
-                let mut done = false;
-                for (_, e) in events {
-                    match e {
-                        LegacyEvent::ReplayBatchDone { cjdbc, backend } => {
-                            l.cjdbc_replay_batch_done(cjdbc, backend).unwrap();
-                        }
-                        LegacyEvent::BackendActivated { .. } => done = true,
-                        _ => {}
+        cj
+    }
+
+    /// Boots MySQL replica `i` on a fresh node and enables it as a backend
+    /// of `cj` (synchronously draining boot/replay events until it is
+    /// active).
+    fn join_mysql_replica(l: &mut LegacyLayer, cj: ServerId, i: usize) -> ServerId {
+        let node = l.cluster.allocate().unwrap();
+        install(l, node, "mysql");
+        let m = l.create_mysql(&format!("MySQL{i}"), node);
+        l.start_server(m).unwrap();
+        l.finish_boot(m).unwrap();
+        l.cjdbc_register_backend(cj, m).unwrap();
+        l.cjdbc_enable_backend(cj, m).unwrap();
+        loop {
+            let events = l.drain_outbox();
+            if events.is_empty() {
+                break;
+            }
+            let mut done = false;
+            for (_, e) in events {
+                match e {
+                    LegacyEvent::ReplayBatchDone { cjdbc, backend } => {
+                        l.cjdbc_replay_batch_done(cjdbc, backend).unwrap();
                     }
-                }
-                if done {
-                    break;
+                    LegacyEvent::BackendActivated { .. } => done = true,
+                    _ => {}
                 }
             }
-            backends.push(m);
+            if done {
+                break;
+            }
         }
-        (cj, backends)
+        m
     }
 
     #[test]
@@ -1092,6 +1110,39 @@ mod tests {
             l.mysql(m2).unwrap().digest(),
             "late joiner must converge to the cluster state"
         );
+    }
+
+    /// A write that fails on the primary (its table is in the schema but
+    /// the dump never created it) captures no delta. It is still logged
+    /// and broadcast, every replica re-executes it and fails identically,
+    /// and a backend joining later replays it from its statement.
+    #[test]
+    fn failed_primary_write_is_logged_broadcast_and_replayed() {
+        let schema = Schema::builder()
+            .table("t", &["a"])
+            .table("u", &["a"])
+            .build();
+        let (t, u) = (schema.must_table("t"), schema.must_table("u"));
+        let mut l = layer(6);
+        l.set_mysql_dump(Arc::clone(&schema), vec![schema.create_table("t")]);
+        let cj = deploy_cjdbc(&mut l);
+        let backends: Vec<ServerId> = (1..=3).map(|i| join_mysql_replica(&mut l, cj, i)).collect();
+        broadcast_insert(&mut l, cj, t, 1);
+        let head = l.cjdbc(cj).unwrap().recovery_log().head();
+        assert_eq!(broadcast_insert(&mut l, cj, u, 2), backends);
+        let log = l.cjdbc(cj).unwrap().recovery_log();
+        assert_eq!(log.head(), head + 1, "the failed write is logged");
+        assert!(log.entries_from(head).unwrap()[0].delta.is_none());
+        broadcast_insert(&mut l, cj, t, 3);
+        let digest = l.mysql(backends[0]).unwrap().digest();
+        for &b in &backends {
+            assert_eq!(l.mysql(b).unwrap().digest(), digest);
+        }
+        // No checkpoint yet: the joiner replays the whole log, the failed
+        // write included.
+        assert_eq!(l.cjdbc(cj).unwrap().recovery_log().first_retained(), 0);
+        let joiner = join_mysql_replica(&mut l, cj, 4);
+        assert_eq!(l.mysql(joiner).unwrap().digest(), digest);
     }
 
     #[test]

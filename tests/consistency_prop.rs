@@ -69,7 +69,12 @@ impl Model {
 
     fn write(&mut self, stmt: Statement) {
         let stmt = Arc::new(stmt);
-        if let Ok((_, targets)) = self.ctrl.route_write(Arc::clone(&stmt)) {
+        let mut targets = Vec::new();
+        if self
+            .ctrl
+            .route_write_into(Arc::clone(&stmt), None, &mut targets)
+            .is_ok()
+        {
             for t in targets {
                 let _ = self.dbs.get_mut(&t).unwrap().execute(&stmt);
                 self.ctrl.note_complete(t);

@@ -202,7 +202,8 @@ fn recovery_replay_converges_on_both_engines() {
         let mut naive = NaiveDatabase::new();
         for stmt in &writes {
             let stmt = Arc::new(stmt.clone());
-            ctrl.route_write(Arc::clone(&stmt)).unwrap();
+            ctrl.route_write_into(Arc::clone(&stmt), None, &mut Vec::new())
+                .unwrap();
             let _ = interned.execute(&stmt);
             let _ = naive.execute(&schema, &stmt);
         }
