@@ -26,6 +26,7 @@ use jade::experiment::{config_digest, run_experiment, ExperimentOutput};
 use jade_sim::{SimDuration, SimRng};
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -282,30 +283,25 @@ impl Harness {
         out
     }
 
-    /// Writes the manifest to `results/<name>.json` (anchored at the
-    /// repository root, two levels above this crate's manifest, regardless
-    /// of working directory) and prints the path.
+    /// Writes the manifest to `results/<name>.json` at the repository root
+    /// and prints the path; a failed write ends the process with status 1.
     pub fn write_manifest(&self, name: &str, results: &[RunResult]) {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let path = self.write_manifest_under(&dir, name, results);
-        if let Some(path) = path {
-            println!("  wrote {}", path.display());
-        }
+        write_result(&format!("{name}.json"), &self.manifest_json(name, results));
     }
 
-    /// Writes the manifest under an explicit directory (tests use a
-    /// scratch dir). Returns the path on success.
+    /// Writes the manifest under an explicit directory, creating it if
+    /// needed. Returns the path written.
     pub fn write_manifest_under(
         &self,
         dir: &Path,
         name: &str,
         results: &[RunResult],
-    ) -> Option<PathBuf> {
-        let _ = fs::create_dir_all(dir);
-        let path = dir.join(format!("{name}.json"));
-        fs::write(&path, self.manifest_json(name, results))
-            .ok()
-            .map(|()| path)
+    ) -> io::Result<PathBuf> {
+        write_file_under(
+            dir,
+            &format!("{name}.json"),
+            &self.manifest_json(name, results),
+        )
     }
 
     /// One-line run summary including the digests (the harness version of
@@ -323,6 +319,30 @@ impl Harness {
             rec.events,
             rec.outcome_digest,
         );
+    }
+}
+
+/// Writes `contents` to `dir/file`, creating `dir` if needed.
+fn write_file_under(dir: &Path, file: &str, contents: &str) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    fs::write(&path, contents)?;
+    Ok(path)
+}
+
+/// Writes `file` into the repository root's `results/` (two levels above
+/// this crate's manifest, whatever the working directory) and prints its
+/// path. A failed write prints the path and the error and exits with
+/// status 1, so a figure binary that wrote nothing cannot pass for one
+/// that reproduced its committed output.
+pub(crate) fn write_result(file: &str, contents: &str) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    match write_file_under(&dir, file, contents) {
+        Ok(path) => println!("  wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("error: cannot write {}: {e}", dir.join(file).display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -412,6 +432,16 @@ mod tests {
         // regeneration a spurious diff.
         assert!(!json.contains("wall_ms") && !json.contains("events_per_sec"));
         assert!(!json.contains("NaN"));
+    }
+
+    #[test]
+    fn manifest_write_under_a_regular_file_is_an_error() {
+        // This crate's `Cargo.toml` is a regular file, so it cannot be
+        // the manifest's directory.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        assert!(dir.is_file());
+        let err = Harness::with_jobs(1).write_manifest_under(&dir, "unit", &[]);
+        assert!(err.is_err(), "{err:?}");
     }
 
     #[test]

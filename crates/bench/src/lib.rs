@@ -12,7 +12,6 @@
 //! | `fig8`      | Figure 8: response time without Jade                |
 //! | `fig9`      | Figure 9: response time with Jade                   |
 //! | `table1`    | Table 1: intrusivity of the management layer        |
-//! | `figures`   | All of the above, writing TSV series to `results/`  |
 //! | `calibrate` | The paper's threshold-calibration benchmarks        |
 //! | `ablations` | Design-choice ablations (DESIGN.md §5)              |
 //! | `rubis_report` | RUBiS's per-interaction statistics table         |
@@ -30,14 +29,12 @@ pub mod reference;
 pub use harness::{Harness, RunRecord, RunResult, RunSpec, HARNESS_USAGE};
 pub use reference::{
     naive_time_weighted_mean, naive_value_at, NaiveDatabase, NaiveMovingAverage, NaiveObservation,
-    NaivePsCpu, NaiveQueryResult, NaiveReplication, NaiveRow, NaiveTimers,
+    NaivePsCpu, NaiveQueryResult, NaiveRow, NaiveTimers,
 };
 
 use jade::experiment::ExperimentOutput;
 use jade::system::ManagedTier;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// Formats a `(t, v)` series as TSV.
 pub fn series_tsv(series: &[(f64, f64)]) -> String {
@@ -49,14 +46,10 @@ pub fn series_tsv(series: &[(f64, f64)]) -> String {
     out
 }
 
-/// Writes a TSV series under `results/`.
+/// Writes a TSV series to `results/<name>.tsv` at the repository root; a
+/// failed write ends the process with status 1.
 pub fn write_series(name: &str, series: &[(f64, f64)]) {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.tsv"));
-    if fs::write(&path, series_tsv(series)).is_ok() {
-        println!("  wrote {}", path.display());
-    }
+    harness::write_result(&format!("{name}.tsv"), &series_tsv(series));
 }
 
 /// Renders a small ASCII time-series chart (terminal figures).

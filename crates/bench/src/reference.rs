@@ -442,81 +442,6 @@ impl<T: Ord> Default for NaiveTimers<T> {
 }
 
 // ---------------------------------------------------------------------
-// The pre-delta RAIDb-1 replication stack
-// ---------------------------------------------------------------------
-
-/// The re-execute-everywhere replication stack the execute-once delta
-/// broadcast replaced: every write is appended to a recovery log that
-/// eagerly renders the statement to its string form (what C-JDBC
-/// persisted), then re-evaluated independently by each replica — N×
-/// statement evaluation, N× row construction, N× index maintenance for
-/// an N-way mirror. A joining replica replays the *entire* statement log
-/// from its checkpoint, re-executing every entry. Kept as the oracle
-/// `tests/replication_prop.rs` checks delta convergence against.
-pub struct NaiveReplication {
-    /// One full database copy per active replica (full mirroring).
-    pub replicas: Vec<jade_tiers::storage::Database>,
-    log: Vec<(std::sync::Arc<Statement>, String)>,
-    schema: std::sync::Arc<Schema>,
-}
-
-impl NaiveReplication {
-    /// Builds an N-way mirror where every replica starts from a copy of
-    /// `base`.
-    pub fn new(
-        schema: std::sync::Arc<Schema>,
-        base: &jade_tiers::storage::Database,
-        replicas: usize,
-    ) -> Self {
-        NaiveReplication {
-            replicas: (0..replicas).map(|_| base.clone()).collect(),
-            log: Vec::new(),
-            schema,
-        }
-    }
-
-    /// Broadcasts one write: logs it (rendering the string eagerly, as
-    /// the original recovery log did) and re-executes it on every
-    /// replica. Returns the summed affected-row cardinality.
-    pub fn execute_write(&mut self, stmt: &std::sync::Arc<Statement>) -> u64 {
-        self.log
-            .push((std::sync::Arc::clone(stmt), stmt.render(&self.schema)));
-        let mut acc = 0u64;
-        for db in &mut self.replicas {
-            if let Ok(summary) = db.execute(stmt) {
-                acc = acc.wrapping_add(summary.cardinality());
-            }
-        }
-        acc
-    }
-
-    /// Log length (== number of writes broadcast so far).
-    pub fn head(&self) -> u64 {
-        self.log.len() as u64
-    }
-
-    /// Synchronizes a joining replica starting from `base` by replaying
-    /// the full statement log from `checkpoint`, returning the caught-up
-    /// copy.
-    pub fn sync_replica(
-        &self,
-        base: &jade_tiers::storage::Database,
-        checkpoint: u64,
-    ) -> jade_tiers::storage::Database {
-        let mut db = base.clone();
-        for (stmt, _) in self.log.iter().skip(checkpoint as usize) {
-            let _ = db.execute(stmt);
-        }
-        db
-    }
-
-    /// Content digest of the mirror (all replicas are identical).
-    pub fn digest(&self) -> u64 {
-        self.replicas.first().map_or(0, |db| db.digest())
-    }
-}
-
-// ---------------------------------------------------------------------
 // The pre-streaming observation plane
 // ---------------------------------------------------------------------
 

@@ -9,4 +9,4 @@ pub mod reactor;
 pub mod sensor;
 
 pub use reactor::{AdaptiveThresholds, Decision, InhibitionWindow, ThresholdReactor};
-pub use sensor::{CpuAvgSensor, LatencySensor, Sensor};
+pub use sensor::{CpuAvgSensor, Sensor};

@@ -99,11 +99,6 @@ impl InhibitionWindow {
     pub fn note_reconfiguration(&mut self, t: SimTime) {
         self.last_reconfiguration = Some(t);
     }
-
-    /// Time of the last reconfiguration, if any.
-    pub fn last(&self) -> Option<SimTime> {
-        self.last_reconfiguration
-    }
 }
 
 /// Adaptive thresholds (paper §7 future work: "improving the

@@ -41,61 +41,11 @@ impl CpuAvgSensor {
             ma: MovingAverage::with_period(window, period),
         }
     }
-
-    /// The smoothing window.
-    pub fn window(&self) -> SimDuration {
-        self.ma.window()
-    }
 }
 
 impl Sensor for CpuAvgSensor {
     fn observe(&mut self, t: SimTime, spatial_avg: f64) -> Option<f64> {
         self.ma.record(t, spatial_avg.clamp(0.0, 1.0));
-        self.ma.value()
-    }
-
-    fn value(&self) -> Option<f64> {
-        self.ma.value()
-    }
-}
-
-/// Response-time sensor (paper §4.2: "a sensor specific to optimization
-/// may provide an estimator of the response-time to client requests").
-/// Smooths window-mean latencies the same way.
-#[derive(Debug, Clone)]
-pub struct LatencySensor {
-    ma: MovingAverage,
-    /// Latency (ms) considered saturation; the smoothed output is the
-    /// latency normalized by this bound, so thresholds stay in `[0,1]`
-    /// like the CPU sensor's.
-    pub saturation_ms: f64,
-}
-
-impl LatencySensor {
-    /// Creates a latency sensor normalizing by `saturation_ms`.
-    pub fn new(window: SimDuration, saturation_ms: f64) -> Self {
-        assert!(saturation_ms > 0.0);
-        LatencySensor {
-            ma: MovingAverage::new(window),
-            saturation_ms,
-        }
-    }
-
-    /// Like [`LatencySensor::new`], but sized for samples arriving every
-    /// `period` so the backing ring never grows in steady state.
-    pub fn with_period(window: SimDuration, saturation_ms: f64, period: SimDuration) -> Self {
-        assert!(saturation_ms > 0.0);
-        LatencySensor {
-            ma: MovingAverage::with_period(window, period),
-            saturation_ms,
-        }
-    }
-}
-
-impl Sensor for LatencySensor {
-    fn observe(&mut self, t: SimTime, mean_latency_ms: f64) -> Option<f64> {
-        self.ma
-            .record(t, (mean_latency_ms / self.saturation_ms).max(0.0));
         self.ma.value()
     }
 
@@ -137,13 +87,6 @@ mod tests {
         let mut s = CpuAvgSensor::new(SimDuration::from_secs(10));
         let v = s.observe(t(0), 3.7).unwrap();
         assert!(v <= 1.0);
-    }
-
-    #[test]
-    fn latency_sensor_normalizes() {
-        let mut s = LatencySensor::new(SimDuration::from_secs(30), 1000.0);
-        let v = s.observe(t(0), 500.0).unwrap();
-        assert!((v - 0.5).abs() < 1e-9);
     }
 
     #[test]

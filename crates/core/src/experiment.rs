@@ -179,26 +179,6 @@ pub fn run_experiment_with(
     }
 }
 
-/// Runs the same scenario managed and unmanaged on two threads (the
-/// figures 6–9 comparisons), using scoped threads per the repository's
-/// parallelism guidelines.
-pub fn run_managed_and_unmanaged(
-    managed: SystemConfig,
-    unmanaged: SystemConfig,
-    duration: SimDuration,
-) -> (ExperimentOutput, ExperimentOutput) {
-    let mut managed_out = None;
-    let mut unmanaged_out = None;
-    std::thread::scope(|s| {
-        s.spawn(|| managed_out = Some(run_experiment(managed, duration)));
-        s.spawn(|| unmanaged_out = Some(run_experiment(unmanaged, duration)));
-    });
-    (
-        managed_out.expect("managed run finished"),
-        unmanaged_out.expect("unmanaged run finished"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,8 +47,6 @@ pub mod system;
 
 pub use adl::{AdlError, J2eeDescription, TierKind, TierSpec};
 pub use config::{ClientMode, JadeConfig, SystemConfig, TierLoopConfig};
-pub use control::{
-    CpuAvgSensor, Decision, InhibitionWindow, LatencySensor, Sensor, ThresholdReactor,
-};
-pub use experiment::{run_experiment, run_managed_and_unmanaged, ExperimentOutput};
+pub use control::{CpuAvgSensor, Decision, InhibitionWindow, Sensor, ThresholdReactor};
+pub use experiment::{run_experiment, ExperimentOutput};
 pub use system::{J2eeApp, ManagedTier, Msg, TierManager};

@@ -29,7 +29,6 @@ pub mod component;
 pub mod error;
 pub mod interface;
 pub mod registry;
-pub mod snapshot;
 pub mod wrapper;
 
 pub use attr::AttrValue;
@@ -37,5 +36,4 @@ pub use component::{ComponentId, ComponentInfo, Endpoint, LifecycleState};
 pub use error::{FractalError, Result};
 pub use interface::{Cardinality, Contingency, InterfaceDecl, Role};
 pub use registry::{JournalOp, Registry};
-pub use snapshot::{Change, ComponentSnapshot, Snapshot};
 pub use wrapper::{ArchView, NullWrapper, Wrapper};

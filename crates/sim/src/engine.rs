@@ -270,11 +270,6 @@ impl<A: App> Engine<A> {
         }
     }
 
-    /// Consumes the engine, yielding the application and its metrics.
-    pub fn into_parts(self) -> (A, MetricsHub) {
-        (self.app, self.metrics)
-    }
-
     /// Consumes the engine, yielding application, metrics and tracer.
     pub fn into_parts_with_trace(self) -> (A, MetricsHub, Tracer) {
         (self.app, self.metrics, self.tracer)

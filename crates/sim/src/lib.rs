@@ -45,8 +45,8 @@ pub use det::{DetHashMap, DetHashSet, DetState, FxHasher};
 pub use digest::{digest_str, Digest};
 pub use engine::{Addr, App, Ctx, Engine, RunOutcome};
 pub use metrics::{
-    CounterId, Histogram, HistogramId, MetricsHub, MovingAverage, Retention, SeriesCursor,
-    SeriesId, TimeSeries, UtilizationTracker,
+    CounterId, Histogram, HistogramId, MetricsHub, MovingAverage, SeriesCursor, SeriesId,
+    TimeSeries, UtilizationTracker,
 };
 pub use pack::{id_u16, id_u32};
 pub use queue::{EventQueue, EventToken};

@@ -5,62 +5,16 @@
 use crate::det::DetHashMap;
 use crate::time::{SimDuration, SimTime};
 
-/// Storage policy of a [`TimeSeries`].
-///
-/// `KeepAll` (the default) retains every sample — what the figure
-/// binaries need to render full trajectories. The bounded modes cap the
-/// resident sample count so long soak runs and million-client horizons
-/// stop growing RSS linearly with virtual time; they change what a later
-/// reader *sees*, never the values that were recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Retention {
-    /// Retain every sample (default).
-    #[default]
-    KeepAll,
-    /// Retain (roughly) the most recent `cap` samples; memory is bounded
-    /// by `2 * cap` points (front drops are amortized O(1)).
-    Ring(usize),
-    /// Retain at most `cap` samples across the whole run by doubling the
-    /// record stride each time the buffer fills: full temporal coverage
-    /// at geometrically decreasing resolution.
-    Decimate(usize),
-}
-
 /// A recorded `(time, value)` series, e.g. "number of database backends".
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
-    retention: Retention,
-    /// Decimation state: record every `stride`-th offered sample.
-    stride: u64,
-    seen: u64,
 }
 
 impl TimeSeries {
     /// Creates an empty series.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty series with a storage policy.
-    pub fn with_retention(retention: Retention) -> Self {
-        let mut ts = Self::default();
-        ts.set_retention(retention);
-        ts
-    }
-
-    /// Sets the storage policy. Applies to future appends; already-stored
-    /// samples are trimmed lazily as new ones arrive.
-    pub fn set_retention(&mut self, retention: Retention) {
-        self.retention = retention;
-        if self.stride == 0 {
-            self.stride = 1;
-        }
-    }
-
-    /// The storage policy.
-    pub fn retention(&self) -> Retention {
-        self.retention
     }
 
     /// Appends a sample. Samples must be recorded in non-decreasing time
@@ -70,33 +24,7 @@ impl TimeSeries {
             self.points.last().is_none_or(|&(pt, _)| pt <= t),
             "time series samples must be time-ordered"
         );
-        match self.retention {
-            Retention::KeepAll => self.points.push((t, v)),
-            Retention::Ring(cap) => {
-                let cap = cap.max(1);
-                self.points.push((t, v));
-                if self.points.len() >= cap * 2 {
-                    self.points.drain(..self.points.len() - cap);
-                }
-            }
-            Retention::Decimate(cap) => {
-                let cap = cap.max(2);
-                if self.seen.is_multiple_of(self.stride) {
-                    self.points.push((t, v));
-                    if self.points.len() >= cap {
-                        // Halve the resolution: keep every other sample
-                        // and double the stride for future appends.
-                        let mut keep = false;
-                        self.points.retain(|_| {
-                            keep = !keep;
-                            keep
-                        });
-                        self.stride = self.stride.saturating_mul(2);
-                    }
-                }
-                self.seen = self.seen.wrapping_add(1);
-            }
-        }
+        self.points.push((t, v));
     }
 
     /// All recorded points.
@@ -223,9 +151,8 @@ impl TimeSeries {
 ///
 /// The cursor is only a starting hint: every seek re-validates against
 /// the actual points (rewinding or advancing as needed), so an
-/// out-of-order read — or a series trimmed by a bounded
-/// [`Retention`] mode — degrades to a linear correction, never to a
-/// wrong answer.
+/// out-of-order read degrades to a linear correction, never to a wrong
+/// answer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeriesCursor {
     start: usize,
@@ -309,11 +236,6 @@ impl MovingAverage {
             len: 0,
             sum: 0.0,
         }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// Doubles the ring capacity, re-linearizing the live samples.
@@ -467,7 +389,9 @@ impl UtilizationTracker {
 /// land in meaningful buckets.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    /// bucket i counts samples in [2^i, 2^(i+1)) milliseconds; bucket 0 is [0, 1ms).
+    /// Bucket 0 counts samples in [0, 1) ms; bucket i ≥ 1 counts
+    /// [2^(i−1), 2^i) ms (1 ms lands in bucket 1), so 2^i is its upper
+    /// edge. The last bucket also takes everything above.
     buckets: Vec<u64>,
     count: u64,
     sum_ms: f64,
@@ -640,14 +564,6 @@ impl MetricsHub {
         CounterId(i)
     }
 
-    /// Sets the storage policy of the named series (created empty if
-    /// needed). Keep-all is the default; bounded modes are for soak runs
-    /// whose figures are not rendered from the full trajectory.
-    pub fn set_series_retention(&mut self, name: &str, retention: Retention) {
-        let id = self.series_id(name);
-        self.series[id.0 as usize].1.set_retention(retention);
-    }
-
     /// Appends to the named time series.
     pub fn record_series(&mut self, name: &str, t: SimTime, v: f64) {
         let id = self.series_id(name);
@@ -726,20 +642,6 @@ impl MetricsHub {
         names.sort_unstable();
         names
     }
-
-    /// Names of all recorded histograms, sorted.
-    pub fn histogram_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.histograms.iter().map(|(n, _)| n.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
-    /// Names of all recorded counters, sorted.
-    pub fn counter_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.counters.iter().map(|(n, _)| n.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -807,34 +709,6 @@ mod tests {
                 ts.value_at_cached(&mut cur, t(from), -1.0).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn ring_retention_bounds_memory_and_keeps_the_tail() {
-        let mut ts = TimeSeries::with_retention(Retention::Ring(10));
-        for i in 0..1000u64 {
-            ts.record(t(i), i as f64);
-        }
-        assert!(ts.len() < 20, "ring must stay bounded, got {}", ts.len());
-        // The most recent samples survive verbatim.
-        let pts = ts.points();
-        assert_eq!(pts.last(), Some(&(t(999), 999.0)));
-        assert!(pts.len() >= 10);
-        assert_eq!(ts.value_at(t(999), -1.0), 999.0);
-    }
-
-    #[test]
-    fn decimate_retention_bounds_memory_across_the_run() {
-        let mut ts = TimeSeries::with_retention(Retention::Decimate(16));
-        for i in 0..10_000u64 {
-            ts.record(t(i), i as f64);
-        }
-        assert!(ts.len() <= 16, "decimation must cap storage: {}", ts.len());
-        // Coverage spans the whole run: first retained point is early,
-        // last is recent.
-        let pts = ts.points();
-        assert!(pts.first().unwrap().0 <= t(1024));
-        assert!(pts.last().unwrap().0 >= t(8192));
     }
 
     #[test]

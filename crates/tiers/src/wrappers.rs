@@ -14,7 +14,7 @@
 use crate::config::{render_cjdbc_xml, WorkerEntry};
 use crate::config::{render_httpd_conf, render_my_cnf, render_plb_conf, render_worker_properties};
 use crate::legacy::LegacyLayer;
-use crate::server::{ServerId, ServerState};
+use crate::server::ServerId;
 use jade_fractal::{ArchView, AttrValue, ComponentId, Endpoint, FractalError, Wrapper};
 
 type Result<T> = std::result::Result<T, FractalError>;
@@ -526,17 +526,6 @@ impl Wrapper<LegacyLayer> for BalancerWrapper {
     }
 }
 
-/// Stops a legacy process when its component is declared failed, without
-/// journaling a normal stop — used by tests and the repair manager to keep
-/// component and process state aligned.
-pub fn sync_failed_process(env: &mut LegacyLayer, server: ServerId) {
-    if let Ok(s) = env.server_mut(server) {
-        if s.process().state == ServerState::Running {
-            s.process_mut().state = ServerState::Failed;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,7 +534,7 @@ mod tests {
     use crate::legacy::LegacyEvent;
     use jade_cluster::{ClusterManager, Network, NodeId, NodeSpec};
     use jade_cluster::{SoftwareInstallationService, SoftwareRepository};
-    use jade_fractal::{InterfaceDecl, Registry};
+    use jade_fractal::{InterfaceDecl, JournalOp, Registry};
 
     fn env(nodes: usize) -> LegacyLayer {
         let cluster = ClusterManager::homogeneous(nodes, NodeSpec::default(), 128);
@@ -600,6 +589,7 @@ mod tests {
         reg.bind(&mut legacy, apache, "ajp-itf", tomcat1, "ajp")
             .unwrap();
         reg.start(&mut legacy, apache).unwrap();
+        let before = reg.journal_len();
 
         // --- The paper's four operations ---
         reg.stop(&mut legacy, apache).unwrap();
@@ -607,6 +597,21 @@ mod tests {
         reg.bind(&mut legacy, apache, "ajp-itf", tomcat2, "ajp")
             .unwrap();
         reg.start(&mut legacy, apache).unwrap();
+
+        // §5.1 counts exactly these four journaled operations.
+        let ajp = |component| Endpoint {
+            component,
+            interface: "ajp".into(),
+        };
+        assert_eq!(
+            reg.journal()[before..],
+            [
+                JournalOp::Stop(apache),
+                JournalOp::Unbind(apache, "ajp-itf".into(), ajp(tomcat1)),
+                JournalOp::Bind(apache, "ajp-itf".into(), ajp(tomcat2)),
+                JournalOp::Start(apache),
+            ]
+        );
 
         // worker.properties now points at Tomcat2 on node3 port 8098,
         // exactly the file the paper shows an administrator hand-editing.

@@ -2,7 +2,7 @@
 //! system under the paper's workload shapes.
 
 use jade::config::SystemConfig;
-use jade::experiment::{run_experiment, run_managed_and_unmanaged};
+use jade::experiment::run_experiment;
 use jade::system::ManagedTier;
 use jade_rubis::WorkloadRamp;
 use jade_sim::SimDuration;
@@ -62,26 +62,6 @@ fn managed_system_scales_up_and_back_down() {
         (Some(db), Some(app)) => assert!(db < app, "db must scale first ({db} vs {app})"),
         _ => panic!("missing scaling transitions"),
     }
-}
-
-#[test]
-fn managed_beats_unmanaged_on_latency() {
-    let mut managed = SystemConfig::paper_managed();
-    managed.ramp = fast_ramp();
-    let mut unmanaged = SystemConfig::paper_unmanaged();
-    unmanaged.ramp = fast_ramp();
-    let (m, u) = run_managed_and_unmanaged(managed, unmanaged, SimDuration::from_secs(1000));
-    // Figures 8 vs 9: the unmanaged system's latency explodes under the
-    // peak; Jade keeps it at least 5x lower on average.
-    assert!(
-        u.mean_latency_ms() > 5.0 * m.mean_latency_ms(),
-        "unmanaged {:.0} ms vs managed {:.0} ms",
-        u.mean_latency_ms(),
-        m.mean_latency_ms()
-    );
-    // The unmanaged architecture never changed.
-    assert!(u.app.reconfig_log.is_empty());
-    assert_eq!(u.app.running_replicas(ManagedTier::Database), 1);
 }
 
 #[test]

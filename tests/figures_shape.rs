@@ -4,8 +4,9 @@
 //! these, the reproduction claims in EXPERIMENTS.md no longer hold.
 
 use jade::config::SystemConfig;
-use jade::experiment::{run_managed_and_unmanaged, ExperimentOutput};
+use jade::experiment::ExperimentOutput;
 use jade::system::ManagedTier;
+use jade_bench::{Harness, RunSpec};
 use jade_rubis::WorkloadRamp;
 use jade_sim::SimDuration;
 use std::sync::OnceLock;
@@ -21,6 +22,22 @@ fn fast_ramp() -> WorkloadRamp {
     }
 }
 
+/// Runs `managed` and `unmanaged` side by side through the figure
+/// binaries' harness, returning their outputs in that order.
+fn run_shape_pair(
+    managed: SystemConfig,
+    unmanaged: SystemConfig,
+    duration: SimDuration,
+) -> (ExperimentOutput, ExperimentOutput) {
+    let mut results = Harness::with_jobs(2).run(vec![
+        RunSpec::new("managed", managed, duration),
+        RunSpec::new("unmanaged", unmanaged, duration),
+    ]);
+    let unmanaged = results.pop().expect("unmanaged run").out;
+    let managed = results.pop().expect("managed run").out;
+    (managed, unmanaged)
+}
+
 /// One shared pair of runs for all shape assertions (they are read-only).
 fn runs() -> &'static (ExperimentOutput, ExperimentOutput) {
     static RUNS: OnceLock<(ExperimentOutput, ExperimentOutput)> = OnceLock::new();
@@ -29,7 +46,7 @@ fn runs() -> &'static (ExperimentOutput, ExperimentOutput) {
         managed.ramp = fast_ramp();
         let mut unmanaged = SystemConfig::paper_unmanaged();
         unmanaged.ramp = fast_ramp();
-        run_managed_and_unmanaged(managed, unmanaged, SimDuration::from_secs(1000))
+        run_shape_pair(managed, unmanaged, SimDuration::from_secs(1000))
     })
 }
 
@@ -104,6 +121,9 @@ fn fig8_fig9_shape_latency_contrast() {
         u.mean_latency_ms(),
         m.mean_latency_ms()
     );
+    // The unmanaged architecture never changed.
+    assert!(u.app.reconfig_log.is_empty());
+    assert_eq!(u.app.running_replicas(ManagedTier::Database), 1);
     // Managed latency is stable: on this compressed ramp (3× the paper's
     // slope) a brief spike during the steepest segment is physical —
     // reconfiguration takes tens of seconds — but the overwhelming
@@ -151,7 +171,7 @@ fn fig8_fig9_shape_latency_contrast() {
 #[test]
 fn table1_shape_no_cpu_overhead_small_memory_overhead() {
     // Separate constant-load runs (Table 1's setup).
-    let (m, u) = run_managed_and_unmanaged(
+    let (m, u) = run_shape_pair(
         SystemConfig::intrusivity(true, 80),
         SystemConfig::intrusivity(false, 80),
         SimDuration::from_secs(600),

@@ -13,7 +13,7 @@
 use jade_bench::{naive_time_weighted_mean, naive_value_at, NaiveMovingAverage, NaiveObservation};
 use jade_cluster::{ClusterManager, NodeId, NodeSpec};
 use jade_propcheck::run;
-use jade_sim::{JobId, MovingAverage, Retention, SeriesCursor, SimDuration, SimTime, TimeSeries};
+use jade_sim::{JobId, MovingAverage, SeriesCursor, SimDuration, SimTime, TimeSeries};
 use std::collections::BTreeMap;
 
 /// The ring-backed moving average is bit-identical to the `VecDeque`
@@ -94,40 +94,6 @@ fn cached_window_reads_match_scratch() {
             let at = ts.value_at_cached(&mut at_cursor, f, -1.0);
             assert_eq!(at.to_bits(), naive_value_at(ts.points(), f, -1.0).to_bits());
             assert_eq!(at.to_bits(), ts.value_at(f, -1.0).to_bits());
-        }
-    });
-}
-
-/// Ring retention keeps a suffix of the full series: every retained
-/// point appears in the keep-all twin at the same position from the
-/// end, and windowed reads over the retained span agree bit-for-bit.
-#[test]
-fn ring_retention_is_a_suffix() {
-    run("ring_retention_is_a_suffix", 128, |g| {
-        let cap = g.usize(1..64);
-        let mut ring = TimeSeries::with_retention(Retention::Ring(cap));
-        let mut full = TimeSeries::new();
-        let mut t = 0u64;
-        for _ in 0..g.usize(1..400) {
-            t += g.u64(1..2_000_000);
-            let v = g.f64(-5.0..5.0);
-            let at = SimTime::from_micros(t);
-            ring.record(at, v);
-            full.record(at, v);
-        }
-        assert!(
-            ring.len() <= 2 * cap,
-            "ring kept {} of cap {cap}",
-            ring.len()
-        );
-        let suffix = &full.points()[full.len() - ring.len()..];
-        assert_eq!(ring.points(), suffix);
-        // A window inside the retained span reads identically.
-        if let Some(&(first, _)) = ring.points().first() {
-            let to = SimTime::from_micros(t + 1);
-            let a = ring.time_weighted_mean(first, to);
-            let b = full.time_weighted_mean(first, to);
-            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         }
     });
 }

@@ -4,9 +4,7 @@
 //! The first property drives random write streams through
 //! `Database::execute_capture` and checks after *every* write that a
 //! replica applying the captured `WriteDelta` is byte-identical (content
-//! digest) to a replica re-executing the statement — and that the whole
-//! stream lands on the same digest as the pre-delta
-//! `jade_bench::NaiveReplication` stack.
+//! digest) to a replica re-executing the statement.
 //!
 //! The second property adds backend membership churn through the
 //! `CjdbcController`, with syncs deliberately left half-finished so
@@ -27,7 +25,6 @@
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
-use jade_bench::NaiveReplication;
 use jade_propcheck::{run, Gen};
 use jade_sim::SimDuration;
 use jade_tiers::cjdbc::{BackendStatus, CjdbcController, ReadPolicy};
@@ -173,8 +170,7 @@ fn gen_write(g: &mut Gen, schema: &Schema, domain: Domain) -> Statement {
 }
 
 /// A delta-applied replica is byte-identical to a re-executed one after
-/// every single write, and the stream converges to the same digest as
-/// the pre-delta re-execute-everywhere stack.
+/// every single write.
 #[test]
 fn delta_apply_matches_reexecution() {
     run("delta_apply_matches_reexecution", 256, |g| {
@@ -188,7 +184,6 @@ fn delta_apply_matches_reexecution() {
         let mut primary = base.clone();
         let mut by_delta = base.clone();
         let mut by_statement = base.clone();
-        let mut naive = NaiveReplication::new(Arc::clone(&schema), &base, 2);
         for (step, stmt) in writes.iter().enumerate() {
             match primary.execute_capture(stmt) {
                 Ok((_, delta)) => {
@@ -203,7 +198,6 @@ fn delta_apply_matches_reexecution() {
                     let _ = by_statement.execute(stmt);
                 }
             }
-            naive.execute_write(stmt);
             let d = primary.digest();
             assert_eq!(d, by_delta.digest(), "delta replica diverged at {step}");
             assert_eq!(
@@ -212,11 +206,6 @@ fn delta_apply_matches_reexecution() {
                 "re-executing replica diverged at {step}"
             );
         }
-        assert_eq!(
-            primary.digest(),
-            naive.digest(),
-            "pre-delta stack disagrees with the capture path"
-        );
     });
 }
 
