@@ -49,4 +49,4 @@ pub use adl::{AdlError, J2eeDescription, TierKind, TierSpec};
 pub use config::{ClientMode, JadeConfig, SystemConfig, TierLoopConfig};
 pub use control::{CpuAvgSensor, Decision, InhibitionWindow, Sensor, ThresholdReactor};
 pub use experiment::{run_experiment, ExperimentOutput};
-pub use system::{J2eeApp, ManagedTier, Msg, TierManager};
+pub use system::{J2eeApp, Jade, ManagedTier, Msg};

@@ -61,7 +61,8 @@ pub enum Msg {
     },
     /// A deferred legacy-layer event.
     Legacy(LegacyEvent),
-    /// One control loop's sensor/reactor tick (index into the managers).
+    /// One control loop's sensor/reactor tick (index of its tier in
+    /// [`ManagedTier::ALL`]).
     SensorTick(usize),
     /// Self-recovery failure-detector tick.
     DetectorTick,
@@ -199,6 +200,27 @@ pub enum ManagedTier {
 }
 
 impl ManagedTier {
+    /// Both tiers, in the order of per-tier arrays and of the
+    /// `SensorTick` indexes.
+    pub const ALL: [ManagedTier; 2] = [ManagedTier::Application, ManagedTier::Database];
+
+    /// This tier's entry of a per-tier array (ordered as
+    /// [`ManagedTier::ALL`]).
+    pub(crate) fn of<T>(self, per_tier: &[T; 2]) -> &T {
+        match (self, per_tier) {
+            (ManagedTier::Application, [app, _]) => app,
+            (ManagedTier::Database, [_, db]) => db,
+        }
+    }
+
+    /// Mutable [`ManagedTier::of`].
+    pub(crate) fn of_mut<T>(self, per_tier: &mut [T; 2]) -> &mut T {
+        match (self, per_tier) {
+            (ManagedTier::Application, [app, _]) => app,
+            (ManagedTier::Database, [_, db]) => db,
+        }
+    }
+
     /// The legacy-layer tier.
     pub fn tier(self) -> jade_tiers::Tier {
         match self {

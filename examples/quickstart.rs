@@ -40,10 +40,13 @@ fn main() {
 
     // 4. Introspect: the management layer sees the whole architecture as
     //    one composite component (paper §3.2).
-    println!("\nmanaged architecture:\n{}", out.app.render_architecture());
+    println!(
+        "\nmanaged architecture:\n{}",
+        out.app.jade.render_architecture()
+    );
     println!("Jade's own components:\n{}", {
         // Jade administrates itself: the managers are components too.
-        let reg = &out.app.registry;
+        let reg = out.app.jade.registry();
         let jade_root = reg
             .ids()
             .into_iter()
@@ -68,6 +71,6 @@ fn main() {
     );
     println!(
         "management operations journaled: {}",
-        out.app.registry.journal_len()
+        out.app.jade.registry().journal_len()
     );
 }

@@ -35,7 +35,7 @@ fn replicas_match_the_description() {
     assert_eq!(out.app.running_replicas(ManagedTier::Application), 2);
     assert_eq!(out.app.running_replicas(ManagedTier::Database), 3);
     assert_eq!(out.app.allocated_nodes(), 7); // 2 + 3 + PLB + C-JDBC
-    let tree = out.app.render_architecture();
+    let tree = out.app.jade.render_architecture();
     for name in [
         "PLB", "C-JDBC", "Tomcat1", "Tomcat2", "MySQL1", "MySQL2", "MySQL3",
     ] {
@@ -52,7 +52,7 @@ fn policies_flow_into_the_legacy_layer() {
            </j2ee>"#,
         6,
     );
-    let (plb_server, _) = out.app.plb.expect("plb deployed");
+    let (plb_server, _) = out.app.jade.plb().expect("plb deployed");
     let legacy = &out.app.legacy;
     match legacy.server(plb_server).unwrap() {
         jade_tiers::LegacyServer::Plb { balancer, .. } => {
@@ -60,7 +60,7 @@ fn policies_flow_into_the_legacy_layer() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    let (cj_server, _) = out.app.cjdbc.expect("cjdbc deployed");
+    let (cj_server, _) = out.app.jade.cjdbc().expect("cjdbc deployed");
     assert_eq!(
         legacy.cjdbc(cj_server).unwrap().policy(),
         ReadPolicy::RoundRobin
@@ -115,7 +115,7 @@ fn jade_manages_itself() {
            </j2ee>"#,
         6,
     );
-    let reg = &out.app.registry;
+    let reg = out.app.jade.registry();
     let jade_root = reg
         .ids()
         .into_iter()

@@ -25,11 +25,14 @@ fn arbitrated_system_still_scales() {
         "arbitrated scale-up must still happen: {:?}",
         out.app.reconfig_log
     );
-    let arb = out.app.arbitrator.as_ref().expect("arbitrator enabled");
+    let arb = out.app.jade.arbitrator().expect("arbitrator enabled");
     let (submitted, _, executed) = arb.counters();
     assert!(submitted >= executed);
     assert!(executed >= 1);
-    assert!(!out.app.reconfiguring(), "slot released after completion");
+    assert!(
+        !out.app.jade.reconfiguring(),
+        "slot released after completion"
+    );
 }
 
 /// At 450 clients both tiers keep asking to resize, yet at no instant do
@@ -47,10 +50,10 @@ fn arbitration_runs_one_reconfiguration_at_a_time() {
         let app = eng.app();
         let busy: Vec<ManagedTier> = [ManagedTier::Application, ManagedTier::Database]
             .into_iter()
-            .filter(|&tier| app.in_flight(tier).is_some())
+            .filter(|&tier| app.jade.in_flight(tier).is_some())
             .collect();
         assert!(busy.len() <= 1, "two reconfigurations at {t} s: {busy:?}");
-        assert_eq!(app.reconfiguring(), !busy.is_empty());
+        assert_eq!(app.jade.reconfiguring(), !busy.is_empty());
         tiers_seen.extend(busy);
     }
     for tier in [ManagedTier::Application, ManagedTier::Database] {
@@ -78,7 +81,7 @@ fn repair_outranks_optimization_under_load() {
     assert_eq!(out.app.running_replicas(ManagedTier::Application), 2);
     let log = format!("{:?}", out.app.reconfig_log);
     assert!(log.contains("self-recovery"), "{log}");
-    let arb = out.app.arbitrator.as_ref().expect("arbitrator");
+    let arb = out.app.jade.arbitrator().expect("arbitrator");
     let (submitted, dropped, executed) = arb.counters();
     assert!(executed >= 1);
     // The repeated detector re-submissions collapsed as duplicates.
@@ -122,7 +125,7 @@ fn oscillating_band_is_damped_by_serialization() {
     with_arb.jade.db_loop.min_threshold = 0.50;
     with_arb.jade.db_loop.max_threshold = 0.65;
     let out = run_experiment(with_arb, SimDuration::from_secs(600));
-    let arb = out.app.arbitrator.as_ref().expect("arbitrator");
+    let arb = out.app.jade.arbitrator().expect("arbitrator");
     let (submitted, dropped, executed) = arb.counters();
     assert!(
         dropped > 0,

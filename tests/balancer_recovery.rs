@@ -38,11 +38,16 @@ fn plb_crash_is_repaired_and_traffic_resumes() {
     assert!(log.contains("repairing balancer PLB"), "{log}");
     assert!(log.contains("PLB redeployed"), "{log}");
     // The new PLB is running on a different node with the worker rebound.
-    let (plb_server, plb_comp) = out.app.plb.expect("plb exists");
+    let (plb_server, plb_comp) = out.app.jade.plb().expect("plb exists");
     let plb = out.app.legacy.server(plb_server).unwrap();
     assert_eq!(plb.process().state, ServerState::Running);
     assert_ne!(plb.process().node, PLB_NODE);
-    assert!(!out.app.registry.bindings_of(plb_comp, "workers").is_empty());
+    assert!(!out
+        .app
+        .jade
+        .registry()
+        .bindings_of(plb_comp, "workers")
+        .is_empty());
     // Traffic resumed after the outage: completions in the last 100 s.
     let late: u64 = out
         .app
@@ -69,13 +74,17 @@ fn cjdbc_crash_is_repaired_with_consistent_backends() {
     });
     let log = format!("{:?}", out.app.reconfig_log);
     assert!(log.contains("repairing balancer C-JDBC"), "{log}");
-    let (cj_server, cj_comp) = out.app.cjdbc.expect("cjdbc exists");
+    let (cj_server, cj_comp) = out.app.jade.cjdbc().expect("cjdbc exists");
     let cj = out.app.legacy.server(cj_server).unwrap();
     assert_eq!(cj.process().state, ServerState::Running);
     assert_ne!(cj.process().node, CJDBC_NODE);
     // Both surviving replicas re-registered and active again.
     assert_eq!(
-        out.app.registry.bindings_of(cj_comp, "backends").len(),
+        out.app
+            .jade
+            .registry()
+            .bindings_of(cj_comp, "backends")
+            .len(),
         2,
         "backends rebound"
     );

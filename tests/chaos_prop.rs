@@ -91,7 +91,7 @@ fn managed_system_upholds_invariants_under_chaos() {
         // 45 s) — a crash mid-operation aborts it instead of wedging it.
         let limit = out.app.cfg.jade.inhibition + SimDuration::from_secs(45);
         for tier in [ManagedTier::Application, ManagedTier::Database] {
-            if let Some(op) = out.app.in_flight(tier) {
+            if let Some(op) = out.app.jade.in_flight(tier) {
                 let age = out.horizon.since(op.started);
                 assert!(age <= limit, "{tier:?} stuck in {op:?} for {age:?}");
             }

@@ -128,7 +128,7 @@ fn architecture_introspection_reflects_reconfigurations() {
     let mut cfg = SystemConfig::paper_managed();
     cfg.ramp = WorkloadRamp::constant(260); // hold above the db threshold
     let out = run_experiment(cfg, SimDuration::from_secs(420));
-    let tree = out.app.render_architecture();
+    let tree = out.app.jade.render_architecture();
     assert!(tree.contains("MySQL2"), "new replica must appear:\n{tree}");
     assert!(tree.contains("backends -> MySQL2"), "and be bound:\n{tree}");
     // The C-JDBC descriptor on the balancer node lists both backends.

@@ -164,7 +164,7 @@ fn crash_while_a_scale_down_victim_drains_does_not_wedge_the_tier() {
             .any(|(t, l)| *t == secs(302.0) && l == "scale-down Application: retiring Tomcat3"),
         "the recipe must crash a draining victim: {log:?}"
     );
-    assert!(out.app.in_flight(ManagedTier::Application).is_none());
+    assert!(out.app.jade.in_flight(ManagedTier::Application).is_none());
     assert_eq!(
         out.app.running_replicas(ManagedTier::Application),
         3,
@@ -225,7 +225,7 @@ fn discover_phases(
         t += 0.25;
         eng.run_until(secs(t));
         let app = eng.app();
-        let Some(op) = app.in_flight(tier) else {
+        let Some(op) = app.jade.in_flight(tier) else {
             if phases.is_empty() {
                 continue;
             }
@@ -267,7 +267,7 @@ fn sweep_phases(tier: ManagedTier, expect: &[ReconfigPhase]) {
                 let out = crash_run(cfg.clone(), horizon, Some((crash_s, node)));
                 let ctx = format!("arbitration={arbitration} {phase:?} crash at {crash_s}");
                 assert_eq!(
-                    out.app.in_flight(tier),
+                    out.app.jade.in_flight(tier),
                     None,
                     "{ctx}: {:?}",
                     out.app.reconfig_log
@@ -340,7 +340,7 @@ fn sweep_rolling_phases(tier: ManagedTier, expect: &[ReconfigPhase]) {
                 let settled = crash_s + AFTER_CRASH_S;
                 eng.run_until(secs(settled));
                 let log = &eng.app().reconfig_log;
-                assert_eq!(eng.app().in_flight(tier), None, "{ctx}: {log:?}");
+                assert_eq!(eng.app().jade.in_flight(tier), None, "{ctx}: {log:?}");
                 assert_eq!(
                     eng.metrics().counter("reconfig.aborted"),
                     1,

@@ -149,6 +149,24 @@ fn process_failure_on_live_node_is_detected_fast() {
         "process failure must be detected within ~a probe period, was {repair_t}"
     );
     assert_eq!(out.app.running_replicas(ManagedTier::Application), 2);
+    // The repair re-allocates the failed process's node, which is still
+    // up. Released nodes keep no software, so the replacement waits for
+    // its installs (Tomcat 15 s + daemon 4 s) before it boots.
+    let log = &out.app.reconfig_log;
+    let deployed = log
+        .iter()
+        .find(|(_, l)| l.starts_with("scale-up Application: deploying"))
+        .map(|(t, _)| t.as_secs_f64())
+        .expect("the repair redeploys");
+    let joined = log
+        .iter()
+        .find(|(t, l)| t.as_secs_f64() >= deployed && l.ends_with("joined the application tier"))
+        .map(|(t, _)| t.as_secs_f64())
+        .expect("the replacement joins");
+    assert!(
+        joined - deployed >= 19.0,
+        "deployed at {deployed}, joined at {joined}: {log:?}"
+    );
 }
 
 #[test]
@@ -241,7 +259,7 @@ fn crashed_node_cpu_timer_is_disarmed_and_the_replacement_arms() {
 }
 
 fn controller(eng: &Engine<J2eeApp>) -> &CjdbcController {
-    let (cj, _) = eng.app().cjdbc.expect("C-JDBC is deployed");
+    let (cj, _) = eng.app().jade.cjdbc().expect("C-JDBC is deployed");
     eng.app().legacy.cjdbc(cj).expect("controller")
 }
 

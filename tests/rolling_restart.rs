@@ -44,8 +44,15 @@ fn application_tier_rolls_without_downtime() {
     let total = out.app.stats.total_completed() + out.app.stats.total_failed();
     assert!(out.app.stats.total_completed() as f64 > 0.995 * total as f64);
     // Both replicas are wired back into the PLB.
-    let (_, plb_comp) = out.app.plb.unwrap();
-    assert_eq!(out.app.registry.bindings_of(plb_comp, "workers").len(), 2);
+    let (_, plb_comp) = out.app.jade.plb().unwrap();
+    assert_eq!(
+        out.app
+            .jade
+            .registry()
+            .bindings_of(plb_comp, "workers")
+            .len(),
+        2
+    );
 }
 
 #[test]
@@ -74,7 +81,7 @@ fn database_tier_roll_resynchronizes_each_backend() {
         .collect();
     assert_eq!(digests.len(), 2);
     assert_eq!(digests[0], digests[1]);
-    let (cj_server, _) = out.app.cjdbc.unwrap();
+    let (cj_server, _) = out.app.jade.cjdbc().unwrap();
     assert_eq!(out.app.legacy.cjdbc(cj_server).unwrap().active_count(), 2);
 }
 
@@ -246,9 +253,12 @@ fn rolling_restart_racing_a_scale_down_keeps_a_replica_in_rotation() {
         for t in 1..=200 {
             eng.run_until(SimTime::from_secs(t));
             let app = eng.app();
-            let (_, plb_comp) = app.plb.expect("PLB deployed");
+            let (_, plb_comp) = app.jade.plb().expect("PLB deployed");
             assert!(
-                !app.registry.bindings_of(plb_comp, "workers").is_empty(),
+                !app.jade
+                    .registry()
+                    .bindings_of(plb_comp, "workers")
+                    .is_empty(),
                 "restart at {restart_s} s: no replica in rotation at {t} s: {:?}",
                 app.reconfig_log
             );

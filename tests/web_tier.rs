@@ -30,7 +30,7 @@ fn figure2_cfg() -> SystemConfig {
 #[test]
 fn figure2_topology_deploys_and_serves() {
     let out = run_experiment(figure2_cfg(), SimDuration::from_secs(300));
-    let tree = out.app.render_architecture();
+    let tree = out.app.jade.render_architecture();
     for name in ["L4-switch", "Apache1", "Apache2", "Tomcat1", "Tomcat2"] {
         assert!(tree.contains(name), "missing {name}:\n{tree}");
     }
@@ -91,7 +91,7 @@ fn application_scale_up_joins_the_apache_rotation() {
     cfg.nodes = 12;
     let out = run_experiment(cfg, SimDuration::from_secs(420));
     if out.app.running_replicas(ManagedTier::Application) >= 3 {
-        let tree = out.app.render_architecture();
+        let tree = out.app.jade.render_architecture();
         assert!(
             tree.contains("ajp-itf -> Tomcat3"),
             "the new Tomcat must join mod_jk rotations:\n{tree}"

@@ -15,7 +15,7 @@ fn browsing_mix_produces_no_writes() {
     let out = run_experiment(cfg, SimDuration::from_secs(200));
     assert!(out.app.stats.total_completed() > 1_000);
     // The recovery log only records writes: browsing leaves it empty.
-    let (cj_server, _) = out.app.cjdbc.expect("cjdbc");
+    let (cj_server, _) = out.app.jade.cjdbc().expect("cjdbc");
     assert_eq!(
         out.app
             .legacy
