@@ -220,11 +220,10 @@ const DIGEST_SCOPES: [&str; 7] = [
 ];
 
 /// Hand-audited packing modules allowed to use raw `as` truncation on
-/// packed ids (`GenSlab`/`EventToken`/`PsCpu` slot packing, `RequestId`).
-const PACKING_MODULES: [&str; 4] = [
+/// packed ids (`SlabKey` and heap-entry slot packing, `RequestId`).
+const PACKING_MODULES: [&str; 3] = [
     "crates/sim/src/slab.rs",
-    "crates/sim/src/queue.rs",
-    "crates/sim/src/cpu.rs",
+    "crates/sim/src/heap.rs",
     "crates/tiers/src/request.rs",
 ];
 

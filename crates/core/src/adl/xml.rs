@@ -58,6 +58,11 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest element nesting a document may have. The ADL uses two levels;
+/// the bound keeps hostile input from exhausting the stack, since the
+/// parser recurses once per level.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
@@ -155,7 +160,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement, XmlError> {
+    /// Parses the element at the cursor, which sits `depth` levels deep
+    /// (the root is level 1).
+    fn parse_element(&mut self, depth: usize) -> Result<XmlElement, XmlError> {
+        if depth > MAX_DEPTH {
+            return self.err(format!("elements nested deeper than {MAX_DEPTH} levels"));
+        }
         if self.peek() != Some(b'<') {
             return self.err("expected '<'");
         }
@@ -216,7 +226,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 return Ok(element);
             }
-            element.children.push(self.parse_element()?);
+            element.children.push(self.parse_element(depth + 1)?);
         }
     }
 }
@@ -236,7 +246,7 @@ pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
         pos: 0,
     };
     p.skip_comments_and_ws()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_comments_and_ws()?;
     if p.pos != p.src.len() {
         return p.err("trailing content after the root element");
@@ -298,6 +308,16 @@ mod tests {
         assert!(parse("<a><b/>").is_err());
         assert!(parse("<a attr=>").is_err());
         assert!(parse("<a attr='x>").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_beyond_the_depth_bound() {
+        let nested = |levels: usize| "<a>".repeat(levels) + &"</a>".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // Deep enough to overflow the stack of an unbounded descent.
+        assert!(parse(&nested(100_000)).is_err());
     }
 
     #[test]

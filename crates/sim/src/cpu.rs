@@ -44,11 +44,11 @@
 //!   entry is swept when it surfaces, exactly like the event queue's
 //!   timers).
 //!
-//! The heap reuses the packed-entry design of [`crate::queue::EventQueue`]:
-//! 16-byte `Copy` entries `(key_bits, seq·slot)` compared as one `u128`
-//! (non-negative IEEE-754 doubles order identically to their bit patterns,
-//! and keys are always > 0), payloads parked in a slab with an intrusive
-//! free list, and compaction when cancelled entries dominate.
+//! The heap is the kernel's packed heap (`heap.rs`) with the
+//! `f64::to_bits` of the completion key as its primary key (keys are
+//! always > 0, and non-negative doubles order like their bit patterns),
+//! over a [`GenSlab`] of jobs; an aborted job's cell is retired, swept
+//! when it surfaces, and compacted away once aborts dominate.
 //!
 //! Because the efficiency curve only changes the virtual-clock *rate* at
 //! job-count boundaries — which are all driver-call times — the trajectory
@@ -64,12 +64,10 @@
 //! moves on every arrival and departure, so the owner keeps it in the event
 //! queue's keyed lane ([`crate::Ctx::arm_timer`]), which re-arms in place.
 
-// jade-audit: allow-file(hot-panic): hand-audited slab/heap core — every
-// index is a heap position < heap.len() maintained by sift_down/min_child,
-// or a job-slot id minted by the slab's free list; the expect() unpacks a
-// heap head tested non-empty on the previous line.
 use crate::det::DetHashMap;
+use crate::heap::{HeapEntry, PackedHeap};
 use crate::metrics::UtilizationTracker;
+use crate::slab::{GenSlab, SlabKey};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier the owner attaches to a job (e.g. a request id).
@@ -116,82 +114,22 @@ impl EfficiencyCurve {
 /// Remaining demand below this is considered complete (guards float error).
 const EPSILON_SECS: f64 = 1e-9;
 
-/// Heap entry: completion key plus the slab slot holding the job, packed
-/// into 16 bytes so four entries share a cache line (same layout as the
-/// event queue's entries).
-///
-/// `packed` holds `(seq << 32) | slot`; sequence numbers are unique among
-/// resident jobs (renumbered before they can exceed 32 bits), so comparing
-/// the composite `u128` orders equal keys by submission exactly as a
-/// separate tie-break field would.
+/// A resident job, in the slab cell its heap entry names. `vsubmit` is the
+/// virtual-clock reading at submission and `demand` the total demand in
+/// seconds: remaining demand is `demand - (vclock - vsubmit)`. Keeping
+/// both (instead of only the rounded sum in the heap key) makes the
+/// remaining-demand arithmetic associate the same way the naive
+/// per-job-subtraction model's does, so completion timers land on the
+/// same microsecond.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    /// `f64::to_bits` of the completion key. Keys are always positive and
-    /// finite, and non-negative doubles order identically to their bit
-    /// patterns, so integer comparison is exact.
-    key_bits: u64,
-    packed: u64,
+struct Job {
+    /// Job identifier the owner attached.
+    id: JobId,
+    /// Virtual clock at submission.
+    vsubmit: f64,
+    /// Total demand, seconds.
+    demand: f64,
 }
-
-impl HeapEntry {
-    #[inline]
-    fn new(key: f64, seq: u64, slot: u32) -> Self {
-        debug_assert!(key > 0.0 && key.is_finite());
-        HeapEntry {
-            key_bits: key.to_bits(),
-            packed: (seq << 32) | slot as u64,
-        }
-    }
-    /// Total order as a single scalar: `(key, seq, slot)` lexicographic.
-    #[inline]
-    fn sort_key(&self) -> u128 {
-        ((self.key_bits as u128) << 64) | self.packed as u128
-    }
-    /// Completion key (virtual-clock reading at completion).
-    #[inline]
-    fn key(&self) -> f64 {
-        f64::from_bits(self.key_bits)
-    }
-    #[inline]
-    fn slot(&self) -> u32 {
-        self.packed as u32
-    }
-    #[inline]
-    fn seq(&self) -> u64 {
-        self.packed >> 32
-    }
-}
-
-/// One slab cell.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// Free cell; holds the next free slot index (`NO_FREE` terminates),
-    /// forming an intrusive free list with no side allocation.
-    Vacant(u32),
-    /// Resident job. `vsubmit` is the virtual-clock reading at submission
-    /// and `demand` the total demand in seconds: remaining demand is
-    /// `demand - (vclock - vsubmit)`. Keeping both (instead of only the
-    /// rounded sum in the heap key) makes the remaining-demand arithmetic
-    /// associate the same way the naive per-job-subtraction model's does,
-    /// so completion timers land on the same microsecond.
-    Occupied {
-        /// Job identifier the owner attached.
-        id: JobId,
-        /// Virtual clock at submission.
-        vsubmit: f64,
-        /// Total demand, seconds.
-        demand: f64,
-    },
-    /// Aborted but not yet swept out of the heap.
-    Aborted,
-}
-
-/// Free-list terminator.
-const NO_FREE: u32 = u32::MAX;
-
-/// Compact when at least this many entries are in the heap and more than
-/// half of them are aborted.
-const COMPACT_MIN: usize = 64;
 
 /// A processor-sharing CPU with utilization accounting.
 ///
@@ -210,13 +148,11 @@ pub struct PsCpu {
     /// drained in one sorted pass instead of n root-pops.
     vmax: f64,
     last_update: SimTime,
-    /// Min-heap of completion keys over the slab.
-    heap: Vec<HeapEntry>,
-    slots: Vec<Slot>,
-    free_head: u32,
+    /// Min-heap of completion keys over `jobs`.
+    heap: PackedHeap,
+    /// Resident jobs (`jobs.len()`) and aborted ones not yet swept.
+    jobs: GenSlab<Job>,
     next_seq: u64,
-    /// Resident (non-aborted, incomplete) jobs.
-    live: usize,
     /// Aborted entries still in the heap.
     aborted: usize,
     /// Resident jobs whose demand was clamped up to `EPSILON_SECS` (i.e.
@@ -226,13 +162,13 @@ pub struct PsCpu {
     /// `elapsed == 0` advance can return immediately — the previous sweep
     /// at the same virtual-clock reading already drained everything.
     zero_demand: usize,
-    /// Job id -> slab slot, for O(1) abort. Built lazily: the map only
+    /// Job id -> slab key, for O(1) abort. Built lazily: the map only
     /// exists (and is maintained) once an id lookup has actually been
     /// needed, so the pure submit/complete path — the saturated-tier hot
     /// loop — never hashes at all. Uses the workspace-wide deterministic
     /// fx hasher ([`crate::det`]); the map is never iterated, so hash
     /// order can't leak into simulation results.
-    index: DetHashMap<JobId, u32>,
+    index: DetHashMap<JobId, SlabKey>,
     /// Whether `index` is currently materialized and being maintained.
     index_live: bool,
     util: UtilizationTracker,
@@ -250,14 +186,12 @@ impl PsCpu {
             vclock: 0.0,
             vmax: 0.0,
             last_update: SimTime::ZERO,
-            // One CPU exists per simulated node; pre-sizing the slab past
-            // the common multiprogramming levels keeps the submit burst of
-            // a saturating tier out of the allocator.
-            heap: Vec::with_capacity(128),
-            slots: Vec::with_capacity(128),
-            free_head: NO_FREE,
+            // One CPU exists per simulated node; pre-sizing the heap and
+            // the slab past the common multiprogramming levels keeps the
+            // submit burst of a saturating tier out of the allocator.
+            heap: PackedHeap::with_capacity(128),
+            jobs: GenSlab::with_capacity(128),
             next_seq: 0,
-            live: 0,
             aborted: 0,
             zero_demand: 0,
             index: DetHashMap::default(),
@@ -269,15 +203,16 @@ impl PsCpu {
 
     /// Number of resident (incomplete) jobs.
     pub fn load(&self) -> usize {
-        self.live
+        self.jobs.len()
     }
 
     /// Per-job progress rate right now, in demand-seconds per second.
     fn rate(&self) -> f64 {
-        if self.live == 0 {
+        let live = self.jobs.len();
+        if live == 0 {
             0.0
         } else {
-            self.speed * self.curve.efficiency(self.live) / self.live as f64
+            self.speed * self.curve.efficiency(live) / live as f64
         }
     }
 
@@ -295,59 +230,60 @@ impl PsCpu {
         if now == self.last_update && self.zero_demand == 0 {
             // The virtual clock cannot have moved and nothing matures at a
             // standstill: the sweep below already ran at this instant.
-            if self.live == 0 {
+            if self.jobs.is_empty() {
                 self.util.set_idle(now);
             }
             return;
         }
         let elapsed = (now - self.last_update).as_secs_f64();
-        if elapsed > 0.0 && self.live > 0 {
+        if elapsed > 0.0 && !self.jobs.is_empty() {
             self.vclock += elapsed * self.rate();
         }
         self.last_update = now;
-        if self.vclock + EPSILON_SECS >= self.vmax && !self.heap.is_empty() {
+        if self.vclock + EPSILON_SECS >= self.vmax && self.heap.peek_root().is_some() {
             self.drain_all();
         } else {
             self.sweep_pops();
         }
-        if self.live == 0 {
+        if self.jobs.is_empty() {
             self.util.set_idle(now);
         }
+    }
+
+    /// Demand `job` has yet to receive, in seconds.
+    #[inline]
+    fn remaining(&self, job: &Job) -> f64 {
+        job.demand - (self.vclock - job.vsubmit)
+    }
+
+    /// Books a job that left the heap as completed.
+    #[inline]
+    fn complete_job(&mut self, job: Job) {
+        if self.index_live {
+            self.index.remove(&job.id);
+        }
+        if job.demand <= EPSILON_SECS {
+            self.zero_demand -= 1;
+        }
+        self.completed.push(job.id);
     }
 
     /// Pops every job whose remaining demand the clock has exhausted,
     /// along with any aborted entries that surface on the way. The heap
     /// key (the rounded `vsubmit + demand`) only *orders* the sweep; the
-    /// completion test recomputes remaining demand from the slot so it
+    /// completion test recomputes remaining demand from the job so it
     /// rounds identically to the naive model's per-job subtraction.
     fn sweep_pops(&mut self) {
-        while let Some(&head) = self.heap.first() {
-            match self.slots[head.slot() as usize] {
-                Slot::Aborted => {
-                    self.remove_root();
-                    self.free_slot(head.slot());
-                    self.aborted -= 1;
-                }
-                Slot::Occupied {
-                    id,
-                    vsubmit,
-                    demand,
-                } => {
-                    if demand - (self.vclock - vsubmit) > EPSILON_SECS {
-                        break;
-                    }
-                    self.remove_root();
-                    self.free_slot(head.slot());
-                    if self.index_live {
-                        self.index.remove(&id);
-                    }
-                    if demand <= EPSILON_SECS {
-                        self.zero_demand -= 1;
-                    }
-                    self.live -= 1;
-                    self.completed.push(id);
-                }
-                Slot::Vacant(_) => unreachable!("heap entry points at vacant slot"),
+        while let Some(head) = self.heap.peek_root() {
+            let slot = head.payload_slot();
+            match self.jobs.live_at(slot) {
+                Some(job) if self.remaining(job) > EPSILON_SECS => break,
+                Some(_) => {}
+                None => self.aborted -= 1,
+            }
+            self.heap.pop_root();
+            if let Some(job) = self.jobs.release_slot(slot) {
+                self.complete_job(job);
             }
         }
     }
@@ -356,42 +292,28 @@ impl PsCpu {
     /// passed every completion key, so every resident job is done and the
     /// O(n log n) sort beats n root-pops by a large constant factor (the
     /// saturated-tier burst pattern). `vmax` is the rounded-key bound;
-    /// the slot-derived remaining demand is re-checked first and any
+    /// each job's remaining demand is re-checked first and any
     /// near-boundary stragglers are handed back to the exact sweep.
     fn drain_all(&mut self) {
-        for e in &self.heap {
-            if let Slot::Occupied {
-                vsubmit, demand, ..
-            } = self.slots[e.slot() as usize]
-            {
-                if demand - (self.vclock - vsubmit) > EPSILON_SECS {
-                    self.sweep_pops();
-                    return;
-                }
+        if self
+            .heap
+            .entries()
+            .iter()
+            .filter_map(|e| self.jobs.live_at(e.payload_slot()))
+            .any(|job| self.remaining(job) > EPSILON_SECS)
+        {
+            self.sweep_pops();
+            return;
+        }
+        self.completed.reserve(self.jobs.len());
+        let mut heap = std::mem::take(&mut self.heap);
+        for e in heap.drain_sorted() {
+            match self.jobs.release_slot(e.payload_slot()) {
+                Some(job) => self.complete_job(job),
+                None => self.aborted -= 1,
             }
         }
-        let mut entries = std::mem::take(&mut self.heap);
-        entries.sort_unstable_by_key(HeapEntry::sort_key);
-        self.completed.reserve(self.live);
-        for e in entries.drain(..) {
-            match self.slots[e.slot() as usize] {
-                Slot::Aborted => self.aborted -= 1,
-                Slot::Occupied { id, demand, .. } => {
-                    if self.index_live {
-                        self.index.remove(&id);
-                    }
-                    if demand <= EPSILON_SECS {
-                        self.zero_demand -= 1;
-                    }
-                    self.live -= 1;
-                    self.completed.push(id);
-                }
-                Slot::Vacant(_) => unreachable!("heap entry points at vacant slot"),
-            }
-            self.free_slot(e.slot());
-        }
-        // Hand the (empty) allocation back to the heap for reuse.
-        self.heap = entries;
+        self.heap = heap;
     }
 
     /// Submits a job with the given total demand.
@@ -399,7 +321,7 @@ impl PsCpu {
     pub fn submit(&mut self, now: SimTime, id: JobId, demand: SimDuration) {
         self.advance(now);
         if self.next_seq > u32::MAX as u64 {
-            self.renumber();
+            self.next_seq = self.heap.renumber_seqs();
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -407,21 +329,25 @@ impl PsCpu {
         if d <= EPSILON_SECS {
             self.zero_demand += 1;
         }
-        let key = self.vclock + d;
-        if key > self.vmax {
-            self.vmax = key;
+        let done_at = self.vclock + d;
+        debug_assert!(done_at > 0.0 && done_at.is_finite());
+        if done_at > self.vmax {
+            self.vmax = done_at;
         }
-        let slot = self.alloc_slot(id, d);
+        let key = self.jobs.insert(Job {
+            id,
+            vsubmit: self.vclock,
+            demand: d,
+        });
         if self.index_live {
-            let prev = self.index.insert(id, slot);
+            let prev = self.index.insert(id, key);
             debug_assert!(prev.is_none(), "job id {id:?} already resident");
         }
-        self.live += 1;
-        if self.live == 1 {
+        if self.jobs.len() == 1 {
             self.util.set_busy(now);
         }
-        self.heap.push(HeapEntry::new(key, seq, slot));
-        self.sift_up(self.heap.len() - 1);
+        self.heap
+            .sift_in(HeapEntry::new(done_at.to_bits(), seq, key.slot()));
     }
 
     /// Forcibly removes a job (e.g. its server was stopped). Returns true
@@ -429,22 +355,22 @@ impl PsCpu {
     pub fn abort(&mut self, now: SimTime, id: JobId) -> bool {
         self.advance(now);
         self.ensure_index();
-        let Some(slot) = self.index.remove(&id) else {
+        let Some(key) = self.index.remove(&id) else {
             return false;
         };
-        if let Slot::Occupied { demand, .. } = self.slots[slot as usize] {
-            if demand <= EPSILON_SECS {
+        if let Some(job) = self.jobs.retire(key) {
+            if job.demand <= EPSILON_SECS {
                 self.zero_demand -= 1;
             }
         }
-        self.slots[slot as usize] = Slot::Aborted;
         self.aborted += 1;
-        self.live -= 1;
-        if self.live == 0 {
+        if self.jobs.is_empty() {
             self.util.set_idle(now);
         }
-        if self.aborted * 2 > self.heap.len() && self.heap.len() >= COMPACT_MIN {
-            self.compact();
+        if self.heap.mostly_dead(self.aborted) {
+            self.heap
+                .compact_retain(|e| self.jobs.keep_if_live(e.payload_slot()));
+            self.aborted = 0;
         }
         true
     }
@@ -453,21 +379,15 @@ impl PsCpu {
     /// crash/stop).
     pub fn abort_all(&mut self, now: SimTime) -> Vec<JobId> {
         self.advance(now);
-        let mut residents: Vec<(u64, JobId)> = self
-            .heap
-            .iter()
-            .filter_map(|e| match self.slots[e.slot() as usize] {
-                Slot::Occupied { id, .. } => Some((e.seq(), id)),
-                _ => None,
-            })
-            .collect();
+        let mut residents: Vec<(u64, JobId)> = Vec::with_capacity(self.jobs.len());
+        for e in self.heap.drain_sorted() {
+            if let Some(job) = self.jobs.release_slot(e.payload_slot()) {
+                residents.push((e.seq(), job.id));
+            }
+        }
         residents.sort_unstable_by_key(|&(seq, _)| seq);
-        self.heap.clear();
-        self.slots.clear();
-        self.free_head = NO_FREE;
         self.index.clear();
         self.index_live = false;
-        self.live = 0;
         self.aborted = 0;
         self.zero_demand = 0;
         self.vmax = self.vclock;
@@ -486,21 +406,15 @@ impl PsCpu {
         }
         // Sweep aborted entries off the top so the peek is live.
         let head = loop {
-            let &head = self.heap.first()?;
-            if matches!(self.slots[head.slot() as usize], Slot::Aborted) {
-                self.remove_root();
-                self.free_slot(head.slot());
-                self.aborted -= 1;
-                continue;
+            let slot = self.heap.peek_root()?.payload_slot();
+            if let Some(&job) = self.jobs.live_at(slot) {
+                break job;
             }
-            break head;
+            self.heap.pop_root();
+            self.jobs.release_slot(slot);
+            self.aborted -= 1;
         };
-        let min_remaining = match self.slots[head.slot() as usize] {
-            Slot::Occupied {
-                vsubmit, demand, ..
-            } => demand - (self.vclock - vsubmit),
-            _ => unreachable!("head entry is live after the aborted sweep"),
-        };
+        let min_remaining = self.remaining(&head);
         // Round *up* to the next microsecond so the timer never fires
         // before the job is actually done.
         let micros = (min_remaining / rate * 1e6).ceil() as u64;
@@ -523,22 +437,6 @@ impl PsCpu {
         out.append(&mut self.completed);
     }
 
-    /// Remaining demand of a resident job, recovered from the virtual
-    /// clock (`None` when the job is not resident).
-    pub fn remaining_demand(&mut self, now: SimTime, id: JobId) -> Option<SimDuration> {
-        self.advance(now);
-        self.ensure_index();
-        let slot = *self.index.get(&id)?;
-        match self.slots[slot as usize] {
-            Slot::Occupied {
-                vsubmit, demand, ..
-            } => Some(SimDuration::from_secs_f64(
-                (demand - (self.vclock - vsubmit)).max(0.0),
-            )),
-            _ => unreachable!("indexed job has an occupied slot"),
-        }
-    }
-
     /// CPU utilization since the previous call (see
     /// [`UtilizationTracker::sample`]).
     pub fn sample_utilization(&mut self, now: SimTime) -> f64 {
@@ -557,7 +455,7 @@ impl PsCpu {
     /// sample, so [`PsCpu::sample_utilization`] is a no-op that reads
     /// exactly `0.0`. A quiet CPU stays quiet until the next `submit`.
     pub fn is_quiet(&self) -> bool {
-        self.heap.is_empty() && self.completed.is_empty() && self.util.is_quiet()
+        self.heap.peek_root().is_none() && self.completed.is_empty() && self.util.is_quiet()
     }
 
     /// Brings a quiet CPU to the state sampling it at every instant up to
@@ -568,12 +466,7 @@ impl PsCpu {
         self.util.rebase_idle_window(now);
     }
 
-    // ------------------------------------------------------------------
-    // Slab + heap plumbing (packed entries, intrusive free list, lazy
-    // cancellation — the event queue's design, keyed by f64 bits).
-    // ------------------------------------------------------------------
-
-    /// Materializes the id → slot map from the slab, once, on the first
+    /// Materializes the id → key map from the slab, once, on the first
     /// operation that needs a lookup. From then on `submit`/completion
     /// sweeps keep it current. Amortized O(1) per resident job.
     fn ensure_index(&mut self) {
@@ -581,131 +474,11 @@ impl PsCpu {
             return;
         }
         self.index.clear();
-        self.index.reserve(self.live);
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Slot::Occupied { id, .. } = *s {
-                self.index.insert(id, i as u32);
-            }
+        self.index.reserve(self.jobs.len());
+        for (key, job) in self.jobs.iter() {
+            self.index.insert(job.id, key);
         }
         self.index_live = true;
-    }
-
-    fn alloc_slot(&mut self, id: JobId, demand: f64) -> u32 {
-        let occupied = Slot::Occupied {
-            id,
-            vsubmit: self.vclock,
-            demand,
-        };
-        if self.free_head != NO_FREE {
-            let slot = self.free_head;
-            match self.slots[slot as usize] {
-                Slot::Vacant(next) => self.free_head = next,
-                _ => unreachable!("free list points at a live slot"),
-            }
-            self.slots[slot as usize] = occupied;
-            slot
-        } else {
-            self.slots.push(occupied);
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn free_slot(&mut self, slot: u32) {
-        self.slots[slot as usize] = Slot::Vacant(self.free_head);
-        self.free_head = slot;
-    }
-
-    /// Reassigns pending sequence numbers to `0..n` in key order so `seq`
-    /// keeps fitting in 32 bits. The remap is monotone in the old
-    /// composite key, so relative order — and hence determinism — is
-    /// untouched and the heap property is preserved in place.
-    fn renumber(&mut self) {
-        let mut order: Vec<u32> = (0..self.heap.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| self.heap[i as usize].sort_key());
-        for (new_seq, &i) in order.iter().enumerate() {
-            let e = &mut self.heap[i as usize];
-            *e = HeapEntry::new(e.key(), new_seq as u64, e.slot());
-        }
-        self.next_seq = self.heap.len() as u64;
-    }
-
-    /// Drops aborted entries and restores the heap property in O(n).
-    fn compact(&mut self) {
-        let mut heap = std::mem::take(&mut self.heap);
-        let mut kept = Vec::with_capacity(heap.len() - self.aborted);
-        for entry in heap.drain(..) {
-            match self.slots[entry.slot() as usize] {
-                Slot::Aborted => self.free_slot(entry.slot()),
-                Slot::Occupied { .. } => kept.push(entry),
-                Slot::Vacant(_) => unreachable!("heap entry points at vacant slot"),
-            }
-        }
-        self.heap = kept;
-        self.aborted = 0;
-        if self.heap.len() > 1 {
-            let last_parent = (self.heap.len() - 2) / 2;
-            for i in (0..=last_parent).rev() {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Index of the smaller child of `hole`, or `None` for a leaf.
-    #[inline]
-    fn min_child(&self, hole: usize, n: usize) -> Option<usize> {
-        let first = 2 * hole + 1;
-        if first >= n {
-            return None;
-        }
-        let mut best = first;
-        if first + 1 < n && self.heap[first + 1].sort_key() < self.heap[first].sort_key() {
-            best = first + 1;
-        }
-        Some(best)
-    }
-
-    /// Removes the root entry, restoring the heap property: the tail moves
-    /// to the root and sifts down with early stop. (A hole-based removal
-    /// that always descends to a leaf is slower for this heap: completion
-    /// batches pop runs of near-equal keys, where the early stop exits on
-    /// the first comparison.)
-    fn remove_root(&mut self) {
-        let tail = self.heap.pop().expect("remove_root on empty heap");
-        if self.heap.is_empty() {
-            return;
-        }
-        self.heap[0] = tail;
-        self.sift_down(0);
-    }
-
-    fn sift_up(&mut self, mut hole: usize) {
-        let entry = self.heap[hole];
-        let key = entry.sort_key();
-        while hole > 0 {
-            let parent = (hole - 1) / 2;
-            if key < self.heap[parent].sort_key() {
-                self.heap[hole] = self.heap[parent];
-                hole = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[hole] = entry;
-    }
-
-    fn sift_down(&mut self, mut hole: usize) {
-        let entry = self.heap[hole];
-        let key = entry.sort_key();
-        let n = self.heap.len();
-        while let Some(child) = self.min_child(hole, n) {
-            if self.heap[child].sort_key() < key {
-                self.heap[hole] = self.heap[child];
-                hole = child;
-            } else {
-                break;
-            }
-        }
-        self.heap[hole] = entry;
     }
 }
 
@@ -854,14 +627,36 @@ mod tests {
     }
 
     #[test]
-    fn remaining_demand_is_recovered_from_the_virtual_clock() {
-        let mut cpu = PsCpu::new(1.0, EfficiencyCurve::Ideal);
-        cpu.submit(t(0), JobId(1), d(100));
-        cpu.submit(t(0), JobId(2), d(40));
-        // Two jobs share the CPU: after 40ms each attained 20ms.
-        let rem = cpu.remaining_demand(t(40), JobId(1)).unwrap();
-        assert!((rem.as_secs_f64() - 0.080).abs() < 1e-9, "rem {rem}");
-        assert!(cpu.remaining_demand(t(40), JobId(99)).is_none());
+    fn renumbering_at_the_seq_wrap_keeps_completion_order() {
+        // Tied completion keys on both sides of the wrap (equal demands
+        // submitted at one instant) and an aborted entry still resident.
+        let run = |wrap: bool| {
+            let mut cpu = PsCpu::new(1.0, EfficiencyCurve::Ideal);
+            for i in 0..6u64 {
+                cpu.submit(t(0), JobId(i), d(10 + 20 * (i % 2)));
+            }
+            assert!(cpu.abort(t(0), JobId(2)));
+            if wrap {
+                cpu.next_seq = u32::MAX as u64 + 1;
+            }
+            for i in 6..9u64 {
+                cpu.submit(t(0), JobId(i), d(10 + 20 * (i % 2)));
+            }
+            if wrap {
+                // Six resident entries renumbered to 0..6, then three draws.
+                assert_eq!(cpu.next_seq, 9);
+            }
+            let mut now = t(0);
+            let mut done = Vec::new();
+            while let Some(next) = cpu.next_completion(now) {
+                now = next;
+                done.extend(cpu.collect_completions(now).into_iter().map(|id| (now, id)));
+            }
+            done
+        };
+        let wrapped = run(true);
+        assert_eq!(wrapped.len(), 8);
+        assert_eq!(wrapped, run(false));
     }
 
     #[test]
@@ -877,7 +672,10 @@ mod tests {
             }
         }
         assert_eq!(cpu.load(), 100);
-        assert!(cpu.heap.len() < 500, "compaction must have swept the heap");
+        assert!(
+            cpu.heap.entries().len() < 500,
+            "compaction must have swept the heap"
+        );
         // The survivors all complete, in submission (= key) order.
         let mut now = t(1);
         let mut done = Vec::new();
@@ -902,6 +700,10 @@ mod tests {
                 cpu.collect_completions(now);
             }
         }
-        assert!(cpu.slots.len() <= 10, "slab grew to {}", cpu.slots.len());
+        assert!(
+            cpu.jobs.high_water() <= 10,
+            "slab grew to {}",
+            cpu.jobs.high_water()
+        );
     }
 }

@@ -67,18 +67,11 @@ impl<'a, M> Ctx<'a, M> {
         self.queue.push(self.now + delay, (dst, msg))
     }
 
-    /// Schedules `msg` at absolute time `at` (clamped to now) on the
-    /// timer wheel. Identical semantics to [`Ctx::send_at`]; prefer it
-    /// for coarse deadlines — think times, patience timers, periodic
-    /// ticks — that are numerous and long-lived, where the wheel's O(1)
-    /// insert/cancel beats heap sifting against the whole pending set.
-    pub fn send_at_coarse(&mut self, at: SimTime, dst: Addr, msg: M) -> EventToken {
-        let at = at.max(self.now);
-        self.queue.push_coarse(at, (dst, msg))
-    }
-
-    /// Schedules `msg` after `delay` on the timer wheel (see
-    /// [`Ctx::send_at_coarse`]).
+    /// Schedules `msg` after `delay` on the timer wheel. Identical
+    /// semantics to [`Ctx::send_after`]; prefer it for coarse deadlines —
+    /// think times, patience timers, periodic ticks — that are numerous
+    /// and long-lived, where the wheel's O(1) insert/cancel beats heap
+    /// sifting against the whole pending set.
     pub fn send_after_coarse(&mut self, delay: SimDuration, dst: Addr, msg: M) -> EventToken {
         self.queue.push_coarse(self.now + delay, (dst, msg))
     }

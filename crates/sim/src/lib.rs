@@ -6,7 +6,7 @@
 //! * a virtual clock with microsecond resolution ([`SimTime`],
 //!   [`SimDuration`]),
 //! * a pending-event set with FIFO tie-breaking ([`queue::EventQueue`]):
-//!   a slab min-heap with lazy cancellation for precise one-shot events,
+//!   a packed min-heap with lazy cancellation for precise one-shot events,
 //!   a hierarchical timer wheel ([`wheel`]) for the coarse deadlines that
 //!   dominate at million-client scale, and a keyed lane for timers that
 //!   are re-armed in place, all merged by one `(time, seq)` order,
@@ -14,6 +14,10 @@
 //!   detection ([`slab::GenSlab`]),
 //! * an application-routing engine ([`Engine`], [`App`], [`Ctx`]),
 //! * a processor-sharing CPU model with a thrashing law ([`cpu::PsCpu`]),
+//! * under both the queue and the CPU model, one packed 16-byte-entry
+//!   min-heap (the private `heap` module) whose entries name their
+//!   payload's slot in a `GenSlab`: neither keeps a heap or a free list
+//!   of its own,
 //! * measurement infrastructure ([`metrics`]) including the time-windowed
 //!   moving averages used by Jade's CPU sensors,
 //! * seeded, forkable randomness ([`rng::SimRng`]).
@@ -31,6 +35,7 @@ pub mod cpu;
 pub mod det;
 pub mod digest;
 pub mod engine;
+mod heap;
 pub mod metrics;
 pub mod pack;
 pub mod queue;

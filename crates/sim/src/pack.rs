@@ -3,7 +3,7 @@
 //! The simulation packs ids aggressively — `SlabKey` and `RequestId`
 //! carry `{generation, slot}` in one `u64`, tables and columns are dense
 //! `u16` indices, servers and nodes dense `u32`s. The *packing modules*
-//! ([`crate::slab`], [`crate::queue`], [`crate::cpu`], and jade-tiers'
+//! ([`crate::slab`], the kernel's private `heap`, and jade-tiers'
 //! `request`) are audited by hand and may use raw `as` truncation; every
 //! other construction of an id from a wider integer must go through these
 //! helpers, which panic loudly instead of silently wrapping when a

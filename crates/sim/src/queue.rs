@@ -6,24 +6,16 @@
 //!
 //! # Implementation
 //!
-//! The queue is a hand-rolled min-heap of packed 16-byte `Copy` entries
-//! `(time, seq·slot)` over a slab of payloads. Compared to the original
-//! `BinaryHeap<Entry<T>> + HashSet<u64>` design this
+//! Precise events sit in the kernel's packed min-heap (`heap.rs`):
+//! 16-byte `(time, seq·slot)` entries over a [`GenSlab`] of payloads, so
+//! sift operations move 16-byte records instead of whole `(time, seq,
+//! (Addr, Msg))` entries. A token is the payload's [`SlabKey`]: cancelling
+//! checks its generation and retires the cell in O(1), with no hashing,
+//! and slots recycle through the slab's free list, so a steady-state run
+//! performs no per-event allocation once the high-water mark is reached.
 //!
-//! * keeps payloads out of the heap, so sift operations move 16-byte
-//!   records instead of whole `(time, seq, (Addr, Msg))` entries,
-//! * compares entries as a single `u128` key, so the min-child selection
-//!   in the sift loops compiles branch-free,
-//! * uses hole-based sifting (one move per level instead of a swap's
-//!   three) and sifts root removals to the bottom before re-inserting the
-//!   tail, as `std`'s `BinaryHeap` does,
-//! * replaces the per-cancel/per-pop `HashSet` hashing with an O(1) flag
-//!   in the slab slot, addressed directly by the token,
-//! * recycles slots through an intrusive free list, so a steady-state run
-//!   performs no per-event allocation once the high-water mark is reached.
-//!
-//! Cancellation stays *lazy*: [`EventQueue::cancel`] marks the slot and the
-//! entry is dropped when it reaches the head of the heap — right for
+//! Cancellation stays *lazy*: [`EventQueue::cancel`] retires the cell and
+//! the entry is dropped when it reaches the head of the heap — right for
 //! one-shot events that are rarely cancelled. To bound the garbage a
 //! cancel-heavy workload can accumulate, the queue *compacts* (filters
 //! cancelled entries and re-heapifies in O(n)) whenever more than half of
@@ -66,87 +58,21 @@
 //! heap. Which structure held a timer is unobservable to the simulation;
 //! only the constant factors differ.
 
-// jade-audit: allow-file(hot-panic): hand-audited slab/heap core — every
-// index is a heap position < heap.len() maintained by the sift loops, a
-// slot id minted by alloc_slot, or a wheel node id owned by the free list;
-// the expect()s assert the heap-nonempty invariant established by the
-// caller on the preceding line.
+// jade-audit: allow-file(hot-panic): hand-audited lane core — every index
+// is a slab slot minted by the payload slab, a keyed-lane position kept in
+// `pos`, or a wheel node id owned by the wheel's free list; the expect()
+// unpacks a lane head tested non-empty on the preceding line.
+use crate::heap::{pack_lo, slot_of, HeapEntry, PackedHeap};
+use crate::slab::{GenSlab, SlabKey};
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use std::collections::VecDeque;
 
-/// Token identifying a scheduled event, usable to cancel it.
-///
-/// Encodes the slab slot and its generation, so cancelling an event that
-/// has already fired (and whose slot was recycled) is detected and ignored.
+/// Token identifying a scheduled event, usable to cancel it: the key of
+/// the event's payload cell, so cancelling an event that has already
+/// fired (and whose slot was recycled) is detected and ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
-
-impl EventToken {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventToken(((generation as u64) << 32) | slot as u64)
-    }
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Heap entry: ordering key plus the slab slot holding the payload, packed
-/// into 16 bytes so four entries share a cache line.
-///
-/// `packed` holds `(seq << 32) | slot`. Sequence numbers are unique among
-/// pending events (the queue renumbers before they can exceed 32 bits), so
-/// comparing `packed` orders ties in time by insertion exactly as a
-/// separate `seq` field would — the slot bits never decide.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    packed: u64,
-}
-
-impl HeapEntry {
-    #[inline]
-    fn new(time: SimTime, seq: u64, slot: u32) -> Self {
-        HeapEntry {
-            time,
-            packed: (seq << 32) | slot as u64,
-        }
-    }
-    /// Total order as a single scalar: `(time, seq, slot)` lexicographic.
-    /// One u128 compare beats a short-circuiting tuple compare in the sift
-    /// loops — the min-of-children selection compiles branch-free.
-    #[inline]
-    fn key(&self) -> u128 {
-        ((self.time.as_micros() as u128) << 64) | self.packed as u128
-    }
-    #[inline]
-    fn slot(&self) -> u32 {
-        self.packed as u32
-    }
-}
-
-enum Slot<T> {
-    /// Free cell; holds the next free slot index (`NO_FREE` terminates),
-    /// forming an intrusive free list with no side allocation.
-    Vacant(u32),
-    /// Live event payload.
-    Occupied(T),
-    /// Cancelled but not yet swept out of the heap.
-    Cancelled,
-}
-
-/// One slab cell: payload state plus the generation tag that invalidates
-/// stale tokens. Kept together so cancel/pop touch a single cache line.
-/// `coarse` records whether the pending entry lives on the wheel rather
-/// than the heap, so `cancel` maintains the right garbage counter.
-struct SlotEntry<T> {
-    generation: u32,
-    coarse: bool,
-    state: Slot<T>,
-}
+pub struct EventToken(SlabKey);
 
 /// Position marker of a key with no armed timer.
 const UNARMED: u32 = u32::MAX;
@@ -176,7 +102,7 @@ impl<T> KeyedLane<T> {
         let mut best = 0;
         let mut best_key = u128::MAX;
         for (i, e) in self.armed.iter().enumerate() {
-            let k = e.key();
+            let k = e.order();
             if k < best_key {
                 best = i;
                 best_key = k;
@@ -195,7 +121,7 @@ impl<T> KeyedLane<T> {
         let at = self.pos[key as usize] as usize;
         if at == UNARMED as usize {
             self.pos[key as usize] = self.armed.len() as u32;
-            if self.min_entry().is_none_or(|m| entry.key() < m.key()) {
+            if self.min_entry().is_none_or(|m| entry.order() < m.order()) {
                 self.min = self.armed.len();
             }
             self.armed.push(entry);
@@ -205,10 +131,10 @@ impl<T> KeyedLane<T> {
         let old = std::mem::replace(&mut self.armed[at], entry);
         self.payloads[at] = payload;
         if at != self.min {
-            if entry.key() < self.armed[self.min].key() {
+            if entry.order() < self.armed[self.min].order() {
                 self.min = at;
             }
-        } else if entry.key() > old.key() {
+        } else if entry.order() > old.order() {
             // The minimum moved later; any entry may have overtaken it.
             self.rescan_min();
         }
@@ -227,9 +153,9 @@ impl<T> KeyedLane<T> {
     fn take_at(&mut self, at: usize) -> T {
         let entry = self.armed.swap_remove(at);
         let payload = self.payloads.swap_remove(at);
-        self.pos[entry.slot() as usize] = UNARMED;
+        self.pos[entry.payload_slot() as usize] = UNARMED;
         if let Some(moved) = self.armed.get(at) {
-            self.pos[moved.slot() as usize] = at as u32;
+            self.pos[moved.payload_slot() as usize] = at as u32;
         }
         if at == self.min {
             self.rescan_min();
@@ -241,17 +167,15 @@ impl<T> KeyedLane<T> {
     }
 }
 
-/// Free-list terminator (the slab can never index 2^32 slots: the heap
-/// would overflow memory long before).
-const NO_FREE: u32 = u32::MAX;
-
 /// Deterministic pending-event set: a heap with lazy cancellation, a
 /// timer wheel for coarse deadlines and a lane of keyed re-armable
 /// timers, merged by one `(time, seq)` order.
 pub struct EventQueue<T> {
-    heap: Vec<HeapEntry>,
-    slots: Vec<SlotEntry<T>>,
-    free_head: u32,
+    heap: PackedHeap,
+    /// Payloads of the heap's, the wheel's and `ready`'s entries, tagged
+    /// when the entry is wheel-side (so cancelling it leaves the heap's
+    /// garbage count alone).
+    payloads: GenSlab<T>,
     /// The one sequence counter `push`, `push_coarse` and `arm` draw from.
     next_seq: u64,
     /// Cancelled-but-unswept entries in the heap.
@@ -261,8 +185,6 @@ pub struct EventQueue<T> {
     wheel: TimerWheel,
     ready: VecDeque<u64>,
     ready_time: SimTime,
-    /// Cancelled-but-unswept entries on the wheel/ready side.
-    wheel_cancelled: usize,
     /// Scratch for wheel drains, reused across calls.
     drain_scratch: Vec<(u64, u64)>,
     keyed: KeyedLane<T>,
@@ -274,28 +196,17 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// Compact when at least this many entries are in the heap and more than
-/// half of them are cancelled.
-const COMPACT_MIN: usize = 64;
-
-/// Heap arity. The sift loops are written for any arity; on the kernel's
-/// steady-state churn pattern with these 16-byte entries the binary
-/// layout measured ahead of 4- and 8-ary.
-const ARITY: usize = 2;
-
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free_head: NO_FREE,
+            heap: PackedHeap::default(),
+            payloads: GenSlab::new(),
             next_seq: 0,
             cancelled: 0,
             wheel: TimerWheel::new(),
             ready: VecDeque::new(),
             ready_time: SimTime::ZERO,
-            wheel_cancelled: 0,
             drain_scratch: Vec::new(),
             keyed: KeyedLane {
                 armed: Vec::new(),
@@ -304,39 +215,6 @@ impl<T> EventQueue<T> {
                 min: 0,
             },
         }
-    }
-
-    // jade-audit: allow(unbounded-growth): the slot slab grows to the
-    // run's high-water mark of concurrently pending events and is then
-    // recycled through the free list (free_slot pushes retired ids onto
-    // free_head; the Vacant arm above pops them).
-    fn alloc_slot(&mut self, payload: T) -> u32 {
-        if self.free_head != NO_FREE {
-            let slot = self.free_head;
-            let cell = &mut self.slots[slot as usize];
-            match cell.state {
-                Slot::Vacant(next) => self.free_head = next,
-                _ => unreachable!("free list points at a live slot"),
-            }
-            cell.state = Slot::Occupied(payload);
-            cell.coarse = false;
-            slot
-        } else {
-            self.slots.push(SlotEntry {
-                generation: 0,
-                coarse: false,
-                state: Slot::Occupied(payload),
-            });
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn free_slot(&mut self, slot: u32) {
-        let next = self.free_head;
-        let cell = &mut self.slots[slot as usize];
-        cell.state = Slot::Vacant(next);
-        cell.generation = cell.generation.wrapping_add(1);
-        self.free_head = slot;
     }
 
     /// Draws the next insertion sequence number, renumbering first if
@@ -354,11 +232,10 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` at `time`, returning a cancellation token.
     pub fn push(&mut self, time: SimTime, payload: T) -> EventToken {
         let seq = self.draw_seq();
-        let slot = self.alloc_slot(payload);
-        let token = EventToken::new(slot, self.slots[slot as usize].generation);
-        self.heap.push(HeapEntry::new(time, seq, slot));
-        self.sift_up(self.heap.len() - 1);
-        token
+        let key = self.payloads.insert(payload);
+        self.heap
+            .sift_in(HeapEntry::new(time.as_micros(), seq, key.slot()));
+        EventToken(key)
     }
 
     /// Schedules `payload` at `time` on the timer wheel: O(1) insert and
@@ -382,12 +259,9 @@ impl<T> EventQueue<T> {
             return self.push(time, payload);
         }
         let seq = self.draw_seq();
-        let slot = self.alloc_slot(payload);
-        let cell = &mut self.slots[slot as usize];
-        cell.coarse = true;
-        let token = EventToken::new(slot, cell.generation);
-        self.wheel.push(time.as_micros(), (seq << 32) | slot as u64);
-        token
+        let key = self.payloads.insert_tagged(payload);
+        self.wheel.push(time.as_micros(), pack_lo(seq, key.slot()));
+        EventToken(key)
     }
 
     /// Sets the one timer of `key` to fire `payload` at `time`, replacing
@@ -399,7 +273,7 @@ impl<T> EventQueue<T> {
     pub fn arm(&mut self, key: u32, time: SimTime, payload: T) {
         let seq = self.draw_seq();
         self.keyed
-            .arm_key(key, HeapEntry::new(time, seq, key), payload);
+            .arm_key(key, HeapEntry::new(time.as_micros(), seq, key), payload);
     }
 
     /// Clears the timer of `key`; a no-op if none is armed (never armed,
@@ -427,8 +301,8 @@ impl<T> EventQueue<T> {
         }
         let key_of = |time: u64, packed: u64| ((time as u128) << 64) | packed as u128;
         let mut all: Vec<(u128, Src)> = Vec::with_capacity(self.raw_len());
-        for (i, e) in self.heap.iter().enumerate() {
-            all.push((e.key(), Src::Heap(i as u32)));
+        for (i, e) in self.heap.entries().iter().enumerate() {
+            all.push((e.order(), Src::Heap(i as u32)));
         }
         for (i, n) in self.wheel.nodes.iter().enumerate() {
             if n.live {
@@ -442,16 +316,13 @@ impl<T> EventQueue<T> {
             all.push((key_of(self.ready_time.as_micros(), p), Src::Ready(i as u32)));
         }
         for (i, e) in self.keyed.armed.iter().enumerate() {
-            all.push((e.key(), Src::Keyed(i as u32)));
+            all.push((e.order(), Src::Keyed(i as u32)));
         }
         all.sort_unstable_by_key(|&(k, _)| k);
         for (new_seq, (_, src)) in all.iter().enumerate() {
             let reseq = |packed: u64| ((new_seq as u64) << 32) | (packed & u32::MAX as u64);
             match *src {
-                Src::Heap(i) => {
-                    let e = &mut self.heap[i as usize];
-                    *e = HeapEntry::new(e.time, new_seq as u64, e.slot());
-                }
+                Src::Heap(i) => self.heap.entries_mut()[i as usize].set_seq(new_seq as u64),
                 Src::Node(i) => {
                     let n = &mut self.wheel.nodes[i as usize];
                     n.packed = reseq(n.packed);
@@ -465,10 +336,7 @@ impl<T> EventQueue<T> {
                     *p = reseq(*p);
                 }
                 // Monotone remap: the cached minimum stays the minimum.
-                Src::Keyed(i) => {
-                    let e = &mut self.keyed.armed[i as usize];
-                    e.packed = reseq(e.packed);
-                }
+                Src::Keyed(i) => self.keyed.armed[i as usize].set_seq(new_seq as u64),
             }
         }
         self.next_seq = all.len() as u64;
@@ -477,24 +345,17 @@ impl<T> EventQueue<T> {
     /// Cancels a previously scheduled event. Cancelling an event that has
     /// already fired (or was already cancelled) is a no-op.
     pub fn cancel(&mut self, token: EventToken) {
-        let idx = token.slot() as usize;
-        if idx >= self.slots.len() || self.slots[idx].generation != token.generation() {
+        // A wheel-side entry is swept when it surfaces; only the heap
+        // compacts.
+        let coarse = self.payloads.tagged_at(token.0.slot());
+        if self.payloads.retire(token.0).is_none() || coarse {
             return;
         }
-        if matches!(self.slots[idx].state, Slot::Cancelled) {
-            return;
-        }
-        if self.slots[idx].coarse {
-            self.slots[idx].state = Slot::Cancelled;
-            self.wheel_cancelled += 1;
-            return;
-        }
-        if matches!(self.slots[idx].state, Slot::Occupied(_)) {
-            self.slots[idx].state = Slot::Cancelled;
-            self.cancelled += 1;
-            if self.cancelled * 2 > self.heap.len() && self.heap.len() >= COMPACT_MIN {
-                self.compact();
-            }
+        self.cancelled += 1;
+        if self.heap.mostly_dead(self.cancelled) {
+            self.heap
+                .compact_retain(|e| self.payloads.keep_if_live(e.payload_slot()));
+            self.cancelled = 0;
         }
     }
 
@@ -509,13 +370,14 @@ impl<T> EventQueue<T> {
         while self.ready.is_empty() && !self.wheel.is_empty() {
             // A cancelled heap head only makes this bound conservative:
             // the pop/peek loop removes it and comes back here.
-            let bound = match (self.heap.first(), self.keyed.min_entry()) {
-                (Some(h), Some(k)) => h.time.min(k.time),
-                (Some(e), None) | (None, Some(e)) => e.time,
-                (None, None) => SimTime::MAX,
+            let bound = match (self.heap.peek_root(), self.keyed.min_entry()) {
+                (Some(h), Some(k)) => h.hi.min(k.hi),
+                (Some(h), None) => h.hi,
+                (None, Some(k)) => k.hi,
+                (None, None) => u64::MAX,
             };
             match self.wheel.next_candidate() {
-                Some(cand) if cand <= bound.as_micros() => self.advance_wheel(),
+                Some(cand) if cand <= bound => self.advance_wheel(),
                 _ => break,
             }
         }
@@ -534,11 +396,10 @@ impl<T> EventQueue<T> {
         self.ready_time = SimTime::from_micros(self.drain_scratch[0].0);
         let scratch = std::mem::take(&mut self.drain_scratch);
         for &(_, p) in &scratch {
-            if matches!(self.slots[p as u32 as usize].state, Slot::Cancelled) {
-                self.wheel_cancelled -= 1;
-                self.free_slot(p as u32);
-            } else {
+            if self.payloads.live_at(slot_of(p)).is_some() {
                 self.ready.push_back(p);
+            } else {
+                self.payloads.release_slot(slot_of(p));
             }
         }
         self.drain_scratch = scratch;
@@ -557,62 +418,51 @@ impl<T> EventQueue<T> {
     /// the next live event is strictly past the horizon. This fuses the
     /// engine's former peek-then-pop pair into one traversal per event.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, T)> {
+        let horizon = horizon.as_micros();
         loop {
             self.fill_ready();
             // An absent lane reads as u128::MAX and the comparisons are
             // strict, so a lane is only taken when it holds an entry;
             // live keys never tie (sequence numbers are unique).
-            let heap_key = self.heap.first().map_or(u128::MAX, HeapEntry::key);
+            let heap_key = self.heap.peek_root().map_or(u128::MAX, HeapEntry::order);
+            let ready_time = self.ready_time.as_micros();
             let wheel_key = self.ready.front().map_or(u128::MAX, |&p| {
-                ((self.ready_time.as_micros() as u128) << 64) | p as u128
+                HeapEntry {
+                    hi: ready_time,
+                    lo: p,
+                }
+                .order()
             });
             let other = heap_key.min(wheel_key);
-            if let Some(&head) = self.keyed.min_entry().filter(|e| e.key() < other) {
-                if head.time > horizon {
+            if let Some(&head) = self.keyed.min_entry().filter(|e| e.order() < other) {
+                if head.hi > horizon {
                     return None;
                 }
-                return Some((head.time, self.keyed.take_at(self.keyed.min)));
+                let payload = self.keyed.take_at(self.keyed.min);
+                return Some((SimTime::from_micros(head.hi), payload));
             }
             if wheel_key < heap_key {
-                let p = *self.ready.front().expect("key below u128::MAX");
-                let slot = p as u32;
-                if self.ready_time > horizon
-                    && matches!(self.slots[slot as usize].state, Slot::Occupied(_))
-                {
+                let slot = slot_of(*self.ready.front().expect("key below u128::MAX"));
+                if ready_time > horizon && self.payloads.live_at(slot).is_some() {
                     return None;
                 }
                 self.ready.pop_front();
-                let next_free = self.free_head;
-                let cell = &mut self.slots[slot as usize];
-                let state = std::mem::replace(&mut cell.state, Slot::Vacant(next_free));
-                cell.generation = cell.generation.wrapping_add(1);
-                self.free_head = slot;
-                match state {
-                    Slot::Occupied(payload) => return Some((self.ready_time, payload)),
-                    // fill_ready sweeps entries cancelled before the
-                    // drain; this one was cancelled while in `ready`.
-                    Slot::Cancelled => self.wheel_cancelled -= 1,
-                    Slot::Vacant(_) => unreachable!("ready entry points at vacant slot"),
+                // `None`: cancelled while in `ready` (fill_ready sweeps
+                // the entries cancelled before the drain).
+                if let Some(payload) = self.payloads.release_slot(slot) {
+                    return Some((self.ready_time, payload));
                 }
             } else {
                 // The heap head is next, or every lane is empty.
-                let head = *self.heap.first()?;
-                let slot = head.slot();
-                if head.time > horizon
-                    && matches!(self.slots[slot as usize].state, Slot::Occupied(_))
-                {
+                let head = self.heap.peek_root()?;
+                let slot = head.payload_slot();
+                if head.hi > horizon && self.payloads.live_at(slot).is_some() {
                     return None;
                 }
-                self.remove_root();
-                let next_free = self.free_head;
-                let cell = &mut self.slots[slot as usize];
-                let state = std::mem::replace(&mut cell.state, Slot::Vacant(next_free));
-                cell.generation = cell.generation.wrapping_add(1);
-                self.free_head = slot;
-                match state {
-                    Slot::Occupied(payload) => return Some((head.time, payload)),
-                    Slot::Cancelled => self.cancelled -= 1,
-                    Slot::Vacant(_) => unreachable!("heap entry points at vacant slot"),
+                self.heap.pop_root();
+                match self.payloads.release_slot(slot) {
+                    Some(payload) => return Some((SimTime::from_micros(head.hi), payload)),
+                    None => self.cancelled -= 1,
                 }
             }
         }
@@ -621,25 +471,23 @@ impl<T> EventQueue<T> {
     /// Time of the earliest non-cancelled event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            if let Some(&head) = self.heap.first() {
-                if matches!(self.slots[head.slot() as usize].state, Slot::Cancelled) {
-                    self.remove_root();
+            if let Some(head) = self.heap.peek_root() {
+                if self.payloads.live_at(head.payload_slot()).is_none() {
+                    self.heap.pop_root();
                     self.cancelled -= 1;
-                    self.free_slot(head.slot());
+                    self.payloads.release_slot(head.payload_slot());
                     continue;
                 }
             }
             self.fill_ready();
             let mut swept_ready = false;
             while let Some(&p) = self.ready.front() {
-                if matches!(self.slots[p as u32 as usize].state, Slot::Cancelled) {
-                    self.ready.pop_front();
-                    self.wheel_cancelled -= 1;
-                    self.free_slot(p as u32);
-                    swept_ready = true;
-                } else {
+                if self.payloads.live_at(slot_of(p)).is_some() {
                     break;
                 }
+                self.ready.pop_front();
+                self.payloads.release_slot(slot_of(p));
+                swept_ready = true;
             }
             if swept_ready && self.ready.is_empty() && !self.wheel.is_empty() {
                 // The whole drained batch turned out to be cancelled;
@@ -649,123 +497,31 @@ impl<T> EventQueue<T> {
                 // wheel entry.)
                 continue;
             }
-            let heap_time = self.heap.first().map(|e| e.time);
-            let wheel_time = (!self.ready.is_empty()).then_some(self.ready_time);
-            let keyed_time = self.keyed.min_entry().map(|e| e.time);
+            let heap_time = self.heap.peek_root().map(|e| e.hi);
+            let wheel_time = (!self.ready.is_empty()).then_some(self.ready_time.as_micros());
+            let keyed_time = self.keyed.min_entry().map(|e| e.hi);
             return [heap_time, wheel_time, keyed_time]
                 .into_iter()
                 .flatten()
-                .min();
+                .min()
+                .map(SimTime::from_micros);
         }
     }
 
     /// Number of events still resident (cancelled-but-unswept events
     /// included; use only as a capacity heuristic).
     pub fn raw_len(&self) -> usize {
-        self.heap.len() + self.wheel.len() + self.ready.len() + self.keyed.armed.len()
+        self.heap.entries().len() + self.wheel.len() + self.ready.len() + self.keyed.armed.len()
     }
 
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.raw_len() - self.cancelled - self.wheel_cancelled
+        self.payloads.len() + self.keyed.armed.len()
     }
 
     /// True when no live event remains.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops cancelled entries and restores the heap property in O(n).
-    fn compact(&mut self) {
-        let mut heap = std::mem::take(&mut self.heap);
-        let mut kept = Vec::with_capacity(heap.len() - self.cancelled);
-        for entry in heap.drain(..) {
-            match self.slots[entry.slot() as usize].state {
-                Slot::Cancelled => self.free_slot(entry.slot()),
-                Slot::Occupied(_) => kept.push(entry),
-                Slot::Vacant(_) => unreachable!("heap entry points at vacant slot"),
-            }
-        }
-        self.heap = kept;
-        self.cancelled = 0;
-        // Floyd heapify: sift down every non-leaf node, bottom-up.
-        if self.heap.len() > 1 {
-            let last_parent = (self.heap.len() - 2) / ARITY;
-            for i in (0..=last_parent).rev() {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Index of the smallest child of `hole`, or `None` for a leaf.
-    #[inline]
-    fn min_child(&self, hole: usize, n: usize) -> Option<usize> {
-        let first = ARITY * hole + 1;
-        if first >= n {
-            return None;
-        }
-        // One slice bound check; the iteration itself is check-free.
-        let children = &self.heap[first..(first + ARITY).min(n)];
-        let mut best = first;
-        let mut best_key = children[0].key();
-        for (off, c) in children.iter().enumerate().skip(1) {
-            let k = c.key();
-            if k < best_key {
-                best = first + off;
-                best_key = k;
-            }
-        }
-        Some(best)
-    }
-
-    /// Removes the root entry, restoring the heap property. Sifts the hole
-    /// to the bottom level first and re-inserts the tail entry there: root
-    /// removals almost always send the tail back near the bottom, so this
-    /// does one move per level instead of a three-move swap plus a compare
-    /// against the tail's key.
-    fn remove_root(&mut self) {
-        let tail = self.heap.pop().expect("remove_root on empty heap");
-        if self.heap.is_empty() {
-            return;
-        }
-        let n = self.heap.len();
-        let mut hole = 0;
-        while let Some(child) = self.min_child(hole, n) {
-            self.heap[hole] = self.heap[child];
-            hole = child;
-        }
-        self.heap[hole] = tail;
-        self.sift_up(hole);
-    }
-
-    fn sift_up(&mut self, mut hole: usize) {
-        let entry = self.heap[hole];
-        let key = entry.key();
-        while hole > 0 {
-            let parent = (hole - 1) / ARITY;
-            if key < self.heap[parent].key() {
-                self.heap[hole] = self.heap[parent];
-                hole = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[hole] = entry;
-    }
-
-    fn sift_down(&mut self, mut hole: usize) {
-        let entry = self.heap[hole];
-        let key = entry.key();
-        let n = self.heap.len();
-        while let Some(child) = self.min_child(hole, n) {
-            if self.heap[child].key() < key {
-                self.heap[hole] = self.heap[child];
-                hole = child;
-            } else {
-                break;
-            }
-        }
-        self.heap[hole] = entry;
     }
 }
 
@@ -1145,6 +901,10 @@ mod tests {
             }
         }
         // The slab never needs to exceed the high-water mark of 10.
-        assert!(q.slots.len() <= 10, "slab grew to {}", q.slots.len());
+        assert!(
+            q.payloads.high_water() <= 10,
+            "slab grew to {}",
+            q.payloads.high_water()
+        );
     }
 }
