@@ -603,12 +603,18 @@ impl ExecSummary {
 pub enum SqlError {
     /// Statement referenced a missing table.
     NoSuchTable(String),
+    /// An insert would assign a row key past the 32-bit space that index
+    /// postings store.
+    KeySpaceExhausted(u64),
 }
 
 impl fmt::Display for SqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SqlError::NoSuchTable(t) => write!(f, "no such table: {t}"),
+            SqlError::KeySpaceExhausted(key) => {
+                write!(f, "row key {key} is past the 32-bit key space")
+            }
         }
     }
 }

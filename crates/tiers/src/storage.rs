@@ -35,8 +35,11 @@
 //!   a table is chunked `Option<SharedRow>` slots indexed by key — a key
 //!   read is one bounds check;
 //! * equality-filter columns declared in the [`crate::sql::Schema`] carry
-//!   secondary hash indexes with key-sorted posting lists, making a
-//!   filtered read O(matches) with a key-ordered, limit-truncated result;
+//!   secondary hash indexes with key-sorted postings, making a filtered
+//!   read O(matches) with a key-ordered, limit-truncated result. Every
+//!   replica holds every index, so postings are compact: integer values
+//!   key their own map, a one-row posting holds its `u32` key inline, and
+//!   only a value's second row allocates a key list;
 //! * `Count` reads a maintained live-row counter;
 //! * results share rows by `Arc` — no row contents are cloned; updates
 //!   copy-on-write only when a result or replica still holds the row;
@@ -62,57 +65,133 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Filter value → posting: the keys of matching rows, kept sorted
-/// ascending (keys are assigned monotonically, so insertion is an O(1)
-/// push; only update/delete need a binary-searched removal). Postings are
-/// `Arc`'d, so copying a map copies pointers, not key lists. Uses the
-/// workspace-wide deterministic fx hasher ([`jade_sim::det`]) — no
-/// per-process random state, a few ns per value instead of SipHash's tens.
-type PostingMap = DetHashMap<Value, Arc<Vec<u64>>>;
-
-/// An [`Index`]'s `own` postings fold into its `base` once they number
-/// more than `1 / OWN_FOLD` of it: one copy of a shared base per that many
-/// changed values.
-const OWN_FOLD: usize = 4;
-
-/// One secondary index, copy-on-write per posting — a shared checkpoint
-/// plus a tail, like the recovery log. `base` is shared with snapshots,
-/// the replicas restored from them and the dataset image; `own` holds the
-/// postings this table changed while `base` was shared (an empty one is a
-/// tombstone). A lookup checks `own`, then `base`; a sole owner of `base`
-/// writes straight into it. Unsharing a table thus copies `own`, not the
-/// index, and dropping a replica frees only `own`.
-#[derive(Debug, Clone, Default)]
-struct Index {
-    base: Arc<PostingMap>,
-    own: PostingMap,
+/// The keys of the rows holding one indexed value, ascending. Many values
+/// index a single row, so one key is held inline; a second key moves the
+/// posting to a sorted list behind an `Arc`, which a copy of the map
+/// shares by pointer. Keys are `u32` ([`posting_row_key`]). `Empty` is an
+/// `own` tombstone; a `Many` always holds at least two keys.
+#[derive(Debug, Clone, Default, PartialEq)]
+enum Posting {
+    #[default]
+    Empty,
+    One(u32),
+    Many(Arc<Vec<u32>>),
 }
 
-impl Index {
+impl Posting {
+    fn row_keys(&self) -> &[u32] {
+        match self {
+            Posting::Empty => &[],
+            Posting::One(key) => std::slice::from_ref(key),
+            Posting::Many(keys) => keys,
+        }
+    }
+
+    fn is_tombstone(&self) -> bool {
+        matches!(self, Posting::Empty)
+    }
+
+    /// Adds `key`, keeping the keys sorted (an inserted row has the
+    /// largest key yet, but an updated one can land below the maximum).
+    // jade-audit: allow(hot-alloc): a value's second row is the one
+    // place its posting allocates (the key list and its `Arc`, once per
+    // value); capacity 4 is what `push` would pick.
+    fn add_row_key(&mut self, key: u32) {
+        match self {
+            Posting::Empty => *self = Posting::One(key),
+            Posting::One(held) => {
+                if *held != key {
+                    let mut keys = Vec::with_capacity(4);
+                    keys.extend([key.min(*held), key.max(*held)]);
+                    *self = Posting::Many(Arc::new(keys));
+                }
+            }
+            Posting::Many(keys) => {
+                if let Err(pos) = keys.binary_search(&key) {
+                    Arc::make_mut(keys).insert(pos, key);
+                }
+            }
+        }
+    }
+
+    /// Removes `key` if present; a `Many` left with one key goes back to
+    /// `One`.
+    fn remove_row_key(&mut self, key: u32) {
+        match self {
+            Posting::Empty => {}
+            Posting::One(held) => {
+                if *held == key {
+                    *self = Posting::Empty;
+                }
+            }
+            Posting::Many(keys) => {
+                let Ok(pos) = keys.binary_search(&key) else {
+                    return;
+                };
+                if let &[first, second] = keys.as_slice() {
+                    *self = Posting::One(if pos == 0 { second } else { first });
+                } else {
+                    Arc::make_mut(keys).remove(pos);
+                }
+            }
+        }
+    }
+}
+
+/// The 4-byte form of row key `key` that postings store. Table keys are
+/// dense per-table counters, so only a table's 2^32nd insert gets here;
+/// it fails rather than alias an earlier row.
+fn posting_row_key(key: u64) -> Result<u32, SqlError> {
+    u32::try_from(key).map_err(|_| SqlError::KeySpaceExhausted(key))
+}
+
+/// Filter value → [`Posting`]. Uses the workspace-wide deterministic fx
+/// hasher ([`jade_sim::det`]) — no per-process random state, a few ns per
+/// value instead of SipHash's tens.
+type PostingMap<K> = DetHashMap<K, Posting>;
+
+/// A [`PostingLayer`]'s `own` postings fold into its `base` once they
+/// number more than `1 / OWN_FOLD` of it: one copy of a shared base per
+/// that many changed values.
+const OWN_FOLD: usize = 4;
+
+/// The postings of one value type, copy-on-write per posting — a shared
+/// checkpoint plus a tail, like the recovery log. `base` is shared with
+/// snapshots, the replicas restored from them and the dataset image;
+/// `own` holds the postings this table changed while `base` was shared
+/// (an `Empty` one is a tombstone). A lookup checks `own`, then `base`; a
+/// sole owner of `base` writes straight into it. Unsharing a table thus
+/// copies `own`, not the index, and dropping a replica frees only `own`.
+#[derive(Debug, Clone, Default)]
+struct PostingLayer<K> {
+    base: Arc<PostingMap<K>>,
+    own: PostingMap<K>,
+}
+
+impl<K: Hash + Eq + Clone> PostingLayer<K> {
     /// The keys of the rows holding `value` (empty when none does).
-    fn posting(&self, value: &Value) -> &[u64] {
+    fn keys_of(&self, value: &K) -> &[u32] {
         let posting = self.own.get(value).or_else(|| self.base.get(value));
-        posting.map_or(&[], |p| p.as_slice())
+        posting.map_or(&[], |p| p.row_keys())
     }
 
     /// Applies `edit` to the posting of `value` (created empty when
     /// absent), unsharing only that posting.
-    fn edit_posting(&mut self, value: &Value, edit: impl FnOnce(&mut Vec<u64>)) {
+    fn edit_keys(&mut self, value: &K, edit: impl FnOnce(&mut Posting)) {
         if let Some(base) = Arc::get_mut(&mut self.base) {
             if !self.own.is_empty() {
                 fold_postings(base, &mut self.own);
             }
-            let posting = Arc::make_mut(base.entry(value.clone()).or_default());
+            let posting = base.entry(value.clone()).or_default();
             edit(posting);
-            if posting.is_empty() {
+            if posting.is_tombstone() {
                 base.remove(value);
             }
             return;
         }
         let base = &self.base;
         let seed = || base.get(value).cloned().unwrap_or_default();
-        let posting = self.own.entry(value.clone()).or_insert_with(seed);
-        edit(Arc::make_mut(posting));
+        edit(self.own.entry(value.clone()).or_insert_with(seed));
         if self.own.len() * OWN_FOLD > self.base.len() {
             fold_postings(Arc::make_mut(&mut self.base), &mut self.own);
         }
@@ -121,10 +200,10 @@ impl Index {
 
 /// Equal when every value has the same posting on both sides, however
 /// each side splits its postings between `base` and `own`.
-impl PartialEq for Index {
+impl<K: Hash + Eq + Clone> PartialEq for PostingLayer<K> {
     fn eq(&self, other: &Self) -> bool {
-        let covered_by = |a: &Index, b: &Index| {
-            let same = |v: &Value| a.posting(v) == b.posting(v);
+        let covered_by = |a: &Self, b: &Self| {
+            let same = |v: &K| a.keys_of(v) == b.keys_of(v);
             a.own.keys().all(same) && a.base.keys().all(same)
         };
         covered_by(self, other) && covered_by(other, self)
@@ -133,12 +212,40 @@ impl PartialEq for Index {
 
 /// Moves every posting of `own` into `base`, dropping tombstoned values.
 /// The visit order cannot matter: each value is inserted or removed once.
-fn fold_postings(base: &mut PostingMap, own: &mut PostingMap) {
+fn fold_postings<K: Hash + Eq>(base: &mut PostingMap<K>, own: &mut PostingMap<K>) {
     for (value, posting) in std::mem::take(own) {
-        if posting.is_empty() {
+        if posting.is_tombstone() {
             base.remove(&value);
         } else {
             base.insert(value, posting);
+        }
+    }
+}
+
+/// One secondary index: integer values key one [`PostingLayer`] (24-byte
+/// entries), text values a second, and `Null` is never indexed.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Index {
+    ints: PostingLayer<i64>,
+    texts: PostingLayer<String>,
+}
+
+impl Index {
+    /// The keys of the rows holding `value` (empty when none does).
+    fn posting(&self, value: &Value) -> &[u32] {
+        match value {
+            Value::Int(i) => self.ints.keys_of(i),
+            Value::Text(s) => self.texts.keys_of(s),
+            Value::Null => &[],
+        }
+    }
+
+    /// Applies `edit` to the posting of `value`; a `Null` has none.
+    fn edit_posting(&mut self, value: &Value, edit: impl FnOnce(&mut Posting)) {
+        match value {
+            Value::Int(i) => self.ints.edit_keys(i, edit),
+            Value::Text(s) => self.texts.edit_keys(s, edit),
+            Value::Null => {}
         }
     }
 }
@@ -244,46 +351,23 @@ impl Table {
         self.rows.slots as u64
     }
 
-    fn index_insert(&mut self, col: ColId, value: &Value, key: u64) {
-        if value.is_null() {
-            return;
-        }
+    fn index_insert(&mut self, col: ColId, value: &Value, key: u32) {
         if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            idx.edit_posting(value, |posting| {
-                debug_assert!(posting.last().is_none_or(|&last| last < key));
-                posting.push(key);
-            });
+            idx.edit_posting(value, |posting| posting.add_row_key(key));
         }
     }
 
-    fn index_remove(&mut self, col: ColId, value: &Value, key: u64) {
-        if value.is_null() {
-            return;
-        }
+    fn index_remove(&mut self, col: ColId, value: &Value, key: u32) {
         if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            idx.edit_posting(value, |posting| {
-                if let Ok(pos) = posting.binary_search(&key) {
-                    posting.remove(pos);
-                }
-            });
+            idx.edit_posting(value, |posting| posting.remove_row_key(key));
         }
     }
 
     /// Moves `key`'s entry for `col` from the posting of `old` to the
-    /// posting of `new`, keeping the latter sorted (an updated key can lie
-    /// below the posting's current maximum).
-    fn index_move(&mut self, col: ColId, old: &Value, new: &Value, key: u64) {
+    /// posting of `new`.
+    fn index_move(&mut self, col: ColId, old: &Value, new: &Value, key: u32) {
         self.index_remove(col, old, key);
-        if new.is_null() {
-            return;
-        }
-        if let Some(Some(idx)) = self.indexes.get_mut(col.0 as usize) {
-            idx.edit_posting(new, |posting| {
-                if let Err(pos) = posting.binary_search(&key) {
-                    posting.insert(pos, key);
-                }
-            });
-        }
+        self.index_insert(col, new, key);
     }
 }
 
@@ -472,6 +556,7 @@ impl Database {
                 match t.indexes.get(column.0 as usize) {
                     Some(Some(idx)) => {
                         for &key in idx.posting(value).iter().take(*limit) {
+                            let key = u64::from(key);
                             let row = t.rows.get(key).expect("indexed row");
                             out.push((key, Arc::clone(row)));
                         }
@@ -595,16 +680,16 @@ impl Database {
     /// The one insert: installs `row` in the slot at the table's next key
     /// and indexes it.
     fn insert_row(&mut self, table: TableId, row: SharedRow) -> Result<u64, SqlError> {
-        self.table_ref(table)?;
+        let key = self.table_ref(table)?.next_key();
+        let row_key = posting_row_key(key)?;
         let t = self.table_mut(table);
         debug_assert_eq!(
             row.len(),
             t.indexes.len(),
             "insert row width must match the table layout"
         );
-        let key = t.next_key();
         for (ci, v) in row.iter().enumerate() {
-            t.index_insert(ColId(id_u16(ci)), v, key);
+            t.index_insert(ColId(id_u16(ci)), v, row_key);
         }
         t.rows.push(row);
         t.live += 1;
@@ -624,7 +709,9 @@ impl Database {
         key: u64,
         set: impl ExactSizeIterator<Item = (ColId, &'v Value)>,
     ) -> Result<(ExecSummary, WriteDelta), SqlError> {
-        self.table_ref(table)?;
+        let Some(row_key) = self.live_row_key(table, key)? else {
+            return Ok((write_ack(None, 0), WriteDelta::Noop));
+        };
         let t = self.table_mut(table);
         // Take the row out of its slot so the table's reference doesn't
         // count against copy-on-write: `make_mut` clones contents only
@@ -639,7 +726,7 @@ impl Database {
                 continue;
             }
             let old = old.clone();
-            t.index_move(col, &old, v, key);
+            t.index_move(col, &old, v, row_key);
             Arc::make_mut(&mut row)[col.0 as usize] = v.clone();
             changed.push(col);
         }
@@ -656,16 +743,28 @@ impl Database {
     /// The one delete: removes the row at `key` and its index entries;
     /// false when there was no such row.
     fn delete_row(&mut self, table: TableId, key: u64) -> Result<bool, SqlError> {
-        self.table_ref(table)?;
+        let Some(row_key) = self.live_row_key(table, key)? else {
+            return Ok(false);
+        };
         let t = self.table_mut(table);
         let Some(row) = t.rows.take(key) else {
             return Ok(false);
         };
         t.live -= 1;
         for (ci, v) in row.iter().enumerate() {
-            t.index_remove(ColId(id_u16(ci)), v, key);
+            t.index_remove(ColId(id_u16(ci)), v, row_key);
         }
         Ok(true)
+    }
+
+    /// The posting key of the live row at `key`, `None` when there is no
+    /// such row. Checked through a shared reference, so a write that
+    /// misses never unshares a table a snapshot still holds.
+    fn live_row_key(&self, table: TableId, key: u64) -> Result<Option<u32>, SqlError> {
+        if self.table_ref(table)?.rows.get(key).is_none() {
+            return Ok(None);
+        }
+        posting_row_key(key).map(Some)
     }
 
     /// Executes a *read* step as a pure count probe, without materializing
@@ -748,13 +847,15 @@ impl Database {
                 row,
                 changed,
             } => {
-                self.table_ref(*table)?;
+                let Some(row_key) = self.live_row_key(*table, *key)? else {
+                    return Ok(());
+                };
                 let t = self.table_mut(*table);
                 if let Some(old) = t.rows.take(*key) {
                     // The replica's pre-image equals the primary's, so
                     // the old index entries are read from it directly.
                     for &col in changed {
-                        t.index_move(col, &old[col.0 as usize], &row[col.0 as usize], *key);
+                        t.index_move(col, &old[col.0 as usize], &row[col.0 as usize], row_key);
                     }
                     t.rows.set(*key, Arc::clone(row));
                 }
@@ -1294,7 +1395,8 @@ mod tests {
         for delta in &tail {
             joiner.apply_delta(delta).unwrap();
         }
-        let (restored, frozen) = (t_a_index(&joiner.tables), t_a_index(&snap.tables));
+        let restored = &t_a_index(&joiner.tables).ints;
+        let frozen = &t_a_index(&snap.tables).ints;
         assert!(Arc::ptr_eq(&restored.base, &frozen.base));
         let indexed_columns = schema
             .table(schema.table_id("t").unwrap())
@@ -1344,10 +1446,207 @@ mod tests {
         for stmt in &tail {
             layered.execute(stmt).unwrap();
         }
-        let idx = t_a_index(&layered.tables);
-        assert!(!Arc::ptr_eq(&idx.base, &t_a_index(&first.tables).base));
-        assert!(idx.own.values().any(|posting| posting.is_empty()));
+        let idx = &t_a_index(&layered.tables).ints;
+        assert!(!Arc::ptr_eq(&idx.base, &t_a_index(&first.tables).ints.base));
+        assert!(idx.own.values().any(Posting::is_tombstone));
         assert_eq!(layered, direct);
         assert_eq!(layered.digest(), direct.digest());
+    }
+
+    /// The layout the memory gain rests on: an integer posting entry is
+    /// the `i64` value and a 16-byte posting, with no separate block.
+    #[test]
+    fn posting_entries_are_compact() {
+        assert_eq!(std::mem::size_of::<Posting>(), 16);
+        assert_eq!(std::mem::size_of::<(i64, Posting)>(), 24);
+    }
+
+    #[test]
+    fn a_posting_goes_from_empty_to_one_to_many_and_back() {
+        let mut posting = Posting::Empty;
+        posting.add_row_key(7);
+        assert_eq!(posting, Posting::One(7));
+        posting.add_row_key(7);
+        assert_eq!(posting, Posting::One(7), "a held key is not added twice");
+        posting.add_row_key(3);
+        assert!(matches!(posting, Posting::Many(_)));
+        for key in [9, 5] {
+            posting.add_row_key(key);
+        }
+        assert_eq!(posting.row_keys(), &[3, 5, 7, 9]);
+        posting.remove_row_key(4);
+        assert_eq!(posting.row_keys(), &[3, 5, 7, 9], "a missing key misses");
+        for (key, left) in [(5, &[3, 7, 9][..]), (9, &[3, 7]), (3, &[7])] {
+            posting.remove_row_key(key);
+            assert_eq!(posting.row_keys(), left);
+        }
+        assert_eq!(posting, Posting::One(7), "one key left is held inline");
+        posting.remove_row_key(7);
+        assert_eq!(posting, Posting::Empty);
+        assert!(posting.row_keys().is_empty());
+    }
+
+    /// An index whose `base` is shared with `frozen`, as after a restore.
+    fn shared_index(frozen: &Index) -> Index {
+        Index {
+            ints: PostingLayer {
+                base: Arc::clone(&frozen.ints.base),
+                own: PostingMap::default(),
+            },
+            texts: PostingLayer {
+                base: Arc::clone(&frozen.texts.base),
+                own: PostingMap::default(),
+            },
+        }
+    }
+
+    #[test]
+    fn an_own_tombstone_hides_a_shared_one_row_posting() {
+        let mut frozen = Index::default();
+        for (value, key) in [(1, 10), (2, 20), (3, 30), (4, 40), (5, 50)] {
+            frozen.edit_posting(&Value::Int(value), |p| p.add_row_key(key));
+        }
+        assert_eq!(frozen.ints.base.get(&1), Some(&Posting::One(10)));
+        let mut idx = shared_index(&frozen);
+        idx.edit_posting(&Value::Int(1), |p| p.remove_row_key(10));
+        assert!(Arc::ptr_eq(&idx.ints.base, &frozen.ints.base));
+        assert_eq!(idx.ints.own.get(&1), Some(&Posting::Empty));
+        assert!(idx.posting(&Value::Int(1)).is_empty());
+        assert_eq!(frozen.posting(&Value::Int(1)), &[10]);
+        assert_ne!(idx, frozen);
+        // Re-adding the key overwrites the tombstone, and the two sides
+        // hold the same content again.
+        idx.edit_posting(&Value::Int(1), |p| p.add_row_key(10));
+        assert_eq!(idx, frozen);
+    }
+
+    #[test]
+    fn text_and_negative_integer_values_are_indexed() {
+        let mut idx = Index::default();
+        let values = [
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(1),
+            Value::Text("-1".into()),
+            Value::Text(String::new()),
+        ];
+        for (key, value) in (0..).zip(&values) {
+            idx.edit_posting(value, |p| p.add_row_key(key));
+            idx.edit_posting(value, |p| p.add_row_key(key + 100));
+        }
+        for (key, value) in (0..).zip(&values) {
+            assert_eq!(idx.posting(value), &[key, key + 100], "{value:?}");
+        }
+        assert_eq!((idx.ints.base.len(), idx.texts.base.len()), (3, 2));
+        idx.edit_posting(&Value::Null, |p| p.add_row_key(9));
+        assert!(
+            idx.posting(&Value::Null).is_empty(),
+            "NULL is never indexed"
+        );
+    }
+
+    #[test]
+    fn index_equality_ignores_the_base_own_split() {
+        let edits: Vec<(Value, u32)> = (0..24u32)
+            .map(|k| {
+                let value = if k % 3 == 0 {
+                    Value::Text(format!("t{}", k % 4))
+                } else {
+                    Value::Int(-i64::from(k % 5))
+                };
+                (value, k)
+            })
+            .collect();
+        let mut direct = Index::default();
+        for (value, key) in &edits {
+            direct.edit_posting(value, |p| p.add_row_key(*key));
+        }
+        // Split after every prefix length: the first part in a shared
+        // base, the rest written as own postings (some of which fold).
+        for split in 0..=edits.len() {
+            let mut frozen = Index::default();
+            for (value, key) in &edits[..split] {
+                frozen.edit_posting(value, |p| p.add_row_key(*key));
+            }
+            let mut layered = shared_index(&frozen);
+            for (value, key) in &edits[split..] {
+                layered.edit_posting(value, |p| p.add_row_key(*key));
+            }
+            assert_eq!(layered, direct, "split at {split}");
+            assert_eq!(direct, layered, "split at {split}");
+            if split < edits.len() {
+                assert_ne!(frozen, direct, "split at {split}");
+            }
+        }
+    }
+
+    /// Truncated to 32 bits, key 2^32 would be row 0's: every removal
+    /// path misses it instead.
+    #[test]
+    fn removing_a_key_past_the_32_bit_space_misses() {
+        let schema = schema();
+        let mut db = db();
+        db.execute(&schema.create_table("t")).unwrap();
+        db.execute(&schema.insert("t", &[("a", Value::Int(1))]))
+            .unwrap();
+        let before = db.clone();
+        let (t, key) = (schema.table_id("t").unwrap(), 1 << 32);
+        let missed = db.execute(&schema.delete("t", key)).unwrap();
+        assert_eq!(missed.cardinality(), 0);
+        db.execute(&schema.update("t", key, &[("a", Value::Int(2))]))
+            .unwrap();
+        db.apply_delta(&WriteDelta::Delete { table: t, key })
+            .unwrap();
+        assert_eq!(db, before);
+        assert_eq!(t_a_index(&db.tables).posting(&Value::Int(1)), &[0]);
+    }
+
+    #[test]
+    fn an_insert_past_the_32_bit_key_space_fails() {
+        assert_eq!(posting_row_key(u64::from(u32::MAX)), Ok(u32::MAX));
+        assert_eq!(
+            posting_row_key(1 << 32),
+            Err(SqlError::KeySpaceExhausted(1 << 32))
+        );
+        // A table whose counter reached 2^32: the insert fails before
+        // anything is written.
+        let schema = schema();
+        let mut db = db();
+        db.execute(&schema.create_table("t")).unwrap();
+        let t = schema.table_id("t").unwrap();
+        Arc::make_mut(&mut db.tables[t.0 as usize]).rows.slots = 1 << 32;
+        let before = db.clone();
+        let insert = schema.insert("t", &[("a", Value::Int(1))]);
+        let err = SqlError::KeySpaceExhausted(1 << 32);
+        assert_eq!(db.execute(&insert), Err(err.clone()));
+        assert_eq!(db.execute_capture(&insert).map(|(ack, _)| ack), Err(err));
+        assert_eq!(db, before);
+    }
+
+    /// An UPDATE or DELETE of a missing key, as a statement or as a
+    /// delta, leaves a snapshot-shared table shared.
+    #[test]
+    fn a_write_that_misses_leaves_a_shared_table_shared() {
+        let schema = schema();
+        let mut db = db();
+        db.execute(&schema.create_table("t")).unwrap();
+        db.execute(&schema.insert("t", &[("a", Value::Int(1))]))
+            .unwrap();
+        let snap = db.snapshot();
+        let t = schema.table_id("t").unwrap();
+        db.execute(&schema.update("t", 99, &[("a", Value::Int(2))]))
+            .unwrap();
+        db.execute(&schema.delete("t", 99)).unwrap();
+        db.apply_delta(&WriteDelta::Update {
+            table: t,
+            key: 99,
+            row: Arc::new(vec![Value::Int(2), Value::Null]),
+            changed: vec![ColId(0)],
+        })
+        .unwrap();
+        db.apply_delta(&WriteDelta::Delete { table: t, key: 99 })
+            .unwrap();
+        let i = t.0 as usize;
+        assert!(Arc::ptr_eq(&db.tables[i], &snap.tables[i]));
     }
 }
