@@ -660,10 +660,10 @@ impl Jade {
             return;
         };
         let name = self.registry.name(comp).unwrap_or_default();
-        let old_node = sh
+        let (old_node, package) = sh
             .legacy
             .server(server)
-            .map(|s| s.process().node)
+            .map(|s| (s.process().node, s.package()))
             .expect("failed balancer exists");
         // Which front-end is it?
         let is_plb = self.plb.map(|(s, _)| s) == Some(server);
@@ -728,7 +728,6 @@ impl Jade {
         let _ = self.registry.remove(comp);
         self.comp_of_server.remove(&server);
         let _ = sh.legacy.remove_server(server);
-        let package = if is_cjdbc { "cjdbc" } else { "plb" };
         release_node(sh.legacy, old_node, package);
 
         // Deploy the replacement; a node whose install failed went back

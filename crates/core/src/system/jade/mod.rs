@@ -23,8 +23,7 @@ use jade_cluster::{ClusterError, NodeId};
 use jade_fractal::{ComponentId, InterfaceDecl, Registry};
 use jade_rubis::{dataset_statements, rubis_schema};
 use jade_sim::{SimDuration, SimTime};
-use jade_tiers::wrappers::{BalancerWrapper, CjdbcWrapper, MysqlWrapper, TomcatWrapper};
-use jade_tiers::{LegacyEvent, LegacyLayer, ServerId};
+use jade_tiers::{LegacyEvent, LegacyLayer, ServerId, ServerWrapper};
 use std::collections::BTreeMap;
 
 /// The management daemon every managed node runs (Table 1's intrusivity).
@@ -307,14 +306,15 @@ impl Jade {
         use InterfaceDecl as Itf;
         let sv = legacy.server(server).expect("freshly created server");
         let name = &sv.process().name;
-        let (itf, client, port, parent) = match sv {
-            Kind::Apache(_) => ("http", Some(("ajp-itf", "ajp")), Some(80), self.web_tier),
-            Kind::Tomcat(_) => ("ajp", Some(("jdbc-itf", "jdbc")), Some(8098), self.app_tier),
-            Kind::Mysql(_) => ("mysql", None, Some(3306), self.db_tier),
-            Kind::Cjdbc { .. } => ("jdbc", Some(("backends", "mysql")), None, self.db_tier),
-            Kind::Plb { .. } => ("http", Some(("workers", "ajp")), None, self.app_tier),
-            Kind::L4Switch { .. } => ("http", Some(("workers", "http")), None, self.web_tier),
+        let (itf, client, parent) = match sv {
+            Kind::Apache(_) => ("http", Some(("ajp-itf", "ajp")), self.web_tier),
+            Kind::Tomcat(_) => ("ajp", Some(("jdbc-itf", "jdbc")), self.app_tier),
+            Kind::Mysql(_) => ("mysql", None, self.db_tier),
+            Kind::Cjdbc { .. } => ("jdbc", Some(("backends", "mysql")), self.db_tier),
+            Kind::Plb { .. } => ("http", Some(("workers", "ajp")), self.app_tier),
+            Kind::L4Switch { .. } => ("http", Some(("workers", "http")), self.web_tier),
         };
+        let port = sv.port_attr();
         // A Tomcat may run without a database front-end; every other
         // client interface is a collection.
         let client = client.map(|(name, sig)| match sv {
@@ -324,25 +324,20 @@ impl Jade {
         let itfs = std::iter::once(Itf::server(itf, itf))
             .chain(client)
             .collect();
-        let wrapper: Box<dyn jade_fractal::Wrapper<LegacyLayer> + Send + Sync> = match sv {
-            Kind::Apache(_) => Box::new(jade_tiers::ApacheWrapper { server }),
-            Kind::Tomcat(_) => Box::new(TomcatWrapper { server }),
-            Kind::Mysql(_) => Box::new(MysqlWrapper { server }),
-            Kind::Cjdbc { .. } => Box::new(CjdbcWrapper { server }),
-            Kind::Plb { .. } | Kind::L4Switch { .. } => Box::new(BalancerWrapper { server }),
-        };
         let front = match sv {
             Kind::Cjdbc { .. } => Some(&mut self.cjdbc),
             Kind::Plb { .. } => Some(&mut self.plb),
             Kind::L4Switch { .. } => Some(&mut self.l4),
             _ => None,
         };
-        let comp = self.registry.new_primitive(name, itfs, wrapper);
+        let comp = self
+            .registry
+            .new_primitive(name, itfs, Box::new(ServerWrapper { server }));
         if let Some(front) = front {
             *front = Some((server, comp));
         }
         let attrs = std::iter::once(("server-id", server.0 as i64));
-        for (attr, value) in attrs.chain(port.map(|p| ("port", p))) {
+        for (attr, value) in attrs.chain(port.map(|p| ("port", i64::from(p)))) {
             self.registry
                 .set_attr(legacy, comp, attr, value)
                 .expect("fresh component");

@@ -47,14 +47,6 @@ impl AttrValue {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders the value the way a configuration file would show it.
     pub fn render(&self) -> String {
         match self {
@@ -113,7 +105,6 @@ mod tests {
         assert_eq!(AttrValue::from(7i64).as_int(), Some(7));
         assert_eq!(AttrValue::from(7i64).as_float(), Some(7.0));
         assert_eq!(AttrValue::from(2.5).as_float(), Some(2.5));
-        assert_eq!(AttrValue::from(true).as_bool(), Some(true));
         assert_eq!(AttrValue::from("x").as_int(), None);
         assert_eq!(AttrValue::from(1i64).as_str(), None);
     }

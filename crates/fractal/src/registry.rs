@@ -314,11 +314,6 @@ impl<E> Registry<E> {
             })
     }
 
-    /// Reads an attribute, or a default when unset.
-    pub fn attr_or(&self, id: ComponentId, name: &str, default: AttrValue) -> AttrValue {
-        self.get_attr(id, name).unwrap_or(default)
-    }
-
     // ------------------------------------------------------------------
     // Binding controller
     // ------------------------------------------------------------------
@@ -920,10 +915,6 @@ mod tests {
         reg.set_attr(&mut env, a, "port", 80i64).unwrap();
         assert_eq!(reg.get_attr(a, "port").unwrap(), AttrValue::Int(80));
         assert!(reg.get_attr(a, "absent").is_err());
-        assert_eq!(
-            reg.attr_or(a, "absent", AttrValue::Int(1)),
-            AttrValue::Int(1)
-        );
         let ops: Vec<_> = reg.journal().iter().collect();
         assert!(ops
             .iter()

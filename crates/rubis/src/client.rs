@@ -49,20 +49,9 @@ impl EmulatedClient {
     }
 
     /// Generates the next interaction from an i.i.d. weighted mix (the
-    /// bidding or the browsing mix).
-    pub fn next_interaction_in_mix(
-        &mut self,
-        mix: &crate::interactions::InteractionMix,
-        ks: &mut KeySpace,
-    ) -> InteractionPlan {
-        self.next_interaction_in_mix_into(mix, ks, Vec::new(), Vec::new())
-    }
-
-    /// [`next_interaction_in_mix`] with recycled parameter/demand buffers
-    /// (see [`generate_plan_compiled_into`]), so steady-state generation
-    /// allocates nothing.
-    ///
-    /// [`next_interaction_in_mix`]: EmulatedClient::next_interaction_in_mix
+    /// bidding or the browsing mix) into recycled parameter/demand
+    /// buffers (see [`generate_plan_compiled_into`]), so steady-state
+    /// generation allocates nothing.
     pub fn next_interaction_in_mix_into(
         &mut self,
         mix: &crate::interactions::InteractionMix,
@@ -76,21 +65,10 @@ impl EmulatedClient {
     }
 
     /// Generates the next interaction by navigating the transition-table
-    /// state machine (the real RUBiS emulator's behaviour). Sessions
-    /// start at `Home`.
-    pub fn next_interaction_markov(
-        &mut self,
-        matrix: &TransitionMatrix,
-        ks: &mut KeySpace,
-    ) -> InteractionPlan {
-        self.next_interaction_markov_into(matrix, ks, Vec::new(), Vec::new())
-    }
-
-    /// [`next_interaction_markov`] with recycled parameter/demand buffers
-    /// (see [`generate_plan_compiled_into`]; a [`StateId`] is the
-    /// interaction's index into `INTERACTIONS`).
-    ///
-    /// [`next_interaction_markov`]: EmulatedClient::next_interaction_markov
+    /// state machine (the real RUBiS emulator's behaviour), into recycled
+    /// parameter/demand buffers (see [`generate_plan_compiled_into`]; a
+    /// [`StateId`] is the interaction's index into `INTERACTIONS`).
+    /// Sessions start at `Home`.
     pub fn next_interaction_markov_into(
         &mut self,
         matrix: &TransitionMatrix,
@@ -142,8 +120,9 @@ mod tests {
         let mut ks: KeySpace = DatasetSpec::tiny().into();
         let mix = crate::interactions::InteractionMix::bidding();
         let mut c = EmulatedClient::new(0, SimRng::seed_from_u64(2), DEFAULT_THINK_TIME);
-        let _ = c.next_interaction_in_mix(&mix, &mut ks);
-        let _ = c.next_interaction_in_mix(&mix, &mut ks);
+        for _ in 0..2 {
+            let _ = c.next_interaction_in_mix_into(&mix, &mut ks, Vec::new(), Vec::new());
+        }
         c.note_completed();
         assert_eq!(c.issued, 2);
         assert_eq!(c.completed, 1);
@@ -160,11 +139,11 @@ mod markov_tests {
         let mut ks: KeySpace = DatasetSpec::tiny().into();
         let m = TransitionMatrix::bidding_mix();
         let mut c = EmulatedClient::new(0, SimRng::seed_from_u64(3), DEFAULT_THINK_TIME);
-        let first = c.next_interaction_markov(&m, &mut ks);
+        let first = c.next_interaction_markov_into(&m, &mut ks, Vec::new(), Vec::new());
         assert_eq!(first.name, "Home");
         // Subsequent steps follow the chain (and never panic).
         for _ in 0..200 {
-            let _ = c.next_interaction_markov(&m, &mut ks);
+            let _ = c.next_interaction_markov_into(&m, &mut ks, Vec::new(), Vec::new());
         }
         assert_eq!(c.issued, 201);
     }

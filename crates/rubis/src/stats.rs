@@ -162,21 +162,6 @@ impl StatsCollector {
             .collect()
     }
 
-    /// `(window start time, throughput req/s)` series.
-    pub fn throughput_series(&self) -> Vec<(SimTime, f64)> {
-        let secs = self.window.as_secs_f64();
-        self.windows
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                (
-                    SimTime::from_micros(i as u64 * self.window.as_micros()),
-                    w.completed as f64 / secs,
-                )
-            })
-            .collect()
-    }
-
     /// Total completed requests.
     pub fn total_completed(&self) -> u64 {
         self.total_completed
@@ -258,9 +243,8 @@ mod tests {
         for i in 0..20 {
             s.record_completion(t(i), d(100));
         }
-        let tp = s.throughput_series();
-        assert_eq!(tp.len(), 2);
-        assert!((tp[0].1 - 1.0).abs() < 1e-9);
+        assert_eq!(s.windows().len(), 2);
+        assert_eq!(s.windows()[0].completed, 10);
         assert!((s.overall_mean_latency_ms() - 100.0).abs() < 1e-9);
         assert!((s.overall_throughput(t(20)) - 1.0).abs() < 1e-9);
         let lat = s.latency_series();

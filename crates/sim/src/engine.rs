@@ -56,12 +56,6 @@ impl<'a, M> Ctx<'a, M> {
         self.now
     }
 
-    /// Schedules `msg` for `dst` at absolute time `at` (clamped to now).
-    pub fn send_at(&mut self, at: SimTime, dst: Addr, msg: M) -> EventToken {
-        let at = at.max(self.now);
-        self.queue.push(at, (dst, msg))
-    }
-
     /// Schedules `msg` for `dst` after `delay`.
     pub fn send_after(&mut self, delay: SimDuration, dst: Addr, msg: M) -> EventToken {
         self.queue.push(self.now + delay, (dst, msg))
@@ -89,9 +83,9 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sets the one timer of `key` to deliver `msg` to `dst` at absolute
     /// time `at` (clamped to now), replacing whatever the key had armed.
-    /// Delivery order is that of a [`Ctx::send_at`] issued at this point;
-    /// see [`EventQueue::arm`]. For timers re-armed more often than they
-    /// fire; keys index a dense table, so keep them small.
+    /// Delivery order is that of a [`Ctx::send_after`] due at `at` issued
+    /// at this point; see [`EventQueue::arm`]. For timers re-armed more
+    /// often than they fire; keys index a dense table, so keep them small.
     pub fn arm_timer(&mut self, key: u32, at: SimTime, dst: Addr, msg: M) {
         let at = at.max(self.now);
         self.queue.arm(key, at, (dst, msg));

@@ -586,12 +586,6 @@ impl MetricsHub {
         }
     }
 
-    /// Records a latency in the named histogram.
-    pub fn record_latency(&mut self, name: &str, d: SimDuration) {
-        let id = self.histogram_id(name);
-        self.record_latency_id(id, d);
-    }
-
     /// Records a latency in an interned histogram (hot path).
     // jade-audit: allow(hot-panic): HistogramId is only minted by
     // histogram_id, which returns dense indexes into this same vector.
@@ -812,7 +806,8 @@ mod tests {
     fn hub_roundtrip() {
         let mut hub = MetricsHub::new();
         hub.record_series("cpu", t(1), 0.5);
-        hub.record_latency("latency", SimDuration::from_millis(100));
+        let latency = hub.histogram_id("latency");
+        hub.record_latency_id(latency, SimDuration::from_millis(100));
         hub.incr("requests", 3);
         assert_eq!(hub.series("cpu").unwrap().len(), 1);
         assert_eq!(hub.histogram("latency").unwrap().count(), 1);

@@ -1,8 +1,8 @@
 //! The legacy layer: every server process of the J2EE architecture plus
 //! the cluster substrate, aggregated behind one value.
 //!
-//! This is the environment type `E` that the Fractal wrappers
-//! ([`crate::wrappers`]) reflect control operations onto — the Rust
+//! This is the environment type `E` that the Fractal wrapper
+//! ([`crate::wrappers`]) reflects control operations onto — the Rust
 //! counterpart of the JVM processes, shell scripts and configuration files
 //! Jade manipulated. The simulation application (jade-core) owns a
 //! [`LegacyLayer`] and routes virtual-time events through it.
@@ -95,6 +95,18 @@ impl LegacyServer {
             LegacyServer::Cjdbc { .. } => "cjdbc",
             LegacyServer::Plb { .. } => "plb",
             LegacyServer::L4Switch { .. } => "plb", // same class of software
+        }
+    }
+
+    /// The `port` attribute a management component carries for this
+    /// server: its listen port for the kinds whose port is configurable
+    /// (Apache, Tomcat, MySQL), `None` for the balancers.
+    pub fn port_attr(&self) -> Option<u16> {
+        match self {
+            LegacyServer::Apache(_) | LegacyServer::Tomcat(_) | LegacyServer::Mysql(_) => {
+                Some(self.port())
+            }
+            _ => None,
         }
     }
 
@@ -400,16 +412,8 @@ impl LegacyLayer {
     }
 
     /// Nodes hosting running servers of a tier (the node set a CPU sensor
-    /// aggregates over).
-    pub fn nodes_of_tier(&self, tier: Tier) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        self.nodes_of_tier_into(tier, &mut nodes);
-        nodes
-    }
-
-    /// [`LegacyLayer::nodes_of_tier`] into a caller-owned buffer, so a
-    /// periodic probe can reuse its scratch instead of allocating. The
-    /// resulting order (sorted, deduped) is identical.
+    /// aggregates over), sorted and deduped into a caller-owned buffer, so
+    /// a periodic probe can reuse its scratch instead of allocating.
     pub fn nodes_of_tier_into(&self, tier: Tier, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
@@ -944,7 +948,9 @@ mod tests {
         l.start_server(t1).unwrap();
         l.finish_boot(t1).unwrap();
         assert_eq!(l.running_servers_of(Tier::Application), vec![t1]);
-        assert_eq!(l.nodes_of_tier(Tier::Application), vec![NodeId(0)]);
+        let mut nodes = Vec::new();
+        l.nodes_of_tier_into(Tier::Application, &mut nodes);
+        assert_eq!(nodes, vec![NodeId(0)]);
     }
 
     #[test]

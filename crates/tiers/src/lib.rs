@@ -11,10 +11,11 @@
 //! * [`balancer`] — PLB / L4-switch HTTP load balancing (Random,
 //!   Round-Robin),
 //! * [`config`] — the legacy configuration artifacts (`httpd.conf`,
-//!   `worker.properties`, …) that wrappers rewrite,
+//!   `worker.properties`, …) that the wrapper rewrites,
 //! * [`legacy`] — the aggregate [`legacy::LegacyLayer`]: the environment
-//!   that Fractal wrappers reflect onto,
-//! * [`wrappers`] — the Fractal wrappers themselves (paper §3.2),
+//!   that the Fractal wrapper reflects onto,
+//! * [`wrappers`] — [`ServerWrapper`], the one Fractal wrapper of every
+//!   legacy server, with a per-kind arm for each reflection (paper §3.2),
 //! * [`request`] — interaction plans flowing client → servlet → database.
 
 #![forbid(unsafe_code)]
@@ -50,4 +51,4 @@ pub use sql::{
 };
 pub use storage::{Database, Table};
 pub use tomcat::TomcatServer;
-pub use wrappers::{ApacheWrapper, BalancerWrapper, CjdbcWrapper, MysqlWrapper, TomcatWrapper};
+pub use wrappers::ServerWrapper;

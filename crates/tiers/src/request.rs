@@ -120,11 +120,6 @@ pub struct InteractionPlan {
 }
 
 impl InteractionPlan {
-    /// Total application-tier CPU demand.
-    pub fn servlet_demand(&self) -> SimDuration {
-        self.pre_demand + self.post_demand
-    }
-
     /// Total database-tier CPU demand (one replica's worth).
     pub fn db_demand(&self) -> SimDuration {
         self.sql.db_demand()
@@ -192,7 +187,10 @@ mod tests {
     #[test]
     fn demand_accounting() {
         let plan = plan_over(read_then_insert(), &[10, 8]);
-        assert_eq!(plan.servlet_demand(), SimDuration::from_millis(7));
+        assert_eq!(
+            plan.pre_demand + plan.post_demand,
+            SimDuration::from_millis(7)
+        );
         assert_eq!(plan.db_demand(), SimDuration::from_millis(18));
         assert!(plan.has_write());
     }

@@ -866,16 +866,6 @@ impl Database {
         }
     }
 
-    /// Created-table names, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.schema
-            .sorted_tables()
-            .iter()
-            .filter(|&&ti| self.tables[ti as usize].created)
-            .map(|&ti| self.schema.table(TableId(ti)).expect("in catalog").name())
-            .collect()
-    }
-
     /// Looks up a created table by name.
     pub fn get_table(&self, name: &str) -> Option<&Table> {
         let id = self.schema.table_id(name)?;

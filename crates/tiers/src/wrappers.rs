@@ -1,19 +1,23 @@
-//! Fractal wrappers for the J2EE legacy software (paper §3.2).
+//! The Fractal wrapper for the J2EE legacy software (paper §3.2).
 //!
-//! Each wrapper implements the uniform management interface for one legacy
-//! server and reflects control operations onto the [`LegacyLayer`]:
-//! attribute writes rewrite the legacy configuration file, `bind`/`unbind`
-//! rewrite connection descriptors (`worker.properties`, the PLB worker
-//! list, the C-JDBC virtual-database descriptor), and `start`/`stop`
-//! invoke the legacy start/stop procedures.
+//! Every legacy server gets "the same (uniform) management interface":
+//! one [`ServerWrapper`] reflects control operations onto the
+//! [`LegacyLayer`], and only the per-kind arm of each reflection — chosen
+//! by the [`LegacyServer`] variant the layer holds — is specific to the
+//! software. A `port` write rewrites `httpd.conf`, `server.xml` or
+//! `my.cnf`; `bind`/`unbind` rewrite the connection descriptor
+//! (`worker.properties`, the C-JDBC virtual-database descriptor or the
+//! PLB worker list); `start`/`stop` invoke the legacy start/stop
+//! procedures.
 //!
 //! The component carrying a wrapper must expose a `server-id` attribute
 //! (set at deployment) so that wrappers can resolve binding targets to
 //! legacy processes.
 
-use crate::config::{render_cjdbc_xml, WorkerEntry};
-use crate::config::{render_httpd_conf, render_my_cnf, render_plb_conf, render_worker_properties};
-use crate::legacy::LegacyLayer;
+use crate::cjdbc::BackendStatus;
+use crate::config::{render_cjdbc_xml, render_httpd_conf, render_my_cnf, WorkerEntry};
+use crate::config::{render_plb_conf, render_worker_properties};
+use crate::legacy::{LegacyLayer, LegacyServer};
 use crate::server::ServerId;
 use jade_fractal::{ArchView, AttrValue, ComponentId, Endpoint, FractalError, Wrapper};
 
@@ -53,228 +57,178 @@ fn worker_entry(
     Ok(WorkerEntry { name, host, port })
 }
 
-fn validate_port(name: &str, value: &AttrValue) -> Result<()> {
-    if name == "port" {
-        match value.as_int() {
-            Some(p) if (1..=65535).contains(&p) => Ok(()),
-            _ => Err(FractalError::InvalidAttribute {
-                attribute: name.to_owned(),
-                reason: "port must be an integer in 1..=65535".into(),
-            }),
-        }
-    } else {
-        Ok(())
-    }
+/// A `port` attribute value as a listen port.
+fn listen_port(value: &AttrValue) -> Result<u16> {
+    value
+        .as_int()
+        .and_then(|p| u16::try_from(p).ok())
+        .filter(|&p| p != 0)
+        .ok_or_else(|| FractalError::InvalidAttribute {
+            attribute: "port".into(),
+            reason: "port must be an integer in 1..=65535".into(),
+        })
 }
 
-// ----------------------------------------------------------------------
-// Apache
-// ----------------------------------------------------------------------
-
-/// Wrapper for an Apache web server. A modification of the `port`
-/// attribute "is reflected in the httpd.conf file"; `bind` on the
-/// `ajp-itf` interface rewrites `worker.properties` (paper §3.2).
+/// The wrapper of one legacy server of any kind: Apache, Tomcat, MySQL,
+/// the C-JDBC controller, PLB or the L4 switch.
+///
+/// * A `port` write is "reflected in the httpd.conf file" (paper §3.2),
+///   or in Tomcat's `server.xml` or MySQL's `my.cnf`; the balancers keep
+///   their configured port and write nothing.
+/// * Binding Apache's `ajp-itf` rewrites `worker.properties` and mod_jk's
+///   worker set.
+/// * Binding the C-JDBC `backends` collection to a MySQL component
+///   registers the replica and — when the replica is already running —
+///   triggers state reconciliation through the recovery log (paper §4.1);
+///   unbinding disables it but keeps its trace.
+/// * Binding a balancer's `workers` collection adds a worker to the
+///   rotation; unbinding removes it.
 #[derive(Debug, Clone, Copy)]
-pub struct ApacheWrapper {
+pub struct ServerWrapper {
     /// The wrapped legacy process.
     pub server: ServerId,
 }
 
-impl ApacheWrapper {
-    fn rewrite_httpd_conf(&self, env: &mut LegacyLayer) -> Result<()> {
-        let (node, port, name) = {
-            let s = env.server(self.server).map_err(wrap_err)?;
-            (s.process().node, s.port(), s.process().name.clone())
-        };
-        let host = env.host_of(self.server).map_err(wrap_err)?;
-        env.configs.write(
-            node,
-            "conf/httpd.conf",
-            render_httpd_conf(&format!("{host}.{name}"), port, "/var/www"),
-        );
-        Ok(())
-    }
-
-    fn rewrite_workers(
-        &self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-    ) -> Result<()> {
-        let endpoints = view.bound_to(me, "ajp-itf");
-        let entries: Vec<WorkerEntry> = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, ep)| worker_entry(env, view, ep, i))
-            .collect::<Result<_>>()?;
-        let worker_ids: Vec<ServerId> = endpoints
-            .iter()
-            .map(|ep| server_id_of(view, ep.component))
-            .collect::<Result<_>>()?;
-        let node = {
-            // Keep mod_jk's in-memory worker set aligned with the file.
-            match env.server_mut(self.server).map_err(wrap_err)? {
-                crate::legacy::LegacyServer::Apache(a) => {
-                    a.workers = worker_ids;
-                    a.rr_cursor = 0;
-                    a.process.node
-                }
-                other => other.process().node,
+impl ServerWrapper {
+    /// Stores a new listen port and rewrites the file that declares it.
+    fn write_port(&self, env: &mut LegacyLayer, port: u16) -> Result<()> {
+        let (node, path, contents) = match env.server_mut(self.server).map_err(wrap_err)? {
+            LegacyServer::Apache(a) => {
+                a.port = port;
+                let (node, name) = (a.process.node, a.process.name.clone());
+                let host = env.host_of(self.server).map_err(wrap_err)?;
+                let conf = render_httpd_conf(&format!("{host}.{name}"), port, "/var/www");
+                (node, "conf/httpd.conf", conf)
             }
-        };
-        env.configs.write(
-            node,
-            "conf/worker.properties",
-            render_worker_properties(&entries),
-        );
-        Ok(())
-    }
-}
-
-impl Wrapper<LegacyLayer> for ApacheWrapper {
-    fn validate_attr(&self, name: &str, value: &AttrValue) -> Result<()> {
-        validate_port(name, value)
-    }
-
-    fn on_set_attr(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-        name: &str,
-        value: &AttrValue,
-    ) -> Result<()> {
-        if name == "port" {
-            if let crate::legacy::LegacyServer::Apache(a) =
-                env.server_mut(self.server).map_err(wrap_err)?
-            {
-                a.port = value.as_int().unwrap_or(80) as u16;
-            }
-            self.rewrite_httpd_conf(env)?;
-        }
-        Ok(())
-    }
-
-    fn on_bind(
-        &mut self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-        client_itf: &str,
-        _target: &Endpoint,
-    ) -> Result<()> {
-        if client_itf == "ajp-itf" {
-            self.rewrite_workers(env, view, me)?;
-        }
-        Ok(())
-    }
-
-    fn on_unbind(
-        &mut self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-        client_itf: &str,
-        _target: &Endpoint,
-    ) -> Result<()> {
-        if client_itf == "ajp-itf" {
-            self.rewrite_workers(env, view, me)?;
-        }
-        Ok(())
-    }
-
-    fn on_start(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.start_server(self.server).map_err(wrap_err)
-    }
-
-    fn on_stop(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.stop_server(self.server).map_err(wrap_err)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Tomcat
-// ----------------------------------------------------------------------
-
-/// Wrapper for a Tomcat servlet server.
-#[derive(Debug, Clone, Copy)]
-pub struct TomcatWrapper {
-    /// The wrapped legacy process.
-    pub server: ServerId,
-}
-
-impl Wrapper<LegacyLayer> for TomcatWrapper {
-    fn validate_attr(&self, name: &str, value: &AttrValue) -> Result<()> {
-        validate_port(name, value)
-    }
-
-    fn on_set_attr(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-        name: &str,
-        value: &AttrValue,
-    ) -> Result<()> {
-        if name == "port" {
-            let port = value.as_int().unwrap_or(8098) as u16;
-            let node = {
-                let t = env.tomcat_mut(self.server).map_err(wrap_err)?;
+            LegacyServer::Tomcat(t) => {
                 t.port = port;
-                t.process.node
-            };
-            env.configs.write(
-                node,
-                "conf/server.xml",
-                format!("<Server>\n  <Connector protocol=\"ajp13\" port=\"{port}\"/>\n</Server>\n"),
-            );
-        }
+                let conf = format!(
+                    "<Server>\n  <Connector protocol=\"ajp13\" port=\"{port}\"/>\n</Server>\n"
+                );
+                (t.process.node, "conf/server.xml", conf)
+            }
+            LegacyServer::Mysql(m) => {
+                m.port = port;
+                let cnf = render_my_cnf(port, "/var/lib/mysql");
+                (m.process.node, "etc/my.cnf", cnf)
+            }
+            _ => return Ok(()),
+        };
+        env.configs.write(node, path, contents);
         Ok(())
     }
 
-    fn on_start(
-        &mut self,
+    /// Rewrites the file listing the peers bound to `itf`, the server's
+    /// listing interface.
+    fn write_listing(
+        &self,
         env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
+        view: &dyn ArchView,
+        me: ComponentId,
+        itf: &str,
     ) -> Result<()> {
-        env.start_server(self.server).map_err(wrap_err)
+        let endpoints = view.bound_to(me, itf);
+        let entries: Vec<WorkerEntry> = endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, ep)| worker_entry(env, view, ep, i))
+            .collect::<Result<_>>()?;
+        let (node, path, contents) = match env.server_mut(self.server).map_err(wrap_err)? {
+            LegacyServer::Apache(a) => {
+                // Keep mod_jk's in-memory worker set aligned with the file.
+                a.workers = endpoints
+                    .iter()
+                    .map(|ep| server_id_of(view, ep.component))
+                    .collect::<Result<_>>()?;
+                a.rr_cursor = 0;
+                let wp = render_worker_properties(&entries);
+                (a.process.node, "conf/worker.properties", wp)
+            }
+            LegacyServer::Cjdbc { process, .. } => {
+                let xml = render_cjdbc_xml("rubis", &entries);
+                (process.node, "conf/cjdbc.xml", xml)
+            }
+            // PLB or the L4 switch: only their `workers` list comes here.
+            other => {
+                let conf = render_plb_conf(other.port(), &entries);
+                (other.process().node, "etc/plb.conf", conf)
+            }
+        };
+        env.configs.write(node, path, contents);
+        Ok(())
     }
 
-    fn on_stop(
-        &mut self,
+    /// Reflects a binding (`bound`) or its removal onto the legacy layer,
+    /// then rewrites the listing. Interfaces other than the server's
+    /// listing interface (Tomcat's `jdbc-itf`) have no legacy effect.
+    fn reflect_binding(
+        &self,
         env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
+        view: &dyn ArchView,
+        me: ComponentId,
+        itf: &str,
+        target: &Endpoint,
+        bound: bool,
     ) -> Result<()> {
-        env.stop_server(self.server).map_err(wrap_err)
+        let kind = env.server(self.server).map_err(wrap_err)?;
+        match (kind, itf) {
+            (LegacyServer::Apache(_), "ajp-itf") => {}
+            (LegacyServer::Cjdbc { .. }, "backends") => {
+                let backend = server_id_of(view, target.component)?;
+                if bound {
+                    env.cjdbc_register_backend(self.server, backend)
+                        .map_err(wrap_err)?;
+                    // If the replica is already running, bring it into the
+                    // cluster via log replay; otherwise the deployer
+                    // enables it after boot.
+                    let backend_state = env.server(backend).map_err(wrap_err)?.process().state;
+                    if backend_state.is_running() {
+                        env.cjdbc_enable_backend(self.server, backend)
+                            .map_err(wrap_err)?;
+                    }
+                } else {
+                    // Unbinding removes the replica from the cluster but
+                    // *keeps its trace*: "removing a database replica is
+                    // realized by keeping trace of the state of this
+                    // replica … stored as the index value in the recovery
+                    // log corresponding to the last write request that it
+                    // has executed before being disabled" (paper §4.1). A
+                    // later re-bind replays exactly the missed suffix.
+                    // Destroying the replica outright is the deployer's job
+                    // ([`LegacyLayer::cjdbc_unregister_backend`]).
+                    match env.cjdbc_backend_status(self.server, backend) {
+                        Ok(BackendStatus::Active) => {
+                            let _ = env.cjdbc_disable_backend(self.server, backend);
+                        }
+                        Ok(BackendStatus::Syncing) => {
+                            let _ = env.cjdbc_abort_enable(self.server, backend);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            (LegacyServer::Plb { .. } | LegacyServer::L4Switch { .. }, "workers") => {
+                let worker = server_id_of(view, target.component)?;
+                let rotation = env.balancer_mut(self.server).map_err(wrap_err)?;
+                if bound {
+                    rotation.add_worker(worker)
+                } else {
+                    rotation.remove_worker(worker)
+                }
+                .map_err(wrap_err)?;
+            }
+            _ => return Ok(()),
+        }
+        self.write_listing(env, view, me, itf)
     }
 }
 
-// ----------------------------------------------------------------------
-// MySQL
-// ----------------------------------------------------------------------
-
-/// Wrapper for a MySQL server.
-#[derive(Debug, Clone, Copy)]
-pub struct MysqlWrapper {
-    /// The wrapped legacy process.
-    pub server: ServerId,
-}
-
-impl Wrapper<LegacyLayer> for MysqlWrapper {
+impl Wrapper<LegacyLayer> for ServerWrapper {
     fn validate_attr(&self, name: &str, value: &AttrValue) -> Result<()> {
-        validate_port(name, value)
+        if name == "port" {
+            listen_port(value)?;
+        }
+        Ok(())
     }
 
     fn on_set_attr(
@@ -286,72 +240,11 @@ impl Wrapper<LegacyLayer> for MysqlWrapper {
         value: &AttrValue,
     ) -> Result<()> {
         if name == "port" {
-            let port = value.as_int().unwrap_or(3306) as u16;
-            let node = {
-                let m = env.mysql_mut(self.server).map_err(wrap_err)?;
-                m.port = port;
-                m.process.node
-            };
-            env.configs
-                .write(node, "etc/my.cnf", render_my_cnf(port, "/var/lib/mysql"));
+            self.write_port(env, listen_port(value)?)?;
         }
         Ok(())
     }
 
-    fn on_start(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.start_server(self.server).map_err(wrap_err)
-    }
-
-    fn on_stop(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.stop_server(self.server).map_err(wrap_err)
-    }
-}
-
-// ----------------------------------------------------------------------
-// C-JDBC
-// ----------------------------------------------------------------------
-
-/// Wrapper for the C-JDBC controller. Binding its `backends` collection
-/// interface to a MySQL component registers the replica and — when the
-/// replica is already running — triggers state reconciliation through the
-/// recovery log (paper §4.1). Unbinding disables and unregisters it.
-#[derive(Debug, Clone, Copy)]
-pub struct CjdbcWrapper {
-    /// The wrapped legacy process.
-    pub server: ServerId,
-}
-
-impl CjdbcWrapper {
-    fn rewrite_descriptor(
-        &self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-    ) -> Result<()> {
-        let endpoints = view.bound_to(me, "backends");
-        let entries: Vec<WorkerEntry> = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, ep)| worker_entry(env, view, ep, i))
-            .collect::<Result<_>>()?;
-        let node = env.server(self.server).map_err(wrap_err)?.process().node;
-        env.configs
-            .write(node, "conf/cjdbc.xml", render_cjdbc_xml("rubis", &entries));
-        Ok(())
-    }
-}
-
-impl Wrapper<LegacyLayer> for CjdbcWrapper {
     fn on_bind(
         &mut self,
         env: &mut LegacyLayer,
@@ -360,25 +253,7 @@ impl Wrapper<LegacyLayer> for CjdbcWrapper {
         client_itf: &str,
         target: &Endpoint,
     ) -> Result<()> {
-        if client_itf != "backends" {
-            return Ok(());
-        }
-        let backend = server_id_of(view, target.component)?;
-        env.cjdbc_register_backend(self.server, backend)
-            .map_err(wrap_err)?;
-        // If the replica is already running, bring it into the cluster via
-        // log replay; otherwise the deployer enables it after boot.
-        if env
-            .server(backend)
-            .map_err(wrap_err)?
-            .process()
-            .state
-            .is_running()
-        {
-            env.cjdbc_enable_backend(self.server, backend)
-                .map_err(wrap_err)?;
-        }
-        self.rewrite_descriptor(env, view, me)
+        self.reflect_binding(env, view, me, client_itf, target, true)
     }
 
     fn on_unbind(
@@ -389,122 +264,7 @@ impl Wrapper<LegacyLayer> for CjdbcWrapper {
         client_itf: &str,
         target: &Endpoint,
     ) -> Result<()> {
-        if client_itf != "backends" {
-            return Ok(());
-        }
-        let backend = server_id_of(view, target.component)?;
-        // Unbinding removes the replica from the cluster but *keeps its
-        // trace*: "removing a database replica is realized by keeping
-        // trace of the state of this replica … stored as the index value
-        // in the recovery log corresponding to the last write request
-        // that it has executed before being disabled" (paper §4.1). A
-        // later re-bind replays exactly the missed suffix. Destroying the
-        // replica outright is the deployer's job
-        // ([`LegacyLayer::cjdbc_unregister_backend`]).
-        match env.cjdbc_backend_status(self.server, backend) {
-            Ok(crate::cjdbc::BackendStatus::Active) => {
-                let _ = env.cjdbc_disable_backend(self.server, backend);
-            }
-            Ok(crate::cjdbc::BackendStatus::Syncing) => {
-                let _ = env.cjdbc_abort_enable(self.server, backend);
-            }
-            _ => {}
-        }
-        self.rewrite_descriptor(env, view, me)
-    }
-
-    fn on_start(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.start_server(self.server).map_err(wrap_err)
-    }
-
-    fn on_stop(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
-        env.stop_server(self.server).map_err(wrap_err)
-    }
-}
-
-// ----------------------------------------------------------------------
-// PLB / L4 switch
-// ----------------------------------------------------------------------
-
-/// Wrapper for an HTTP load balancer (PLB in front of Tomcat replicas, or
-/// the L4 switch in front of Apache replicas). Binding the `workers`
-/// collection interface adds a worker to the rotation.
-#[derive(Debug, Clone, Copy)]
-pub struct BalancerWrapper {
-    /// The wrapped legacy process.
-    pub server: ServerId,
-}
-
-impl BalancerWrapper {
-    fn rewrite_conf(
-        &self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-    ) -> Result<()> {
-        let endpoints = view.bound_to(me, "workers");
-        let entries: Vec<WorkerEntry> = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, ep)| worker_entry(env, view, ep, i))
-            .collect::<Result<_>>()?;
-        let (node, port) = {
-            let s = env.server(self.server).map_err(wrap_err)?;
-            (s.process().node, s.port())
-        };
-        env.configs
-            .write(node, "etc/plb.conf", render_plb_conf(port, &entries));
-        Ok(())
-    }
-}
-
-impl Wrapper<LegacyLayer> for BalancerWrapper {
-    fn on_bind(
-        &mut self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-        client_itf: &str,
-        target: &Endpoint,
-    ) -> Result<()> {
-        if client_itf != "workers" {
-            return Ok(());
-        }
-        let worker = server_id_of(view, target.component)?;
-        env.balancer_mut(self.server)
-            .map_err(wrap_err)?
-            .add_worker(worker)
-            .map_err(wrap_err)?;
-        self.rewrite_conf(env, view, me)
-    }
-
-    fn on_unbind(
-        &mut self,
-        env: &mut LegacyLayer,
-        view: &dyn ArchView,
-        me: ComponentId,
-        client_itf: &str,
-        target: &Endpoint,
-    ) -> Result<()> {
-        if client_itf != "workers" {
-            return Ok(());
-        }
-        let worker = server_id_of(view, target.component)?;
-        env.balancer_mut(self.server)
-            .map_err(wrap_err)?
-            .remove_worker(worker)
-            .map_err(wrap_err)?;
-        self.rewrite_conf(env, view, me)
+        self.reflect_binding(env, view, me, client_itf, target, false)
     }
 
     fn on_start(
@@ -566,17 +326,17 @@ mod tests {
                 InterfaceDecl::server("http", "http"),
                 InterfaceDecl::optional_client("ajp-itf", "ajp"),
             ],
-            Box::new(ApacheWrapper { server: apache_s }),
+            Box::new(ServerWrapper { server: apache_s }),
         );
         let tomcat1 = reg.new_primitive(
             "Tomcat1",
             vec![InterfaceDecl::server("ajp", "ajp")],
-            Box::new(TomcatWrapper { server: tomcat1_s }),
+            Box::new(ServerWrapper { server: tomcat1_s }),
         );
         let tomcat2 = reg.new_primitive(
             "Tomcat2",
             vec![InterfaceDecl::server("ajp", "ajp")],
-            Box::new(TomcatWrapper { server: tomcat2_s }),
+            Box::new(ServerWrapper { server: tomcat2_s }),
         );
         reg.set_attr(&mut legacy, apache, "server-id", apache_s.0 as i64)
             .unwrap();
@@ -624,24 +384,63 @@ mod tests {
         assert!(!wp.contains("Tomcat1"), "{wp}");
     }
 
+    /// One `port` write per kind: Apache, Tomcat and MySQL rewrite their
+    /// own file and reject out-of-range or non-integer ports without
+    /// touching the stored attribute or the file; C-JDBC and PLB keep
+    /// their configured port and write no file.
     #[test]
-    fn apache_port_attribute_reflected_in_httpd_conf() {
+    fn port_writes_reflect_per_kind_and_invalid_ports_change_nothing() {
         let mut legacy = env(1);
-        install(&mut legacy, NodeId(0), "apache");
-        let apache_s = legacy.create_apache("Apache1", NodeId(0));
+        let node = NodeId(0);
+        let cases = [
+            (
+                legacy.create_apache("Apache1", node),
+                Some(("conf/httpd.conf", "Listen 8081")),
+            ),
+            (
+                legacy.create_tomcat("Tomcat1", node),
+                Some(("conf/server.xml", "port=\"8081\"")),
+            ),
+            (
+                legacy.create_mysql("MySQL1", node),
+                Some(("etc/my.cnf", "port=8081")),
+            ),
+            (
+                legacy.create_cjdbc("C-JDBC", node, ReadPolicy::LeastPending),
+                None,
+            ),
+            (
+                legacy.create_plb("PLB", node, BalancePolicy::RoundRobin),
+                None,
+            ),
+        ];
         let mut reg: Registry<LegacyLayer> = Registry::new();
-        let apache = reg.new_primitive(
-            "Apache1",
-            vec![],
-            Box::new(ApacheWrapper { server: apache_s }),
-        );
-        reg.set_attr(&mut legacy, apache, "server-id", apache_s.0 as i64)
-            .unwrap();
-        reg.set_attr(&mut legacy, apache, "port", 8081i64).unwrap();
-        let conf = legacy.configs.read(NodeId(0), "conf/httpd.conf").unwrap();
-        assert!(conf.contains("Listen 8081"));
-        // Invalid port rejected by validation.
-        assert!(reg.set_attr(&mut legacy, apache, "port", 0i64).is_err());
+        for (server, file) in cases {
+            let name = legacy.server(server).unwrap().process().name.clone();
+            let comp = reg.new_primitive(&name, vec![], Box::new(ServerWrapper { server }));
+            reg.set_attr(&mut legacy, comp, "server-id", server.0 as i64)
+                .unwrap();
+            let writes = legacy.configs.write_count();
+            reg.set_attr(&mut legacy, comp, "port", 8081i64).unwrap();
+            let Some((path, line)) = file else {
+                assert_eq!(legacy.configs.write_count(), writes, "{name} wrote a file");
+                continue;
+            };
+            assert_eq!(legacy.server(server).unwrap().port(), 8081, "{name}");
+            let conf = legacy.configs.read(node, path).unwrap().to_owned();
+            assert!(conf.contains(line), "{name}: {conf}");
+            let writes = legacy.configs.write_count();
+            for bad in [AttrValue::Int(0), AttrValue::Int(65536), "8082".into()] {
+                assert!(
+                    reg.set_attr(&mut legacy, comp, "port", bad.clone())
+                        .is_err(),
+                    "{name} accepted {bad:?}"
+                );
+                assert_eq!(reg.get_attr(comp, "port").unwrap(), AttrValue::Int(8081));
+                assert_eq!(legacy.configs.read(node, path), Some(conf.as_str()));
+                assert_eq!(legacy.configs.write_count(), writes, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -660,7 +459,7 @@ mod tests {
                 InterfaceDecl::server("http", "http"),
                 InterfaceDecl::collection_client("workers", "ajp"),
             ],
-            Box::new(BalancerWrapper { server: plb_s }),
+            Box::new(ServerWrapper { server: plb_s }),
         );
         let mk = |reg: &mut Registry<LegacyLayer>,
                   legacy: &mut LegacyLayer,
@@ -669,7 +468,7 @@ mod tests {
             let c = reg.new_primitive(
                 name,
                 vec![InterfaceDecl::server("ajp", "ajp")],
-                Box::new(TomcatWrapper { server: sid }),
+                Box::new(ServerWrapper { server: sid }),
             );
             reg.set_attr(legacy, c, "server-id", sid.0 as i64).unwrap();
             c
@@ -707,12 +506,12 @@ mod tests {
                 InterfaceDecl::server("jdbc", "jdbc"),
                 InterfaceDecl::collection_client("backends", "mysql"),
             ],
-            Box::new(CjdbcWrapper { server: cj_s }),
+            Box::new(ServerWrapper { server: cj_s }),
         );
         let my = reg.new_primitive(
             "MySQL1",
             vec![InterfaceDecl::server("mysql", "mysql")],
-            Box::new(MysqlWrapper { server: my_s }),
+            Box::new(ServerWrapper { server: my_s }),
         );
         reg.set_attr(&mut legacy, cj, "server-id", cj_s.0 as i64)
             .unwrap();
