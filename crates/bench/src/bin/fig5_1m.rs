@@ -4,9 +4,9 @@
 //! consistently rescaled (population ×2000, think time ×100, node speed
 //! ×20, manager time constants and ramp compressed ×4) — and prints the
 //! replica staircase. The client population is driven by the aggregate
-//! pool over the hierarchical timer wheel, which is what makes a
-//! million-client run finish in seconds of wall clock; see
-//! EXPERIMENTS.md ("A million clients").
+//! client pool — per-state session counts instead of a million client
+//! objects and timers — which is what makes a million-client run finish
+//! in seconds of wall clock; see EXPERIMENTS.md ("A million clients").
 //!
 //! Expected shape: the same staircase as Figure 5, one level up — the
 //! application tier scales 1→2→3 and back, the database tier 1→2→3→4 and
@@ -19,7 +19,7 @@ use jade_bench::{ascii_chart, print_replica_transitions, write_series, Harness, 
 use jade_sim::SimDuration;
 
 fn main() {
-    println!("=== Figure 5 at 1M clients: aggregate pool over the timer wheel ===");
+    println!("=== Figure 5 at 1M clients: aggregate client pool ===");
     let harness = Harness::from_env();
     let results = harness.run(vec![RunSpec::new(
         "managed run (1M clients)",

@@ -24,13 +24,8 @@
 
 pub mod cli;
 pub mod harness;
-pub mod reference;
 
 pub use harness::{Harness, RunRecord, RunResult, RunSpec, HARNESS_USAGE};
-pub use reference::{
-    naive_time_weighted_mean, naive_value_at, NaiveDatabase, NaiveMovingAverage, NaiveObservation,
-    NaivePsCpu, NaiveQueryResult, NaiveRow, NaiveTimers,
-};
 
 use jade::experiment::ExperimentOutput;
 use jade::system::ManagedTier;

@@ -121,7 +121,7 @@ impl Jade {
         // when the system is quiescent.
         self.pump_arbitrator(sh, requests);
         sh.ctx
-            .send_after_coarse(sh.cfg.jade.probe_period, Addr::ROOT, Msg::MeasureTick);
+            .send_after(sh.cfg.jade.probe_period, Addr::ROOT, Msg::MeasureTick);
     }
 
     /// Executes the next arbitrated reconfiguration once none is in
@@ -233,7 +233,7 @@ impl Jade {
             }
         }
         sh.ctx
-            .send_after_coarse(sh.cfg.jade.probe_period, Addr::ROOT, Msg::SensorTick(idx));
+            .send_after(sh.cfg.jade.probe_period, Addr::ROOT, Msg::SensorTick(idx));
     }
 
     // ------------------------------------------------------------------
@@ -591,7 +591,7 @@ impl Jade {
             }
         }
         sh.ctx
-            .send_after_coarse(sh.cfg.jade.probe_period, Addr::ROOT, Msg::DetectorTick);
+            .send_after(sh.cfg.jade.probe_period, Addr::ROOT, Msg::DetectorTick);
     }
 
     /// Repairs one failed replica: detach it from its balancer, destroy

@@ -166,15 +166,15 @@ fn bootstrap(sh: &mut Shared<'_, '_>, jade: &mut Jade) {
     let root = jade_sim::Addr::ROOT;
     ctx.send_now(root, Msg::RampTick);
     if let crate::config::ClientMode::Aggregate { tick } = cfg.client_mode {
-        ctx.send_after_coarse(tick, root, Msg::PoolTick);
+        ctx.send_after(tick, root, Msg::PoolTick);
     }
     let period = cfg.jade.probe_period;
-    ctx.send_after_coarse(period, root, Msg::MeasureTick);
+    ctx.send_after(period, root, Msg::MeasureTick);
     for tier in ManagedTier::ALL {
-        ctx.send_after_coarse(period, root, Msg::SensorTick(tier as usize));
+        ctx.send_after(period, root, Msg::SensorTick(tier as usize));
     }
     if cfg.jade.managed && cfg.jade.self_repair {
-        ctx.send_after_coarse(period, root, Msg::DetectorTick);
+        ctx.send_after(period, root, Msg::DetectorTick);
     }
 }
 

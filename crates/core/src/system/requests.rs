@@ -214,7 +214,7 @@ impl Requests {
                         slot.busy = true;
                         let delay = stagger(sh.ctx.rng());
                         sh.ctx
-                            .send_after_coarse(delay, Addr::ROOT, Msg::ClientThink(i as u32));
+                            .send_after(delay, Addr::ROOT, Msg::ClientThink(i as u32));
                     }
                 }
             }
@@ -227,8 +227,7 @@ impl Requests {
                     busy: true,
                 });
                 let delay = stagger(sh.ctx.rng());
-                sh.ctx
-                    .send_after_coarse(delay, Addr::ROOT, Msg::ClientThink(id));
+                sh.ctx.send_after(delay, Addr::ROOT, Msg::ClientThink(id));
                 active += 1;
             }
             // Shrink: park the highest-numbered clients; they retire at
@@ -249,12 +248,11 @@ impl Requests {
             .metrics()
             .record_series_id(ids.clients, now, f64::from(target));
         sh.ctx
-            .send_after_coarse(sh.cfg.ramp_tick, Addr::ROOT, Msg::RampTick);
+            .send_after(sh.cfg.ramp_tick, Addr::ROOT, Msg::RampTick);
     }
 
-    /// Schedules the client's next think-cycle. Think timers are the
-    /// bulk of the pending set — one per idle client — so they ride the
-    /// timer wheel, not the min-heap.
+    /// Schedules the client's next think-cycle: one timer per idle
+    /// client, the bulk of the pending set at paper scale.
     // jade-audit: allow(hot-panic): client ids are minted by
     // on_ramp_tick as dense indexes into the clients slab and never
     // escape the valid range.
@@ -266,7 +264,7 @@ impl Requests {
         }
         slot.busy = true;
         let think = slot.client.think_time();
-        ctx.send_after_coarse(think, Addr::ROOT, Msg::ClientThink(client));
+        ctx.send_after(think, Addr::ROOT, Msg::ClientThink(client));
     }
 
     // jade-audit: allow(hot-panic): client ids are dense slab indexes
@@ -346,7 +344,7 @@ impl Requests {
             });
         }
         for &(offset, bucket, interaction) in out.iter() {
-            sh.ctx.send_after_coarse(
+            sh.ctx.send_after(
                 offset,
                 Addr::ROOT,
                 Msg::PoolDispatch {
@@ -355,7 +353,7 @@ impl Requests {
                 },
             );
         }
-        sh.ctx.send_after_coarse(tick, Addr::ROOT, Msg::PoolTick);
+        sh.ctx.send_after(tick, Addr::ROOT, Msg::PoolTick);
     }
 
     /// An aggregate session's think time elapsed: materialize the plan
@@ -481,7 +479,7 @@ impl Requests {
         if let Some(patience) = sh.cfg.client_patience {
             let tok = sh
                 .ctx
-                .send_after_coarse(patience, Addr::ROOT, Msg::ClientAbandon { req });
+                .send_after(patience, Addr::ROOT, Msg::ClientAbandon { req });
             if let Some(state) = self.inflight.get_mut(key) {
                 state.abandon = Some(tok);
             }

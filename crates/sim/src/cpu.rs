@@ -54,8 +54,8 @@
 //! job-count boundaries — which are all driver-call times — the trajectory
 //! is the same piecewise-linear one the naive per-job-scan model produced
 //! (associativity of float accumulation aside), including the `Thrashing`
-//! knee. The bench crate keeps the original implementation as
-//! `NaivePsCpu`; `tests/cpu_prop.rs` checks the two agree on completion
+//! knee. `tests/support/naive_ps_cpu.rs` keeps the original implementation
+//! as `NaivePsCpu`; `tests/cpu_prop.rs` checks the two agree on completion
 //! sets, order and times within 1e-6 s under random interleavings.
 //!
 //! The owner (a server actor) drives the model: it calls [`PsCpu::submit`]

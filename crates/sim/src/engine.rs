@@ -61,15 +61,6 @@ impl<'a, M> Ctx<'a, M> {
         self.queue.push(self.now + delay, (dst, msg))
     }
 
-    /// Schedules `msg` after `delay` on the timer wheel. Identical
-    /// semantics to [`Ctx::send_after`]; prefer it for coarse deadlines —
-    /// think times, patience timers, periodic ticks — that are numerous
-    /// and long-lived, where the wheel's O(1) insert/cancel beats heap
-    /// sifting against the whole pending set.
-    pub fn send_after_coarse(&mut self, delay: SimDuration, dst: Addr, msg: M) -> EventToken {
-        self.queue.push_coarse(self.now + delay, (dst, msg))
-    }
-
     /// Schedules `msg` for `dst` at the current instant (delivered after
     /// all already-queued events at this instant).
     pub fn send_now(&mut self, dst: Addr, msg: M) -> EventToken {
@@ -237,7 +228,7 @@ impl<A: App> Engine<A> {
     ///
     /// Each event costs a single queue traversal: the horizon check rides
     /// inside [`EventQueue::pop_at_or_before`] instead of a separate
-    /// peek-then-pop pair walking the heap/wheel twice.
+    /// peek-then-pop pair walking the queue twice.
     #[jade_hot]
     pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
         loop {

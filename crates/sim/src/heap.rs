@@ -25,13 +25,13 @@ const COMPACT_MIN: usize = 64;
 
 /// Packs a sequence number and a slab slot into an entry's low word.
 #[inline]
-pub(crate) fn pack_lo(seq: u64, slot: u32) -> u64 {
+fn pack_lo(seq: u64, slot: u32) -> u64 {
     (seq << 32) | u64::from(slot)
 }
 
 /// The slab slot packed into a low word.
 #[inline]
-pub(crate) fn slot_of(lo: u64) -> u32 {
+fn slot_of(lo: u64) -> u32 {
     lo as u32
 }
 

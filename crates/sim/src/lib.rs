@@ -6,10 +6,9 @@
 //! * a virtual clock with microsecond resolution ([`SimTime`],
 //!   [`SimDuration`]),
 //! * a pending-event set with FIFO tie-breaking ([`queue::EventQueue`]):
-//!   a packed min-heap with lazy cancellation for precise one-shot events,
-//!   a hierarchical timer wheel ([`wheel`]) for the coarse deadlines that
-//!   dominate at million-client scale, and a keyed lane for timers that
-//!   are re-armed in place, all merged by one `(time, seq)` order,
+//!   a packed min-heap with lazy cancellation for one-shot events, and a
+//!   keyed lane for timers that are re-armed in place, merged by one
+//!   `(time, seq)` order,
 //! * a generational slab arena for O(1) id-addressed state with stale-id
 //!   detection ([`slab::GenSlab`]),
 //! * an application-routing engine ([`Engine`], [`App`], [`Ctx`]),
@@ -43,7 +42,6 @@ pub mod rng;
 pub mod slab;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use cpu::{EfficiencyCurve, JobId, PsCpu};
 pub use det::{DetHashMap, DetHashSet, DetState, FxHasher};

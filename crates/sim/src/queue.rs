@@ -6,7 +6,7 @@
 //!
 //! # Implementation
 //!
-//! Precise events sit in the kernel's packed min-heap (`heap.rs`):
+//! One-shot events sit in the kernel's packed min-heap (`heap.rs`):
 //! 16-byte `(time, seq·slot)` entries over a [`GenSlab`] of payloads, so
 //! sift operations move 16-byte records instead of whole `(time, seq,
 //! (Addr, Msg))` entries. A token is the payload's [`SlabKey`]: cancelling
@@ -19,14 +19,18 @@
 //! one-shot events that are rarely cancelled. To bound the garbage a
 //! cancel-heavy workload can accumulate, the queue *compacts* (filters
 //! cancelled entries and re-heapifies in O(n)) whenever more than half of
-//! a non-trivial heap is dead.
+//! a non-trivial heap is dead. That bounds the resident entries at
+//! 2·live + 64, however many timers are pushed and cancelled, which is
+//! why coarse deadlines (think times, patience timers that are almost
+//! always cancelled, periodic ticks) share the heap with precise events:
+//! no experiment keeps more than a few thousand of them pending.
 //!
 //! # Keyed timers
 //!
 //! A timer that is re-armed far more often than it fires — the
 //! processor-sharing CPU model moves its one next-completion timer per
 //! node on every job arrival and departure — would turn most heap pushes
-//! into tombstones. [`EventQueue::arm`] keeps such timers in a third lane
+//! into tombstones. [`EventQueue::arm`] keeps such timers in a second lane
 //! instead: one timer per caller-chosen `key`, overwritten in place, with
 //! no slab slot, no token and nothing left behind by a re-arm or a
 //! [`EventQueue::disarm`]. `arm` draws its sequence number from the same
@@ -44,29 +48,13 @@
 //! at that size the scan beat an indexed binary heap and an indexed 8-ary
 //! heap, which pay a back-pointer write per level on every re-arm.
 //! Revisit if a topology ever keeps hundreds of keys armed at once.
-//!
-//! # Coarse deadlines
-//!
-//! [`EventQueue::push_coarse`] routes an event to a hierarchical timer
-//! wheel (see [`crate::wheel`]) instead of the heap: O(1) insert and
-//! cancel regardless of how many timers are resident, which is what
-//! million-client think-time and patience timers need. The wheel is
-//! *exact* — entries fire at their precise microsecond timestamp — and it
-//! shares this queue's payload slab, token generations, and the single
-//! global sequence counter, so heap, wheel and keyed events at the same
-//! instant interleave by insertion order exactly as if all sat in one
-//! heap. Which structure held a timer is unobservable to the simulation;
-//! only the constant factors differ.
 
 // jade-audit: allow-file(hot-panic): hand-audited lane core — every index
-// is a slab slot minted by the payload slab, a keyed-lane position kept in
-// `pos`, or a wheel node id owned by the wheel's free list; the expect()
-// unpacks a lane head tested non-empty on the preceding line.
-use crate::heap::{pack_lo, slot_of, HeapEntry, PackedHeap};
+// is a keyed-lane position kept in `pos`, a key below `pos.len()`, or a
+// position below the length of the array it indexes.
+use crate::heap::{HeapEntry, PackedHeap};
 use crate::slab::{GenSlab, SlabKey};
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
-use std::collections::VecDeque;
 
 /// Token identifying a scheduled event, usable to cancel it: the key of
 /// the event's payload cell, so cancelling an event that has already
@@ -167,26 +155,16 @@ impl<T> KeyedLane<T> {
     }
 }
 
-/// Deterministic pending-event set: a heap with lazy cancellation, a
-/// timer wheel for coarse deadlines and a lane of keyed re-armable
-/// timers, merged by one `(time, seq)` order.
+/// Deterministic pending-event set: a heap with lazy cancellation and a
+/// lane of keyed re-armable timers, merged by one `(time, seq)` order.
 pub struct EventQueue<T> {
     heap: PackedHeap,
-    /// Payloads of the heap's, the wheel's and `ready`'s entries, tagged
-    /// when the entry is wheel-side (so cancelling it leaves the heap's
-    /// garbage count alone).
+    /// Payloads of the heap's entries.
     payloads: GenSlab<T>,
-    /// The one sequence counter `push`, `push_coarse` and `arm` draw from.
+    /// The one sequence counter `push` and `arm` draw from.
     next_seq: u64,
     /// Cancelled-but-unswept entries in the heap.
     cancelled: usize,
-    /// Coarse-deadline side: the wheel plus the drain buffer holding the
-    /// current minimal wheel timestamp's entries, sorted by seq.
-    wheel: TimerWheel,
-    ready: VecDeque<u64>,
-    ready_time: SimTime,
-    /// Scratch for wheel drains, reused across calls.
-    drain_scratch: Vec<(u64, u64)>,
     keyed: KeyedLane<T>,
 }
 
@@ -204,10 +182,6 @@ impl<T> EventQueue<T> {
             payloads: GenSlab::new(),
             next_seq: 0,
             cancelled: 0,
-            wheel: TimerWheel::new(),
-            ready: VecDeque::new(),
-            ready_time: SimTime::ZERO,
-            drain_scratch: Vec::new(),
             keyed: KeyedLane {
                 armed: Vec::new(),
                 payloads: Vec::new(),
@@ -238,30 +212,11 @@ impl<T> EventQueue<T> {
         EventToken(key)
     }
 
-    /// Schedules `payload` at `time` on the timer wheel: O(1) insert and
-    /// cancel independent of the resident-timer population, at the cost
-    /// of amortized cascade work as the deadline approaches. Semantics
-    /// are identical to [`EventQueue::push`] — exact fire time, shared
-    /// seq ordering against heap events at the same instant, and a token
-    /// with the same cancel/reuse behaviour. Use it for coarse deadlines
-    /// (think times, patience timers, periodic ticks) that dominate the
-    /// pending set at scale; keep precise, short-lived completions on
-    /// the heap.
-    // jade-audit: allow(unbounded-growth): wheel nodes are recycled
-    // through the wheel's own free list when a timer fires or is
-    // cancelled (TimerWheel::free); residency is bounded by the number
-    // of concurrently armed timers, not by run length.
+    /// The same as [`EventQueue::push`]: coarse deadlines share the heap
+    /// (see the module docs). A shim kept only for the repository
+    /// benchmark's queue probes, which call it; ROADMAP item 1a retires it.
     pub fn push_coarse(&mut self, time: SimTime, payload: T) -> EventToken {
-        if time.as_micros() < self.wheel.cursor() {
-            // The wheel cannot hold entries behind its cursor (possible
-            // when a caller schedules against a clock that lags a peek).
-            // The heap can, and the two are observably identical.
-            return self.push(time, payload);
-        }
-        let seq = self.draw_seq();
-        let key = self.payloads.insert_tagged(payload);
-        self.wheel.push(time.as_micros(), pack_lo(seq, key.slot()));
-        EventToken(key)
+        self.push(time, payload)
     }
 
     /// Sets the one timer of `key` to fire `payload` at `time`, replacing
@@ -283,60 +238,28 @@ impl<T> EventQueue<T> {
     }
 
     /// Reassigns pending sequence numbers to `0..n` in key order — across
-    /// the heap, the keyed lane, the wheel, and the wheel's drain buffer
-    /// jointly — so
-    /// `seq` keeps fitting in 32 bits no matter how many events a run
-    /// schedules. The remap is monotone in the old global key, so
-    /// relative order — and hence determinism — is untouched, and the
-    /// heap property is preserved in place.
+    /// the heap and the keyed lane jointly — so `seq` keeps fitting in 32
+    /// bits no matter how many events a run schedules. The remap is
+    /// monotone in the old global key, so relative order — and hence
+    /// determinism — is untouched, and the heap property is preserved in
+    /// place.
     // jade-audit: allow(hot-alloc): runs once per 2^32 scheduled events
     // (sequence-counter wrap), amortized to nothing per event.
     fn renumber(&mut self) {
-        enum Src {
-            Heap(u32),
-            Node(u32),
-            Over(u32),
-            Ready(u32),
-            Keyed(u32),
-        }
-        let key_of = |time: u64, packed: u64| ((time as u128) << 64) | packed as u128;
-        let mut all: Vec<(u128, Src)> = Vec::with_capacity(self.raw_len());
-        for (i, e) in self.heap.entries().iter().enumerate() {
-            all.push((e.order(), Src::Heap(i as u32)));
-        }
-        for (i, n) in self.wheel.nodes.iter().enumerate() {
-            if n.live {
-                all.push((key_of(n.time, n.packed), Src::Node(i as u32)));
-            }
-        }
-        for (i, &(t, p)) in self.wheel.overflow.iter().enumerate() {
-            all.push((key_of(t, p), Src::Over(i as u32)));
-        }
-        for (i, &p) in self.ready.iter().enumerate() {
-            all.push((key_of(self.ready_time.as_micros(), p), Src::Ready(i as u32)));
-        }
-        for (i, e) in self.keyed.armed.iter().enumerate() {
-            all.push((e.order(), Src::Keyed(i as u32)));
-        }
-        all.sort_unstable_by_key(|&(k, _)| k);
-        for (new_seq, (_, src)) in all.iter().enumerate() {
-            let reseq = |packed: u64| ((new_seq as u64) << 32) | (packed & u32::MAX as u64);
-            match *src {
-                Src::Heap(i) => self.heap.entries_mut()[i as usize].set_seq(new_seq as u64),
-                Src::Node(i) => {
-                    let n = &mut self.wheel.nodes[i as usize];
-                    n.packed = reseq(n.packed);
-                }
-                Src::Over(i) => {
-                    let o = &mut self.wheel.overflow[i as usize];
-                    o.1 = reseq(o.1);
-                }
-                Src::Ready(i) => {
-                    let p = &mut self.ready[i as usize];
-                    *p = reseq(*p);
-                }
+        let heap = self.heap.entries().iter().map(|e| (e.order(), false));
+        let keyed = self.keyed.armed.iter().map(|e| (e.order(), true));
+        let mut all: Vec<(u128, bool, usize)> = heap
+            .enumerate()
+            .chain(keyed.enumerate())
+            .map(|(i, (order, is_keyed))| (order, is_keyed, i))
+            .collect();
+        all.sort_unstable_by_key(|&(order, ..)| order);
+        for (new_seq, &(_, is_keyed, i)) in (0u64..).zip(&all) {
+            if is_keyed {
                 // Monotone remap: the cached minimum stays the minimum.
-                Src::Keyed(i) => self.keyed.armed[i as usize].set_seq(new_seq as u64),
+                self.keyed.armed[i].set_seq(new_seq);
+            } else {
+                self.heap.entries_mut()[i].set_seq(new_seq);
             }
         }
         self.next_seq = all.len() as u64;
@@ -345,10 +268,7 @@ impl<T> EventQueue<T> {
     /// Cancels a previously scheduled event. Cancelling an event that has
     /// already fired (or was already cancelled) is a no-op.
     pub fn cancel(&mut self, token: EventToken) {
-        // A wheel-side entry is swept when it surfaces; only the heap
-        // compacts.
-        let coarse = self.payloads.tagged_at(token.0.slot());
-        if self.payloads.retire(token.0).is_none() || coarse {
+        if self.payloads.retire(token.0).is_none() {
             return;
         }
         self.cancelled += 1;
@@ -359,54 +279,8 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Refills the wheel's drain buffer: advances the wheel (cascading
-    /// and draining buckets) until either the minimal wheel timestamp's
-    /// entries sit in `ready` sorted by seq, the wheel is exhausted, or
-    /// the wheel provably cannot beat the earlier of the heap head and
-    /// the keyed minimum. Runs on every pop; all but the wheel's own
-    /// advances leave after two length checks and the memoized candidate.
-    #[inline]
-    fn fill_ready(&mut self) {
-        while self.ready.is_empty() && !self.wheel.is_empty() {
-            // A cancelled heap head only makes this bound conservative:
-            // the pop/peek loop removes it and comes back here.
-            let bound = match (self.heap.peek_root(), self.keyed.min_entry()) {
-                (Some(h), Some(k)) => h.hi.min(k.hi),
-                (Some(h), None) => h.hi,
-                (None, Some(k)) => k.hi,
-                (None, None) => u64::MAX,
-            };
-            match self.wheel.next_candidate() {
-                Some(cand) if cand <= bound => self.advance_wheel(),
-                _ => break,
-            }
-        }
-    }
-
-    /// One unit of wheel progress; a drained bucket lands in `ready`
-    /// sorted by seq, its cancelled entries swept as they surface.
-    #[inline(never)]
-    fn advance_wheel(&mut self) {
-        self.drain_scratch.clear();
-        self.wheel.advance_once(&mut self.drain_scratch);
-        if self.drain_scratch.is_empty() {
-            return; // cascaded or migrated; the caller keeps advancing
-        }
-        self.drain_scratch.sort_unstable_by_key(|&(_, p)| p);
-        self.ready_time = SimTime::from_micros(self.drain_scratch[0].0);
-        let scratch = std::mem::take(&mut self.drain_scratch);
-        for &(_, p) in &scratch {
-            if self.payloads.live_at(slot_of(p)).is_some() {
-                self.ready.push_back(p);
-            } else {
-                self.payloads.release_slot(slot_of(p));
-            }
-        }
-        self.drain_scratch = scratch;
-    }
-
-    /// Pops the earliest non-cancelled event, merging the three lanes:
-    /// ties in time resolve by the shared insertion seq.
+    /// Pops the earliest non-cancelled event, merging the two lanes: ties
+    /// in time resolve by the shared insertion seq.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.pop_at_or_before(SimTime::MAX)
     }
@@ -420,98 +294,53 @@ impl<T> EventQueue<T> {
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, T)> {
         let horizon = horizon.as_micros();
         loop {
-            self.fill_ready();
-            // An absent lane reads as u128::MAX and the comparisons are
-            // strict, so a lane is only taken when it holds an entry;
-            // live keys never tie (sequence numbers are unique).
+            // An empty heap reads as u128::MAX and the comparison is
+            // strict; live keys never tie (sequence numbers are unique).
             let heap_key = self.heap.peek_root().map_or(u128::MAX, HeapEntry::order);
-            let ready_time = self.ready_time.as_micros();
-            let wheel_key = self.ready.front().map_or(u128::MAX, |&p| {
-                HeapEntry {
-                    hi: ready_time,
-                    lo: p,
-                }
-                .order()
-            });
-            let other = heap_key.min(wheel_key);
-            if let Some(&head) = self.keyed.min_entry().filter(|e| e.order() < other) {
+            if let Some(&head) = self.keyed.min_entry().filter(|e| e.order() < heap_key) {
                 if head.hi > horizon {
                     return None;
                 }
                 let payload = self.keyed.take_at(self.keyed.min);
                 return Some((SimTime::from_micros(head.hi), payload));
             }
-            if wheel_key < heap_key {
-                let slot = slot_of(*self.ready.front().expect("key below u128::MAX"));
-                if ready_time > horizon && self.payloads.live_at(slot).is_some() {
-                    return None;
-                }
-                self.ready.pop_front();
-                // `None`: cancelled while in `ready` (fill_ready sweeps
-                // the entries cancelled before the drain).
-                if let Some(payload) = self.payloads.release_slot(slot) {
-                    return Some((self.ready_time, payload));
-                }
-            } else {
-                // The heap head is next, or every lane is empty.
-                let head = self.heap.peek_root()?;
-                let slot = head.payload_slot();
-                if head.hi > horizon && self.payloads.live_at(slot).is_some() {
-                    return None;
-                }
-                self.heap.pop_root();
-                match self.payloads.release_slot(slot) {
-                    Some(payload) => return Some((SimTime::from_micros(head.hi), payload)),
-                    None => self.cancelled -= 1,
-                }
+            // The heap head is next, or both lanes are empty.
+            let head = self.heap.peek_root()?;
+            let slot = head.payload_slot();
+            if head.hi > horizon && self.payloads.live_at(slot).is_some() {
+                return None;
+            }
+            self.heap.pop_root();
+            match self.payloads.release_slot(slot) {
+                Some(payload) => return Some((SimTime::from_micros(head.hi), payload)),
+                None => self.cancelled -= 1,
             }
         }
     }
 
     /// Time of the earliest non-cancelled event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            if let Some(head) = self.heap.peek_root() {
-                if self.payloads.live_at(head.payload_slot()).is_none() {
-                    self.heap.pop_root();
-                    self.cancelled -= 1;
-                    self.payloads.release_slot(head.payload_slot());
-                    continue;
-                }
+        while let Some(head) = self.heap.peek_root() {
+            if self.payloads.live_at(head.payload_slot()).is_some() {
+                break;
             }
-            self.fill_ready();
-            let mut swept_ready = false;
-            while let Some(&p) = self.ready.front() {
-                if self.payloads.live_at(slot_of(p)).is_some() {
-                    break;
-                }
-                self.ready.pop_front();
-                self.payloads.release_slot(slot_of(p));
-                swept_ready = true;
-            }
-            if swept_ready && self.ready.is_empty() && !self.wheel.is_empty() {
-                // The whole drained batch turned out to be cancelled;
-                // advance the wheel further. (Without the sweep check
-                // this would spin: `fill_ready` legitimately leaves
-                // `ready` empty when the heap head is earlier than any
-                // wheel entry.)
-                continue;
-            }
-            let heap_time = self.heap.peek_root().map(|e| e.hi);
-            let wheel_time = (!self.ready.is_empty()).then_some(self.ready_time.as_micros());
-            let keyed_time = self.keyed.min_entry().map(|e| e.hi);
-            return [heap_time, wheel_time, keyed_time]
-                .into_iter()
-                .flatten()
-                .min()
-                .map(SimTime::from_micros);
+            self.heap.pop_root();
+            self.cancelled -= 1;
+            self.payloads.release_slot(head.payload_slot());
         }
+        let heap_time = self.heap.peek_root().map(|e| e.hi);
+        let keyed_time = self.keyed.min_entry().map(|e| e.hi);
+        heap_time
+            .into_iter()
+            .chain(keyed_time)
+            .min()
+            .map(SimTime::from_micros)
     }
 
     /// Number of events still resident (cancelled-but-unswept events
     /// included; use only as a capacity heuristic).
     pub fn raw_len(&self) -> usize {
-        self.heap.entries().len() + self.wheel.len() + self.ready.len() + self.keyed.armed.len()
+        self.heap.entries().len() + self.keyed.armed.len()
     }
 
     /// Number of live (non-cancelled) events.
@@ -528,6 +357,7 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -702,7 +532,7 @@ mod tests {
     fn coarse_peek_matches_pop() {
         let mut q = EventQueue::new();
         let mut times = Vec::new();
-        // Spread across wheel levels, with a few precise events mixed in.
+        // Times spread over five seconds, pushed out of order.
         for i in 0..200u64 {
             let t = SimTime::from_micros((i * i * 37) % 5_000_000);
             if i % 5 == 0 {
@@ -719,57 +549,6 @@ mod tests {
             assert_eq!(t, expect);
         }
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn peek_skips_fully_cancelled_coarse_batches() {
-        let mut q = EventQueue::new();
-        let a = q.push_coarse(SimTime::from_secs(1), 1u8);
-        let b = q.push_coarse(SimTime::from_secs(1), 2u8);
-        q.push_coarse(SimTime::from_secs(5), 3u8);
-        // Cancel the entire earliest batch after it may have drained.
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        q.cancel(a);
-        q.cancel(b);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(5), 3u8)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn renumbering_covers_the_wheel() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(7);
-        q.push(SimTime::from_secs(9), 90u64);
-        for i in 0..50u64 {
-            if i % 2 == 0 {
-                q.push_coarse(t, i);
-            } else {
-                q.push(t, i);
-            }
-        }
-        q.push_coarse(SimTime::from_secs(1), 10u64);
-        q.renumber();
-        assert_eq!(q.next_seq, 52);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 10u64)));
-        for i in 0..50u64 {
-            assert_eq!(q.pop(), Some((t, i)), "FIFO tie order must survive");
-        }
-        assert_eq!(q.pop(), Some((SimTime::from_secs(9), 90u64)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn coarse_push_behind_cursor_falls_back_to_heap() {
-        let mut q = EventQueue::new();
-        q.push_coarse(SimTime::from_secs(10), 1u8);
-        // Draining advances the wheel cursor to t=10s.
-        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1u8)));
-        // An earlier coarse push must still fire at its exact time.
-        q.push_coarse(SimTime::from_secs(4), 2u8);
-        q.push_coarse(SimTime::from_secs(12), 3u8);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 2u8)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(12), 3u8)));
     }
 
     #[test]
@@ -906,5 +685,28 @@ mod tests {
             "slab grew to {}",
             q.payloads.high_water()
         );
+    }
+
+    #[test]
+    fn cancel_churn_keeps_residency_bounded_by_live_timers() {
+        let mut q = EventQueue::new();
+        let live = 1_000u64;
+        for i in 0..live {
+            q.push(SimTime::from_secs(3_600 + i), i);
+        }
+        let bound = 2 * live as usize + 64;
+        // A patience timer's life: pushed 10 s ahead, then cancelled.
+        for round in 0..200_000u64 {
+            let now = SimTime::from_micros(round);
+            let tok = q.push(now + SimDuration::from_secs(10), round);
+            q.cancel(tok);
+            assert!(
+                q.raw_len() <= bound && q.payloads.high_water() <= bound,
+                "round {round}: {} resident, {} slots",
+                q.raw_len(),
+                q.payloads.high_water()
+            );
+        }
+        assert_eq!(q.len(), live as usize);
     }
 }

@@ -14,9 +14,7 @@
 //! slot-indexed half: `retire` cancels lazily (the value is dropped, the
 //! slot stays reserved for the heap entry that still names it),
 //! `live_at` reads a slot, and `release_slot` frees it once the entry
-//! leaves the heap. A cell also keeps one bit the owner sets at insertion
-//! (`insert_tagged`), in the cell's padding: the queue records there
-//! whether the wheel, not the heap, holds the entry.
+//! leaves the heap.
 
 use crate::pack::id_u32;
 
@@ -54,21 +52,25 @@ impl SlabKey {
 /// Sentinel terminating the intrusive free list.
 const NO_FREE: u32 = u32::MAX;
 
-/// One slab cell. Every state carries the generation (and `Occupied` the
-/// owner's bit) next to the enum tag, so a cell costs its value plus one
-/// word: 32 bytes for a 24-byte value.
+/// One slab cell. Every state carries the generation next to the enum
+/// tag, so a cell costs its value plus one word: 32 bytes for a 24-byte
+/// value.
 #[derive(Debug, Clone)]
 enum Entry<T> {
     /// Free; `next` is the next free slot index (or `NO_FREE`).
-    Vacant { generation: u32, next: u32 },
+    Vacant {
+        generation: u32,
+        next: u32,
+    },
     Occupied {
         generation: u32,
-        tag: bool,
         value: T,
     },
     /// Cancelled: the value is gone, but a heap entry still names the
     /// slot, so it stays off the free list until `release_slot`.
-    Retired { generation: u32 },
+    Retired {
+        generation: u32,
+    },
 }
 
 impl<T> Entry<T> {
@@ -126,21 +128,12 @@ impl<T> GenSlab<T> {
     }
 
     /// Inserts a value, returning the key addressing it.
-    pub fn insert(&mut self, value: T) -> SlabKey {
-        self.occupy(value, false)
-    }
-
-    /// [`GenSlab::insert`] with the owner's bit set.
-    pub(crate) fn insert_tagged(&mut self, value: T) -> SlabKey {
-        self.occupy(value, true)
-    }
-
     // jade-audit: allow(unbounded-growth): the slab grows to the
     // high-water mark of concurrently live values (pending events,
     // resident jobs, in-flight requests) and then recycles freed slots
     // through the free list (release_slot pushes them onto free_head).
     #[inline]
-    fn occupy(&mut self, value: T, tag: bool) -> SlabKey {
+    pub fn insert(&mut self, value: T) -> SlabKey {
         self.len += 1;
         // `NO_FREE` indexes nothing: `id_u32` keeps the slab below it.
         if let Some(entry) = self.entries.get_mut(self.free_head as usize) {
@@ -149,17 +142,12 @@ impl<T> GenSlab<T> {
                 unreachable!("free list points at a live slot");
             };
             self.free_head = next;
-            *entry = Entry::Occupied {
-                generation,
-                tag,
-                value,
-            };
+            *entry = Entry::Occupied { generation, value };
             return SlabKey::new(slot, generation);
         }
         let slot = id_u32(self.entries.len());
         self.entries.push(Entry::Occupied {
             generation: 0,
-            tag,
             value,
         });
         SlabKey::new(slot, 0)
@@ -242,15 +230,6 @@ impl<T> GenSlab<T> {
             self.release_slot(slot);
         }
         live
-    }
-
-    /// The owner's bit of the value in `slot` (`false` unless occupied).
-    #[inline]
-    pub(crate) fn tagged_at(&self, slot: u32) -> bool {
-        matches!(
-            self.entries.get(slot as usize),
-            Some(Entry::Occupied { tag: true, .. })
-        )
     }
 
     /// Frees an occupied or retired `slot`, bumping its generation, and
@@ -352,10 +331,8 @@ mod tests {
         assert_eq!(slab.release_slot(a.slot()), None);
         assert_eq!(slab.release_slot(b.slot()), Some("b"));
         assert_eq!(slab.len(), 1);
-        // Released slots recycle with a new generation and the new bit.
-        assert!(!slab.tagged_at(c.slot()));
-        let d = slab.insert_tagged("d");
-        assert!(slab.tagged_at(d.slot()));
+        // Released slots recycle with a new generation.
+        let d = slab.insert("d");
         assert_eq!(d.slot(), b.slot());
         assert_eq!(slab.get(b), None);
         assert_eq!(slab.live_at(d.slot()), Some(&"d"));

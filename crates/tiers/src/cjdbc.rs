@@ -10,14 +10,13 @@
 //! * write broadcast to all active backends, every write appended to the
 //!   [`crate::recovery::RecoveryLog`]. The first active backend in id
 //!   order is the deterministic *primary*: it executes the write once
-//!   and captures a [`WriteDelta`](crate::storage::WriteDelta) that the
-//!   remaining replicas apply without re-evaluating,
-//! * state reconciliation: a joining backend receives a
-//!   [`SyncPlan`](crate::recovery::SyncPlan) — the exact log suffix it is
-//!   missing while the log still retains it, else the log's one checkpoint
-//!   plus the delta tail past it (possibly in several batches if writes
-//!   keep arriving, each batch planned the same way) — and a leaving
-//!   backend records its checkpoint index.
+//!   and captures a [`WriteDelta`] that the remaining replicas apply
+//!   without re-evaluating,
+//! * state reconciliation: a joining backend receives a [`SyncPlan`] —
+//!   the exact log suffix it is missing while the log still retains it,
+//!   else the log's one checkpoint plus the delta tail past it (possibly
+//!   in several batches if writes keep arriving, each batch planned the
+//!   same way) — and a leaving backend records its checkpoint index.
 
 use crate::recovery::{RecoveryLog, SyncPlan};
 use crate::server::ServerId;

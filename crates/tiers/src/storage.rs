@@ -52,7 +52,7 @@
 //!
 //! [`Database::digest`] hashes tables in name order, columns in name
 //! order, `Null`s skipped — the same bytes as the name-keyed reference
-//! model `jade_bench::NaiveDatabase`, which is what lets
+//! model `NaiveDatabase` (`tests/support/naive_database.rs`), which lets
 //! `tests/storage_prop.rs` and `tests/plan_prop.rs` compare digests
 //! across the two.
 

@@ -1,6 +1,6 @@
 //! Differential property test: the virtual-time `PsCpu` against the
 //! original scan-on-advance `NaivePsCpu` it replaced (kept in
-//! `jade_bench::reference`).
+//! `tests/support/naive_ps_cpu.rs`).
 //!
 //! Both models are driven through identical random interleavings of
 //! `submit` / `abort` / `abort_all` / `next_completion` /
@@ -18,9 +18,12 @@
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
-use jade_bench::NaivePsCpu;
+#[path = "support/naive_ps_cpu.rs"]
+mod naive_ps_cpu;
+
 use jade_propcheck::{run, Gen};
 use jade_sim::{EfficiencyCurve, JobId, PsCpu, SimDuration, SimTime};
+use naive_ps_cpu::NaivePsCpu;
 
 /// Max divergence of the two models' timer predictions: 1 µs = 1e-6 s.
 const TOLERANCE: SimDuration = SimDuration::from_micros(1);

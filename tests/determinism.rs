@@ -110,7 +110,7 @@ fn abandon_heavy_runs_digest_identically_across_jobs() {
 /// A million-client aggregate run digests identically across worker
 /// counts and repeats. The aggregate pool samples binomial issuance
 /// counts and uniform dispatch offsets from the engine RNG in a
-/// documented bucket order; this pins that order (and the timer-wheel
+/// documented bucket order; this pins that order (and the event-queue
 /// scheduling underneath it) at a scale where any nondeterminism in the
 /// pool's draw discipline would surface immediately.
 #[test]

@@ -41,7 +41,7 @@ fn event_queue_total_order() {
     });
 }
 
-/// Differential test: the three-lane queue agrees with a trivially
+/// Differential test: the two-lane queue agrees with a trivially
 /// correct model (a `BinaryHeap` ordered by `(time, seq)` whose cancelled
 /// entries are filtered at pop) across random interleavings of `push`,
 /// `push_coarse`, `cancel`, `arm`, `disarm` and horizon-bounded pops —
@@ -128,7 +128,7 @@ fn event_queue_matches_naive_model() {
                     let tok = q.push(SimTime::from_micros(t), payload);
                     handles.push((tok, model.model_push(t, payload)));
                 }
-                // Push on the wheel.
+                // Push through the pinned shim.
                 1 => {
                     let t = g.u64(0..span);
                     let payload = g.u32(0..KEYED);

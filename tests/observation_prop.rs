@@ -1,5 +1,6 @@
 //! Differential property tests of the streaming observation plane
-//! against the retained naive implementations in `jade_bench`.
+//! against the retained naive implementations in
+//! `tests/support/naive_observation.rs`.
 //!
 //! The streamed structures — the ring-buffer [`MovingAverage`], the
 //! cursor-cached [`TimeSeries`] window reads, the dense probe-tick
@@ -10,10 +11,15 @@
 //! (`to_bits()`, not approximate equality): the optimization must not
 //! perturb a single float, or every committed experiment digest drifts.
 
-use jade_bench::{naive_time_weighted_mean, naive_value_at, NaiveMovingAverage, NaiveObservation};
+#[path = "support/naive_observation.rs"]
+mod naive_observation;
+
 use jade_cluster::{ClusterManager, NodeId, NodeSpec};
 use jade_propcheck::run;
 use jade_sim::{JobId, MovingAverage, SeriesCursor, SimDuration, SimTime, TimeSeries};
+use naive_observation::{
+    naive_time_weighted_mean, naive_value_at, NaiveMovingAverage, NaiveObservation,
+};
 use std::collections::BTreeMap;
 
 /// The ring-backed moving average is bit-identical to the `VecDeque`

@@ -1,8 +1,8 @@
 //! Differential property tests of the opcode executor
 //! (`jade_tiers::plan` programs run by `jade_tiers::storage::Database`)
-//! against the simplest model of the same SQL: `jade_bench::NaiveDatabase`
-//! interpreting the statement each step stands for
-//! (`PlanStep::statement`).
+//! against the simplest model of the same SQL: `NaiveDatabase`
+//! (`tests/support/naive_database.rs`) interpreting the statement each
+//! step stands for (`PlanStep::statement`).
 //!
 //! For every interaction template and seeded parameter stream the executor
 //! must match the model **summary-for-summary** (count-only read probes
@@ -21,7 +21,9 @@
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
-use jade_bench::{NaiveDatabase, NaiveQueryResult};
+#[path = "support/naive_database.rs"]
+mod naive_database;
+
 use jade_propcheck::run;
 use jade_rubis::interactions::{generate_plan_compiled_into, INTERACTIONS};
 use jade_rubis::{dataset_statements, rubis_schema, DatasetSpec, InteractionMix, KeySpace};
@@ -30,6 +32,7 @@ use jade_tiers::request::{CompiledRun, SqlProgram};
 use jade_tiers::sql::{ExecSummary, Schema, SqlError, Statement};
 use jade_tiers::storage::Database;
 use jade_tiers::InteractionPlan;
+use naive_database::{NaiveDatabase, NaiveQueryResult};
 
 /// The executor and the model loaded with the same RUBiS dataset through
 /// the statement front-end (the dataset seed is fixed so scan postings

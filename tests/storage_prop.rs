@@ -1,6 +1,7 @@
 //! Differential property test: the interned, index-accelerated storage
 //! engine (`jade_tiers::Database`) against the original name-keyed
-//! scan-everything engine it replaced (kept as `jade_bench::NaiveDatabase`).
+//! scan-everything engine it replaced (kept in
+//! `tests/support/naive_database.rs`).
 //!
 //! Random schemas (some columns indexed, some not) are driven through
 //! random create / insert / update / delete / select / count sequences,
@@ -20,12 +21,15 @@
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
-use jade_bench::{NaiveDatabase, NaiveQueryResult, NaiveRow};
+#[path = "support/naive_database.rs"]
+mod naive_database;
+
 use jade_propcheck::{run, Gen};
 use jade_tiers::cjdbc::{CjdbcController, ReadPolicy};
 use jade_tiers::sql::{ColId, QueryResult, Schema, Statement, TableId, Value};
 use jade_tiers::storage::Database;
 use jade_tiers::ServerId;
+use naive_database::{NaiveDatabase, NaiveQueryResult, NaiveRow};
 use std::sync::Arc;
 
 const TABLE_NAMES: &[&str] = &["t0", "t1", "t2"];
