@@ -96,8 +96,8 @@ pub struct CjdbcController {
 }
 
 impl CjdbcController {
-    /// Creates a controller with the given read policy over the cluster's
-    /// database schema (used to render logged writes).
+    /// Creates a controller with the given read policy. The schema is
+    /// unused; ROADMAP 1a retires it.
     pub fn new(policy: ReadPolicy, schema: Arc<Schema>) -> Self {
         CjdbcController {
             backends: BTreeMap::new(),
@@ -323,21 +323,19 @@ impl CjdbcController {
             .map(|(&id, _)| id)
     }
 
-    /// Routes a write: appends it to the recovery log, together with the
-    /// delta its primary captured if any, and fills `out` with the active
-    /// backends that must execute it (write broadcast, id order, so
-    /// `out[0]` is the write primary). The statement is `Arc`-shared —
-    /// broadcasting to N mirrored backends and logging it performs zero
-    /// statement clones, and reusing `out` keeps the steady-state write
-    /// path allocation-free. All active backends' checkpoints advance — in
-    /// this deterministic model the broadcast is applied atomically with
-    /// respect to membership changes.
+    /// Routes a write: appends the delta its primary captured to the
+    /// recovery log and fills `out` with the active backends that must
+    /// apply it (write broadcast, id order, so `out[0]` is the write
+    /// primary). The delta is `Arc`-shared — broadcasting to N mirrored
+    /// backends and logging it performs zero clones, and reusing `out`
+    /// keeps the steady-state write path allocation-free. All active
+    /// backends' checkpoints advance — in this deterministic model the
+    /// broadcast is applied atomically with respect to membership changes.
     // jade-audit: allow(hot-panic): the ids in `out` were collected from
     // the backend map a few lines above; the expect restates that.
-    pub fn route_write_into(
+    pub fn route_delta_into(
         &mut self,
-        stmt: Arc<Statement>,
-        delta: Option<Arc<WriteDelta>>,
+        delta: Arc<WriteDelta>,
         out: &mut Vec<ServerId>,
     ) -> Result<u64, CjdbcError> {
         out.clear();
@@ -350,10 +348,7 @@ impl CjdbcController {
         if out.is_empty() {
             return Err(CjdbcError::NoActiveBackend);
         }
-        let index = match delta {
-            Some(delta) => self.log.append_captured(stmt, delta),
-            None => self.log.append(stmt),
-        };
+        let index = self.log.append(delta);
         for id in out.iter() {
             let b = self.backends.get_mut(id).expect("active is known");
             b.checkpoint = index + 1;
@@ -361,6 +356,17 @@ impl CjdbcController {
             b.pending += 1;
         }
         Ok(index)
+    }
+
+    /// [`CjdbcController::route_delta_into`] with an ignored statement, a
+    /// missing delta logged as [`WriteDelta::Noop`]; ROADMAP 1a retires it.
+    pub fn route_write_into(
+        &mut self,
+        _stmt: Arc<Statement>,
+        delta: Option<Arc<WriteDelta>>,
+        out: &mut Vec<ServerId>,
+    ) -> Result<u64, CjdbcError> {
+        self.route_delta_into(delta.unwrap_or_else(|| Arc::new(WriteDelta::Noop)), out)
     }
 
     // ------------------------------------------------------------------
@@ -411,24 +417,34 @@ fn active_mut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::Value;
+    use crate::sql::{TableId, Value};
     use crate::storage::Database;
 
     fn schema() -> Arc<Schema> {
         Schema::builder().table("t", &["a"]).build()
     }
 
-    fn write(i: i64) -> Arc<Statement> {
-        Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
+    fn insert(i: i64) -> Statement {
+        schema().insert("t", &[("a", Value::Int(i))])
     }
 
-    /// Logs a statement-only write and returns its index and broadcast set.
+    /// The delta of `INSERT INTO t SET a=i` landing at key `i`: what a
+    /// primary holding an empty `t` captures for the `i`-th insert.
+    fn write(i: i64) -> Arc<WriteDelta> {
+        Arc::new(WriteDelta::Insert {
+            table: TableId(0),
+            key: i as u64,
+            row: Arc::new(vec![Value::Int(i)]),
+        })
+    }
+
+    /// Logs a write's delta and returns its index and broadcast set.
     fn broadcast_write(
         c: &mut CjdbcController,
-        stmt: Arc<Statement>,
+        delta: Arc<WriteDelta>,
     ) -> Result<(u64, Vec<ServerId>), CjdbcError> {
         let mut targets = Vec::new();
-        let index = c.route_write_into(stmt, None, &mut targets)?;
+        let index = c.route_delta_into(delta, &mut targets)?;
         Ok((index, targets))
     }
 
@@ -563,8 +579,8 @@ mod tests {
         let plan = c.begin_enable(id).unwrap();
         assert_eq!(plan.entries.len(), 5);
         assert_eq!(plan.backlog, 5);
-        assert_eq!(plan.entries[0].index, 0);
-        assert_eq!(plan.entries[4].index, 4);
+        assert_eq!(plan.entries[0], write(0));
+        assert_eq!(plan.entries[4], write(4));
         assert!(c.finish_replay(id).unwrap().is_none());
         assert_eq!(c.status(id).unwrap(), BackendStatus::Active);
     }
@@ -587,8 +603,7 @@ mod tests {
             batch2.snapshot.is_none(),
             "no checkpoint landed: the log still retains the tail"
         );
-        assert_eq!(batch2.entries.len(), 1);
-        assert_eq!(batch2.entries[0].index, 1);
+        assert_eq!(batch2.entries, [write(1)]);
         assert!(c.finish_replay(id).unwrap().is_none());
         assert_eq!(c.status(id).unwrap(), BackendStatus::Active);
     }
@@ -603,8 +618,7 @@ mod tests {
         broadcast_write(&mut c, write(1)).unwrap();
         broadcast_write(&mut c, write(2)).unwrap();
         let plan = c.begin_enable(ServerId(1)).unwrap();
-        assert_eq!(plan.entries.len(), 2);
-        assert_eq!(plan.entries[0].index, 1);
+        assert_eq!(plan.entries, [write(1), write(2)]);
     }
 
     #[test]
@@ -643,8 +657,7 @@ mod tests {
         assert_eq!(c.checkpoint(id).unwrap(), 4, "first batch acknowledged");
         // Final enable replays only the unacknowledged suffix.
         let batch = c.begin_enable(id).unwrap();
-        assert_eq!(batch.entries.len(), 1);
-        assert_eq!(batch.entries[0].index, 4);
+        assert_eq!(batch.entries, [write(100)]);
     }
 
     #[test]
@@ -657,8 +670,11 @@ mod tests {
             broadcast_write(&mut c, write(i)).unwrap();
         }
         let plan = c.begin_enable(ServerId(1)).unwrap();
-        let indices: Vec<u64> = plan.entries.iter().map(|e| e.index).collect();
-        assert_eq!(indices, vec![1, 2, 3], "exactly the missed suffix");
+        assert_eq!(
+            plan.entries,
+            [write(1), write(2), write(3)],
+            "exactly the missed suffix"
+        );
     }
 
     #[test]
@@ -677,13 +693,20 @@ mod tests {
     fn route_write_into_reuses_scratch_and_orders_primary_first() {
         let mut c = controller_with_active(3);
         let mut scratch = vec![ServerId(99)]; // stale content must be cleared
-        let idx = c.route_write_into(write(1), None, &mut scratch).unwrap();
+        let idx = c.route_delta_into(write(1), &mut scratch).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(scratch, vec![ServerId(0), ServerId(1), ServerId(2)]);
         assert_eq!(scratch[0], c.write_primary().unwrap());
-        let idx = c.route_write_into(write(2), None, &mut scratch).unwrap();
+        let idx = c.route_delta_into(write(2), &mut scratch).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(scratch.len(), 3);
+        // The statement shim logs a write without a delta as a Noop.
+        let idx = c
+            .route_write_into(Arc::new(insert(3)), None, &mut scratch)
+            .unwrap();
+        assert_eq!(idx, 2);
+        let noop = Arc::new(WriteDelta::Noop);
+        assert_eq!(c.recovery_log().entries_from(2).unwrap(), [noop]);
     }
 
     #[test]
@@ -691,17 +714,12 @@ mod tests {
         let mut c = controller_with_active(1);
         c.set_snapshot_interval(4);
         let mut db = Database::new(schema());
-        db.execute(&schema().create_table("t")).unwrap();
         // The create-table broadcast is also a logged write.
-        let (_, targets) = broadcast_write(&mut c, Arc::new(schema().create_table("t"))).unwrap();
+        let (_, create) = db.execute_capture(&schema().create_table("t")).unwrap();
+        let (_, targets) = broadcast_write(&mut c, Arc::new(create)).unwrap();
         assert_eq!(targets.len(), 1);
         for i in 0..9 {
-            let stmt = write(i);
-            broadcast_write(&mut c, Arc::clone(&stmt)).unwrap();
-            db.execute(&stmt).unwrap();
-            if c.snapshot_due() {
-                c.install_snapshot(db.snapshot());
-            }
+            write_through(&mut c, &mut db, i);
         }
         // 10 writes, checkpoints at 4 and 8 (the second replaced the
         // first): a fresh joiner restores the one at 8 and applies a
@@ -722,9 +740,8 @@ mod tests {
     /// Routes write `i` to the single active backend whose state is
     /// `db`, checkpointing on cadence like the legacy layer does.
     fn write_through(c: &mut CjdbcController, db: &mut Database, i: i64) {
-        let stmt = write(i);
-        broadcast_write(c, Arc::clone(&stmt)).unwrap();
-        db.execute(&stmt).unwrap();
+        let (_, delta) = db.execute_capture(&insert(i)).unwrap();
+        broadcast_write(c, Arc::new(delta)).unwrap();
         if c.snapshot_due() {
             c.install_snapshot(db.snapshot());
         }
@@ -732,12 +749,11 @@ mod tests {
 
     /// What the legacy layer does with a replay batch.
     fn apply_batch(joiner: &mut Database, plan: &SyncPlan) {
-        if let Some((pos, snap)) = &plan.snapshot {
+        if let Some((_, snap)) = &plan.snapshot {
             *joiner = Database::from_snapshot(snap);
-            assert!(plan.entries.iter().all(|e| e.index >= *pos));
         }
-        for entry in &plan.entries {
-            joiner.execute(&entry.statement).unwrap();
+        for delta in &plan.entries {
+            joiner.apply_delta(delta).unwrap();
         }
     }
 
@@ -772,8 +788,7 @@ mod tests {
         apply_batch(&mut joiner, &batch1);
         let batch2 = c.finish_replay(id).unwrap().expect("second batch");
         assert_eq!(batch2.snapshot.as_ref().map(|(p, _)| *p), Some(4));
-        assert_eq!(batch2.entries.len(), 1);
-        assert_eq!(batch2.entries[0].index, 4);
+        assert_eq!(batch2.entries, [write(4)]);
         assert_eq!(batch2.backlog, 3, "latency still models entries 2..5");
         apply_batch(&mut joiner, &batch2);
         assert!(c.finish_replay(id).unwrap().is_none());
@@ -854,8 +869,7 @@ mod tests {
         c.abort_enable(id).unwrap();
         assert_eq!(c.checkpoint(id).unwrap(), 3);
         let plan = c.begin_enable(id).unwrap();
-        assert_eq!(plan.entries.len(), 1, "only the unacknowledged suffix");
-        assert_eq!(plan.entries[0].index, 3);
+        assert_eq!(plan.entries, [write(3)], "only the unacknowledged suffix");
     }
 
     #[test]

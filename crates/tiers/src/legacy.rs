@@ -232,9 +232,6 @@ pub struct LegacyLayer {
     /// C-JDBC controller re-snapshots this image from a current replica
     /// (the lost log can no longer bridge from the original dataset dump).
     mysql_base: crate::storage::Database,
-    /// The cluster-wide database schema (statements are prepared against
-    /// it once; the C-JDBC recovery log renders through it).
-    schema: Arc<crate::sql::Schema>,
     /// Time to transfer + execute one recovery-log entry during resync.
     pub replay_cost_per_entry: SimDuration,
     /// Fixed cost to set up a resync session.
@@ -253,7 +250,6 @@ impl LegacyLayer {
             outbox: Vec::new(),
             pending_replays: BTreeMap::new(),
             mysql_base: crate::storage::Database::new(crate::sql::Schema::empty()),
-            schema: crate::sql::Schema::empty(),
             replay_cost_per_entry: SimDuration::from_micros(500),
             replay_setup_cost: SimDuration::from_secs(2),
         }
@@ -267,11 +263,10 @@ impl LegacyLayer {
         schema: Arc<crate::sql::Schema>,
         dump: Vec<crate::sql::Statement>,
     ) {
-        let mut db = crate::storage::Database::new(Arc::clone(&schema));
+        let mut db = crate::storage::Database::new(schema);
         for stmt in dump {
             let _ = db.execute_owned(stmt);
         }
-        self.schema = schema;
         self.mysql_base = db;
     }
 
@@ -346,7 +341,7 @@ impl LegacyLayer {
         self.insert(LegacyServer::Cjdbc {
             process: ServerProcess::new(id, name, node, Tier::Balancer),
             port: 25322,
-            ctrl: CjdbcController::new(policy, Arc::clone(&self.schema)),
+            ctrl: CjdbcController::new(policy, Arc::clone(self.mysql_base.schema())),
             routing_demand: SimDuration::from_micros(200),
         })
     }
@@ -630,7 +625,7 @@ impl LegacyLayer {
         Ok(())
     }
 
-    /// Completes one replay batch: applies the buffered statements to the
+    /// Completes one replay batch: applies the buffered deltas to the
     /// backend's storage, then either schedules the next batch (writes
     /// arrived during replay) or activates the backend.
     pub fn cjdbc_replay_batch_done(
@@ -661,21 +656,11 @@ impl LegacyLayer {
                 // delta tail past it, instead of replaying the history.
                 m.db = crate::storage::Database::from_snapshot(snapshot);
             }
-            for entry in &plan.entries {
-                match &entry.delta {
-                    // Apply the physical effect the primary captured —
-                    // no statement re-evaluation.
-                    Some(delta) => {
-                        let _ = m.db.apply_delta(delta);
-                    }
-                    // No captured delta (the write errored on the
-                    // primary): re-execute the logged statement,
-                    // tolerating individual errors the same way C-JDBC
-                    // does.
-                    None => {
-                        let _ = m.db.execute(&entry.statement);
-                    }
-                }
+            // Apply the physical effects the primary captured — no
+            // statement re-evaluation.
+            for delta in &plan.entries {
+                let applied = m.db.apply_delta(delta);
+                debug_assert!(applied.is_ok(), "{backend:?} diverged: {applied:?}");
             }
         }
         match self.cjdbc_mut(cjdbc)?.finish_replay(backend)? {
@@ -746,14 +731,13 @@ impl LegacyLayer {
     /// The deterministic primary (`out[0]`) executes the step once and
     /// captures a physical [`crate::storage::WriteDelta`]; the remaining
     /// replicas apply the delta — sharing the primary's row allocations —
-    /// instead of re-evaluating anything. The step's prepared statement is
-    /// materialized once, for the recovery log (whose entries are
-    /// statements, paper §4.1).
-    // jade-audit: allow(hot-alloc, hot-panic): the Arcs are the one
-    // materialization of the write's statement and delta, shared by
-    // reference across every replica and the recovery log; out[1..] is
-    // safe because route_write_into guarantees a non-empty broadcast list
-    // (primary first).
+    /// instead of re-evaluating anything. The same delta is the write's
+    /// recovery-log entry.
+    // jade-audit: allow(hot-alloc, hot-panic): the Arc is the one
+    // materialization of the write's delta, shared by reference across
+    // every replica and the recovery log; out[1..] is safe because
+    // route_delta_into guarantees a non-empty broadcast list (primary
+    // first).
     pub fn cjdbc_execute_write_into(
         &mut self,
         cjdbc: ServerId,
@@ -769,30 +753,21 @@ impl LegacyLayer {
             .cjdbc(cjdbc)?
             .write_primary()
             .ok_or(CjdbcError::NoActiveBackend)?;
-        // On capture failure the write is still logged and broadcast (the
-        // cluster-wide outcome of a failed write is deterministic too) —
-        // without a delta, so every replica re-executes it and fails
-        // identically.
+        // A write that fails on the primary returned before mutating it,
+        // and every mirror holds the primary's state, so it changes
+        // nothing anywhere: it is logged and broadcast as a Noop.
         let delta = self
             .mysql_mut(primary)?
             .db
             .execute_step_capture(query.step, query.params)
-            .ok()
-            .map(|(_, delta)| Arc::new(delta));
-        let stmt = Arc::new(query.step.statement(query.params));
+            .map_or(crate::storage::WriteDelta::Noop, |(_, delta)| delta);
+        let delta = Arc::new(delta);
         self.cjdbc_mut(cjdbc)?
-            .route_write_into(Arc::clone(&stmt), delta.clone(), out)?;
+            .route_delta_into(Arc::clone(&delta), out)?;
         debug_assert_eq!(out.first(), Some(&primary), "primary broadcasts first");
         for &b in &out[1..] {
-            let m = self.mysql_mut(b)?;
-            match &delta {
-                Some(delta) => {
-                    let _ = m.db.apply_delta(delta);
-                }
-                None => {
-                    let _ = m.db.execute(&stmt);
-                }
-            }
+            let applied = self.mysql_mut(b)?.db.apply_delta(&delta);
+            debug_assert!(applied.is_ok(), "{b:?} diverged: {applied:?}");
         }
         // Checkpoint cadence: every `snapshot_interval` writes, store a
         // copy-on-write snapshot of the (identical) cluster state. It
@@ -890,6 +865,7 @@ mod tests {
     use crate::plan::{Operand, PlanStep, StepOp};
     use crate::request::DbQuery;
     use crate::sql::{Schema, TableId, Value};
+    use crate::storage::WriteDelta;
     use jade_cluster::{NodeSpec, SoftwareRepository};
 
     fn test_schema() -> Arc<Schema> {
@@ -1119,9 +1095,10 @@ mod tests {
     }
 
     /// A write that fails on the primary (its table is in the schema but
-    /// the dump never created it) captures no delta. It is still logged
-    /// and broadcast, every replica re-executes it and fails identically,
-    /// and a backend joining later replays it from its statement.
+    /// the dump never created it) returned before mutating anything, so
+    /// it is logged and broadcast as a Noop. A backend joining later
+    /// replays the whole log across it; one joining after a checkpoint
+    /// restores the checkpoint and applies the tail across it.
     #[test]
     fn failed_primary_write_is_logged_broadcast_and_replayed() {
         let schema = Schema::builder()
@@ -1133,22 +1110,31 @@ mod tests {
         l.set_mysql_dump(Arc::clone(&schema), vec![schema.create_table("t")]);
         let cj = deploy_cjdbc(&mut l);
         let backends: Vec<ServerId> = (1..=3).map(|i| join_mysql_replica(&mut l, cj, i)).collect();
+        let noop = [Arc::new(WriteDelta::Noop)];
         broadcast_insert(&mut l, cj, t, 1);
-        let head = l.cjdbc(cj).unwrap().recovery_log().head();
         assert_eq!(broadcast_insert(&mut l, cj, u, 2), backends);
         let log = l.cjdbc(cj).unwrap().recovery_log();
-        assert_eq!(log.head(), head + 1, "the failed write is logged");
-        assert!(log.entries_from(head).unwrap()[0].delta.is_none());
+        assert_eq!(log.head(), 2, "the failed write is logged");
+        assert_eq!(log.entries_from(1).unwrap(), noop);
         broadcast_insert(&mut l, cj, t, 3);
-        let digest = l.mysql(backends[0]).unwrap().digest();
-        for &b in &backends {
-            assert_eq!(l.mysql(b).unwrap().digest(), digest);
-        }
         // No checkpoint yet: the joiner replays the whole log, the failed
         // write included.
         assert_eq!(l.cjdbc(cj).unwrap().recovery_log().first_retained(), 0);
-        let joiner = join_mysql_replica(&mut l, cj, 4);
-        assert_eq!(l.mysql(joiner).unwrap().digest(), digest);
+        let early = join_mysql_replica(&mut l, cj, 4);
+        // A checkpoint lands at 4; the failed write past it is the whole
+        // tail a later joiner is handed.
+        l.cjdbc_mut(cj).unwrap().set_snapshot_interval(2);
+        broadcast_insert(&mut l, cj, t, 4);
+        broadcast_insert(&mut l, cj, u, 5);
+        let log = l.cjdbc(cj).unwrap().recovery_log();
+        assert_eq!(log.first_retained(), 4);
+        assert_eq!(log.entries_from(4).unwrap(), noop);
+        let late = join_mysql_replica(&mut l, cj, 5);
+        broadcast_insert(&mut l, cj, t, 6);
+        let digest = l.mysql(backends[0]).unwrap().digest();
+        for b in backends.into_iter().chain([early, late]) {
+            assert_eq!(l.mysql(b).unwrap().digest(), digest, "{b:?}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use cjdbc::{BackendStatus, CjdbcController, CjdbcError, ReadPolicy};
 pub use legacy::{LegacyError, LegacyEvent, LegacyLayer, LegacyServer};
 pub use mysql::MysqlServer;
 pub use plan::{CompiledPlan, Operand, PlanStep, StepOp};
-pub use recovery::{LogEntry, RecoveryLog};
+pub use recovery::RecoveryLog;
 pub use request::{CompiledRun, DbQuery, InteractionPlan, RequestId, SqlProgram};
 pub use server::{ServerId, ServerProcess, ServerState, Tier};
 pub use sql::{

@@ -108,14 +108,10 @@ impl PlanStep {
     }
 
     /// Materializes the prepared [`Statement`] this step stands for under
-    /// a concrete parameter buffer. The recovery log records statements
-    /// ("all write requests are logged and indexed as strings", paper
-    /// §4.1), and a replica without a captured delta re-executes the
-    /// statement, so the write path materializes one per logged write;
-    /// the read path never calls this.
-    // jade-audit: allow(hot-alloc): materializes a statement tree only on
-    // the write path, where the statement becomes the recovery-log entry
-    // shared by every replica; reads never take this path.
+    /// a concrete parameter buffer — the cold bridge from a compiled step
+    /// to the statement front-end, for tests and reference models. The
+    /// request path never calls it: the recovery log holds the primary's
+    /// captured delta, not the statement.
     pub fn statement(&self, params: &[Value]) -> Statement {
         match &self.op {
             StepOp::ReadKey { table, key } => Statement::SelectByKey {

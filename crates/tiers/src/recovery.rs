@@ -12,13 +12,12 @@
 //!
 //! Two refinements over the literal model:
 //!
-//! * each entry carries the [`WriteDelta`] the primary captured when it
-//!   executed the write, so replay applies physical effects instead of
-//!   re-evaluating statements. The statement itself stays in the entry
-//!   for two readers: the string form, rendered lazily when diagnostics
-//!   ask for it (never on the hot append path), and replay of a write
-//!   that failed on the primary and so has no delta — re-executing it
-//!   fails identically on the joiner;
+//! * an entry is the [`WriteDelta`] the primary captured when it executed
+//!   the write, so replay applies physical effects instead of
+//!   re-evaluating statements. A write that failed on the primary is
+//!   logged as [`WriteDelta::Noop`]: its error left the primary
+//!   untouched, and every mirror holds the primary's state, so it
+//!   changes nothing anywhere;
 //! * every [`RecoveryLog::snapshot_interval`] writes the log accepts a
 //!   copy-on-write checkpoint [`Snapshot`] of the cluster state, so a
 //!   joining backend receives {checkpoint, delta tail} — O(delta) —
@@ -42,31 +41,6 @@ use crate::sql::{Schema, Statement};
 use crate::storage::{Snapshot, WriteDelta};
 use std::sync::Arc;
 
-/// A logged write: global index, the statement (structured, for the
-/// rendered log view and for re-executing a write that has no delta) and
-/// the physical delta captured by the primary. Both are `Arc`-shared with the
-/// broadcast that produced them — logging a write never clones either.
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// Global write index (0-based, dense).
-    pub index: u64,
-    /// The write statement.
-    pub statement: Arc<Statement>,
-    /// The primary's captured physical effect. `None` when the write was
-    /// logged without one (it errored on the primary, or a caller used
-    /// [`RecoveryLog::append`]) — replay then re-executes the statement,
-    /// which reproduces the identical outcome.
-    pub delta: Option<Arc<WriteDelta>>,
-}
-
-impl LogEntry {
-    /// The rendered string form (what C-JDBC actually persisted),
-    /// produced on demand — the hot write path never renders.
-    pub fn render(&self, schema: &Schema) -> String {
-        self.statement.render(schema)
-    }
-}
-
 /// What [`crate::cjdbc::CjdbcController::begin_enable`] and
 /// [`finish_replay`](crate::cjdbc::CjdbcController::finish_replay) hand a
 /// joining backend: either the delta tail alone (applied onto the
@@ -78,8 +52,8 @@ pub struct SyncPlan {
     /// `None`: the backend's own state is current up to its checkpoint —
     /// apply `entries` directly.
     pub snapshot: Option<(u64, Snapshot)>,
-    /// Delta tail to apply, in log order.
-    pub entries: Vec<LogEntry>,
+    /// Delta tail to apply, in log order, `Arc`-shared with the log.
+    pub entries: Vec<Arc<WriteDelta>>,
     /// The full entry count the literal statement-replay model would have
     /// transferred (`head - checkpoint`). The simulated resync latency is
     /// modeled on this, not on `entries.len()`, so switching a backend to
@@ -101,9 +75,10 @@ pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1024;
 /// checkpoint (see the module docs for the retention contract).
 #[derive(Debug, Clone)]
 pub struct RecoveryLog {
-    schema: Arc<Schema>,
-    /// The retained suffix: `entries[i].index == first_retained + i`.
-    entries: Vec<LogEntry>,
+    /// The retained suffix: `entries[i]` is the write at global index
+    /// `first_retained + i`, `Arc`-shared with the broadcast that
+    /// produced it.
+    entries: Vec<Arc<WriteDelta>>,
     /// Global index of `entries[0]` — the checkpoint's position, 0 until
     /// the first checkpoint is installed.
     first_retained: u64,
@@ -113,10 +88,9 @@ pub struct RecoveryLog {
 }
 
 impl RecoveryLog {
-    /// Creates an empty log rendering against `schema`.
-    pub fn new(schema: Arc<Schema>) -> Self {
+    /// Creates an empty log. The schema is unused; ROADMAP 1a retires it.
+    pub fn new(_schema: Arc<Schema>) -> Self {
         RecoveryLog {
-            schema,
             entries: Vec::new(),
             first_retained: 0,
             checkpoint: None,
@@ -124,32 +98,18 @@ impl RecoveryLog {
         }
     }
 
-    /// Appends a write without a captured delta (statement-replay mode),
-    /// returning its index. Panics on non-write statements — reads must
-    /// never reach the log.
-    pub fn append(&mut self, statement: Arc<Statement>) -> u64 {
-        self.push_entry(statement, None)
-    }
-
-    /// Appends a write together with the physical delta its primary
-    /// captured, returning its index.
-    pub fn append_captured(&mut self, statement: Arc<Statement>, delta: Arc<WriteDelta>) -> u64 {
-        self.push_entry(statement, Some(delta))
-    }
-
-    fn push_entry(&mut self, statement: Arc<Statement>, delta: Option<Arc<WriteDelta>>) -> u64 {
-        assert!(
-            statement.is_write(),
-            "only write requests are logged (got {})",
-            statement.render(&self.schema)
-        );
+    /// Appends the delta a write's primary captured, returning the
+    /// write's global index.
+    pub fn append(&mut self, delta: Arc<WriteDelta>) -> u64 {
         let index = self.head();
-        self.entries.push(LogEntry {
-            index,
-            statement,
-            delta,
-        });
+        self.entries.push(delta);
         index
+    }
+
+    /// [`RecoveryLog::append`] with an ignored statement; ROADMAP 1a
+    /// retires it.
+    pub fn append_captured(&mut self, _statement: Arc<Statement>, delta: Arc<WriteDelta>) -> u64 {
+        self.append(delta)
     }
 
     /// Index one past the last logged write (== number of writes ever
@@ -170,12 +130,12 @@ impl RecoveryLog {
         self.entries.len()
     }
 
-    /// Entries with `index >= from` in order — "the exact set of write
+    /// Entries with index `>= from` in order — "the exact set of write
     /// requests to replay" on a stale replica whose checkpoint is `from`.
     /// `None` when `from` lies below [`RecoveryLog::first_retained`]: the
     /// checkpoint covers that range and the entries are gone, so a
     /// shorter slice would silently skip writes.
-    pub fn entries_from(&self, from: u64) -> Option<&[LogEntry]> {
+    pub fn entries_from(&self, from: u64) -> Option<&[Arc<WriteDelta>]> {
         let skip = from.checked_sub(self.first_retained)?;
         Some(&self.entries[skip.min(self.entries.len() as u64) as usize..])
     }
@@ -183,14 +143,6 @@ impl RecoveryLog {
     /// Number of writes a replica checkpointed at `from` is missing.
     pub fn backlog(&self, from: u64) -> u64 {
         self.head().saturating_sub(from)
-    }
-
-    /// The retained statements, rendered (diagnostics / persistence
-    /// emulation): the log past the checkpoint, not the whole history.
-    /// Produced lazily — nothing is rendered until the iterator is
-    /// consumed.
-    pub fn rendered(&self) -> impl Iterator<Item = String> + '_ {
-        self.entries.iter().map(|e| e.render(&self.schema))
     }
 
     // ------------------------------------------------------------------
@@ -261,75 +213,60 @@ mod tests {
         Schema::builder().table("t", &["a"]).build()
     }
 
-    fn log() -> RecoveryLog {
-        RecoveryLog::new(schema())
+    /// An empty database holding table `t`.
+    fn db() -> Database {
+        let schema = schema();
+        let mut db = Database::new(Arc::clone(&schema));
+        db.execute(&schema.create_table("t")).unwrap();
+        db
     }
 
-    fn w(i: i64) -> Arc<Statement> {
-        Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
+    /// Executes `INSERT INTO t SET a=i` on `db` (which assigns it key
+    /// `i` when the writes are numbered from 0) and logs the captured
+    /// delta, returning its index.
+    fn write_through(log: &mut RecoveryLog, db: &mut Database, i: i64) -> u64 {
+        let stmt = schema().insert("t", &[("a", Value::Int(i))]);
+        let (_, delta) = db.execute_capture(&stmt).unwrap();
+        log.append(Arc::new(delta))
+    }
+
+    /// The key a logged insert landed at.
+    fn key(delta: &WriteDelta) -> u64 {
+        match delta {
+            WriteDelta::Insert { key, .. } => *key,
+            other => panic!("not an insert: {other:?}"),
+        }
     }
 
     #[test]
     fn indices_are_dense_and_ordered() {
-        let mut log = log();
-        assert_eq!(log.append(w(1)), 0);
-        assert_eq!(log.append(w(2)), 1);
+        let (mut log, mut db) = (RecoveryLog::new(schema()), db());
+        assert_eq!(write_through(&mut log, &mut db, 0), 0);
+        assert_eq!(write_through(&mut log, &mut db, 1), 1);
         assert_eq!(log.head(), 2);
         let tail = log.entries_from(1).unwrap();
         assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].index, 1);
+        assert_eq!(key(&tail[0]), 1);
         assert_eq!(log.backlog(0), 2);
         assert_eq!(log.backlog(2), 0);
         assert_eq!(log.backlog(99), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "only write requests")]
-    fn reads_are_rejected() {
-        let mut log = log();
-        log.append(Arc::new(schema().count("t")));
-    }
-
-    #[test]
-    fn rendered_strings_match_statements() {
-        let mut log = log();
-        log.append(w(7));
-        assert_eq!(log.rendered().next().unwrap(), "INSERT INTO t SET a=7");
-    }
-
-    #[test]
-    fn captured_deltas_ride_along() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
-        let stmt = w(3);
-        let (_, delta) = db.execute_capture(&stmt).unwrap();
-        log.append_captured(Arc::clone(&stmt), Arc::new(delta));
-        log.append(w(4));
-        let entries = log.entries_from(0).unwrap();
-        assert!(entries[0].delta.is_some());
-        assert!(entries[1].delta.is_none());
     }
 
     /// Appends `n` writes to `log` and `db`, installing a checkpoint
     /// whenever one is due (the legacy layer's cadence).
     fn append_on_cadence(log: &mut RecoveryLog, db: &mut Database, n: i64) {
         for i in 0..n {
-            log.append(w(i));
-            db.execute(&w(i)).unwrap();
+            assert_eq!(write_through(log, db, i), i as u64, "indices stay global");
             if log.snapshot_due() {
                 log.install_snapshot(db.snapshot());
             }
+            assert!(log.retained_len() as u64 <= log.snapshot_interval());
         }
     }
 
     #[test]
     fn snapshot_cadence_keeps_one_checkpoint() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        let (mut log, mut db) = (RecoveryLog::new(schema()), db());
         log.set_snapshot_interval(4);
         assert!(!log.snapshot_due(), "empty log needs no snapshot");
         assert!(log.checkpoint_snapshot().is_none());
@@ -339,26 +276,16 @@ mod tests {
         assert_eq!(log.checkpoint_snapshot().map(|(p, _)| p), Some(8));
         assert_eq!(log.first_retained(), 8);
         assert_eq!(log.retained_len(), 2);
-        assert_eq!(log.rendered().count(), 2, "rendered() is the retained log");
+        assert_eq!(log.entries_from(8).map(<[_]>::len), Some(2));
         assert!(!log.snapshot_due(), "2 of 4 writes since the checkpoint");
     }
 
     #[test]
     fn truncation_bounds_memory_and_keeps_global_indices() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        let (mut log, mut db) = (RecoveryLog::new(schema()), db());
         log.set_snapshot_interval(8);
         let n = 50 * 8 + 3;
-        for i in 0..n {
-            assert_eq!(log.append(w(i)), i as u64, "indices stay global");
-            db.execute(&w(i)).unwrap();
-            if log.snapshot_due() {
-                log.install_snapshot(db.snapshot());
-            }
-            assert!(log.retained_len() as u64 <= log.snapshot_interval());
-        }
+        append_on_cadence(&mut log, &mut db, n);
         // head/backlog are what an untruncated log would report.
         assert_eq!(log.head(), n as u64);
         assert_eq!(log.backlog(0), n as u64);
@@ -367,7 +294,7 @@ mod tests {
         assert_eq!((log.first_retained(), log.retained_len()), (400, 3));
         // A truncated range is not answered by a shorter slice …
         assert!(log.entries_from(399).is_none());
-        assert_eq!(log.entries_from(400).unwrap()[0].index, 400);
+        assert_eq!(key(&log.entries_from(400).unwrap()[0]), 400);
         assert_eq!(log.entries_from(402).unwrap().len(), 1);
         assert!(log.entries_from(n as u64 + 9).unwrap().is_empty());
         // … but by the checkpoint, which with the tail is the current
@@ -376,18 +303,15 @@ mod tests {
         let (pos, snap) = plan.snapshot.expect("checkpoint covers 399");
         assert_eq!((pos, plan.entries.len(), plan.backlog), (400, 3, 4));
         let mut joiner = Database::from_snapshot(&snap);
-        for e in &plan.entries {
-            joiner.execute(&e.statement).unwrap();
+        for delta in &plan.entries {
+            joiner.apply_delta(delta).unwrap();
         }
         assert_eq!(joiner.digest(), db.digest());
     }
 
     #[test]
     fn sync_plan_prefers_snapshot_but_reports_full_backlog() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        let (mut log, mut db) = (RecoveryLog::new(schema()), db());
         log.set_snapshot_interval(4);
         append_on_cadence(&mut log, &mut db, 6);
         // Fresh joiner (checkpoint 0): snapshot at 4 + tail of 2, but the
@@ -399,7 +323,7 @@ mod tests {
         // A backend checkpointed past the snapshot gets the plain tail.
         let plan = log.sync_plan(5);
         assert!(plan.snapshot.is_none());
-        assert_eq!(plan.entries.len(), 1);
+        assert_eq!(plan.entries.iter().map(|d| key(d)).collect::<Vec<_>>(), [5]);
         assert_eq!(plan.backlog, 1);
         // Fully current: empty plan.
         assert!(log.sync_plan(6).is_empty());

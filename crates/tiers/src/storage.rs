@@ -19,9 +19,11 @@
 //!   [`Database::apply_delta`], which installs that effect without
 //!   re-evaluating anything, so the whole cluster performs one row
 //!   allocation per write;
-//! * everything cold — DDL, dataset load, re-execution of a write that
-//!   was logged without a delta, tests: [`Database::execute`] /
+//! * everything cold — DDL, dataset load, tests: [`Database::execute`] /
 //!   [`Database::execute_capture`] over a [`Statement`].
+//!
+//! A write that fails returns its error before it mutates anything, so
+//! the replication layer logs and broadcasts it as [`WriteDelta::Noop`].
 //!
 //! All three write entry points only resolve their operands; the mutation
 //! itself lives once per operation in the private `insert_row`,
@@ -524,10 +526,9 @@ impl Database {
 
     /// Executes a statement, materializing a [`QueryResult`] (row contents
     /// stay `Arc`-shared with the table) — the cold front-end: DDL, dataset
-    /// load, replay of a write logged without a delta, and tests. Reads
-    /// materialize here; an insert goes straight to the insert mutator;
-    /// other writes lower onto [`Database::execute_capture`] and drop the
-    /// delta.
+    /// load and tests. Reads materialize here; an insert goes straight to
+    /// the insert mutator; other writes lower onto
+    /// [`Database::execute_capture`] and drop the delta.
     ///
     /// Key assignment is deterministic (per-table counter), so executing
     /// the same statement sequence on two replicas yields identical
@@ -971,13 +972,32 @@ mod tests {
 
     #[test]
     fn missing_table_is_an_error() {
+        use crate::plan::Operand;
         let schema = schema();
         let mut db = Database::new(Arc::clone(&schema));
+        db.execute(&schema.create_table("t")).unwrap();
+        db.execute(&schema.insert("t", &[("a", Value::Int(1))]))
+            .unwrap();
+        let digest = db.digest();
         // "x" is in the catalog but was never created.
-        assert_eq!(
-            db.execute(&schema.count("x")),
-            Err(SqlError::NoSuchTable("x".into()))
-        );
+        let missing = SqlError::NoSuchTable("x".into());
+        assert_eq!(db.execute(&schema.count("x")), Err(missing.clone()));
+        // A write to it fails on both write front-ends before mutating
+        // anything, so replication logs it as a `WriteDelta::Noop`.
+        let insert = schema.insert("x", &[("v", Value::Int(1))]);
+        let got = db.execute_capture(&insert).map(|(ack, _)| ack);
+        assert_eq!(got, Err(missing.clone()));
+        assert_eq!(db.digest(), digest);
+        let step = PlanStep {
+            op: StepOp::Insert {
+                table: schema.must_table("x"),
+                row: vec![Operand::Param(0)],
+            },
+            demand: jade_sim::SimDuration::ZERO,
+        };
+        let got = db.execute_step_capture(&step, &[Value::Int(1)]);
+        assert_eq!(got.map(|(ack, _)| ack), Err(missing));
+        assert_eq!(db.digest(), digest);
     }
 
     /// A table id outside the catalog (a statement, step or delta
@@ -987,7 +1007,7 @@ mod tests {
     fn out_of_catalog_tables_are_errors_on_every_entry_point() {
         use crate::plan::Operand;
         let mut db = db();
-        let before = db.clone();
+        let (before, digest) = (db.clone(), db.digest());
         let table = TableId(id_u16(db.schema().len()));
         let missing = SqlError::NoSuchTable("?".into());
         let row = vec![Value::Int(1)];
@@ -1013,6 +1033,11 @@ mod tests {
             Statement::Count { table },
         ] {
             assert_eq!(db.execute(&stmt), Err(missing.clone()), "{stmt:?}");
+            if stmt.is_write() {
+                let got = db.execute_capture(&stmt).map(|(summary, _)| summary);
+                assert_eq!(got, Err(missing.clone()), "{stmt:?}");
+                assert_eq!(db.digest(), digest, "{stmt:?}");
+            }
         }
         let step = |op| PlanStep {
             op,
@@ -1032,6 +1057,7 @@ mod tests {
         ] {
             let got = db.execute_step_capture(&step(write), &[]);
             assert_eq!(got.map(|(summary, _)| summary), Err(missing.clone()));
+            assert_eq!(db.digest(), digest);
         }
         for read in [
             StepOp::ReadKey {
@@ -1605,11 +1631,23 @@ mod tests {
         db.execute(&schema.create_table("t")).unwrap();
         let t = schema.table_id("t").unwrap();
         Arc::make_mut(&mut db.tables[t.0 as usize]).rows.slots = 1 << 32;
-        let before = db.clone();
+        let (before, digest) = (db.clone(), db.digest());
         let insert = schema.insert("t", &[("a", Value::Int(1))]);
         let err = SqlError::KeySpaceExhausted(1 << 32);
         assert_eq!(db.execute(&insert), Err(err.clone()));
-        assert_eq!(db.execute_capture(&insert).map(|(ack, _)| ack), Err(err));
+        let got = db.execute_capture(&insert).map(|(ack, _)| ack);
+        assert_eq!(got, Err(err.clone()));
+        assert_eq!(db.digest(), digest);
+        let step = PlanStep {
+            op: StepOp::Insert {
+                table: t,
+                row: vec![crate::plan::Operand::Param(0); 2],
+            },
+            demand: jade_sim::SimDuration::ZERO,
+        };
+        let got = db.execute_step_capture(&step, &[Value::Int(1)]);
+        assert_eq!(got.map(|(ack, _)| ack), Err(err));
+        assert_eq!(db.digest(), digest);
         assert_eq!(db, before);
     }
 

@@ -9,10 +9,10 @@
 //! and captured writes against the model's materialized results),
 //! **error-for-error** (against databases that lack the tables, or the
 //! whole schema), and **digest-for-digest** (contents byte-identical after
-//! every interaction that writes). Under replication, a replica that only ever applies
-//! the primary's captured `WriteDelta`s — or re-executes the logged
-//! statement when the capture failed — converges to the same digest, write
-//! for write.
+//! every interaction that writes). Under replication, a replica that only
+//! ever applies the primary's captured `WriteDelta`s — and nothing for a
+//! write that failed on the primary, which C-JDBC logs as a `Noop` —
+//! converges to the same digest, write for write.
 //!
 //! What the generator draws (RNG order, key-space growth, jitter, the SQL
 //! text of every template) is pinned separately, by the golden
@@ -30,7 +30,7 @@ use jade_rubis::{dataset_statements, rubis_schema, DatasetSpec, InteractionMix, 
 use jade_sim::SimRng;
 use jade_tiers::request::{CompiledRun, SqlProgram};
 use jade_tiers::sql::{ExecSummary, Schema, SqlError, Statement};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::InteractionPlan;
 use naive_database::{NaiveDatabase, NaiveQueryResult};
 
@@ -79,9 +79,9 @@ fn compiled_run(plan: &InteractionPlan) -> &CompiledRun {
 
 /// Runs every query of `plan` on the executor — reads as count probes on
 /// `primary`, writes captured on `primary` and mirrored onto `replica` by
-/// delta (or by re-executing the statement when the capture failed, as the
-/// C-JDBC broadcast does) — and on the model, comparing outcome by
-/// outcome. Returns how many queries failed (identically) on both sides.
+/// delta (a `Noop` when the capture failed, as the C-JDBC broadcast logs
+/// it) — and on the model, comparing outcome by outcome. Returns how many
+/// queries failed (identically) on both sides.
 fn check_plan(
     schema: &Schema,
     plan: &InteractionPlan,
@@ -114,9 +114,8 @@ fn check_plan(
                     replica.apply_delta(&delta).expect("captured delta applies");
                 }
                 Err(e) => {
-                    assert_eq!(Err(e.clone()), expected, "{name} step {idx} write error");
-                    let replayed = replica.execute(&stmt).map(|_| ());
-                    assert_eq!(replayed, Err(e), "{name} step {idx} replica fallback");
+                    assert_eq!(Err(e), expected, "{name} step {idx} write error");
+                    replica.apply_delta(&WriteDelta::Noop).unwrap();
                 }
             }
         }
@@ -203,8 +202,8 @@ fn compiled_errors_match_interpreted_errors() {
 
 /// Delta capture under failures: with one table missing from every copy,
 /// a bidding-mix stream mixes captured writes (mirrored by delta) with
-/// failed captures (mirrored by re-executing the logged statement); the
-/// replica and the model stay on the primary's digest write for write.
+/// failed captures (mirrored as `Noop`); the replica and the model stay
+/// on the primary's digest write for write.
 #[test]
 fn compiled_delta_capture_matches_interpreted() {
     run("compiled_delta_capture_matches_interpreted", 12, |g| {

@@ -3,8 +3,9 @@
 //!
 //! The first property drives random write streams through
 //! `Database::execute_capture` and checks after *every* write that a
-//! replica applying the captured `WriteDelta` is byte-identical (content
-//! digest) to a replica re-executing the statement.
+//! replica applying the captured `WriteDelta` — `Noop` for a write that
+//! failed on the primary — is byte-identical (content digest) to a
+//! replica re-executing the statement.
 //!
 //! The second property adds backend membership churn through the
 //! `CjdbcController`, with syncs deliberately left half-finished so
@@ -31,7 +32,7 @@ use jade_tiers::cjdbc::{BackendStatus, CjdbcController, ReadPolicy};
 use jade_tiers::plan::{Operand, PlanStep, StepOp};
 use jade_tiers::recovery::SyncPlan;
 use jade_tiers::sql::{ColId, Schema, Statement, TableId, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -175,29 +176,19 @@ fn gen_write(g: &mut Gen, schema: &Schema, domain: Domain) -> Statement {
 fn delta_apply_matches_reexecution() {
     run("delta_apply_matches_reexecution", 256, |g| {
         let schema = gen_schema(g);
-        let writes: Vec<Arc<Statement>> = g
-            .vec(1..80, |g| gen_write(g, &schema, NARROW))
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let writes = g.vec(1..80, |g| gen_write(g, &schema, NARROW));
         let base = Database::new(Arc::clone(&schema));
         let mut primary = base.clone();
         let mut by_delta = base.clone();
         let mut by_statement = base.clone();
         for (step, stmt) in writes.iter().enumerate() {
-            match primary.execute_capture(stmt) {
-                Ok((_, delta)) => {
-                    by_delta.apply_delta(&delta).expect("delta applies");
-                    let _ = by_statement.execute(stmt);
-                }
-                // The write failed on the primary: every replica
-                // re-executes it and fails identically (there is no
-                // delta to share).
-                Err(_) => {
-                    let _ = by_delta.execute(stmt);
-                    let _ = by_statement.execute(stmt);
-                }
-            }
+            // A write that failed on the primary mutated nothing: the
+            // delta replica applies a Noop, the statement replica fails
+            // it again.
+            let delta = primary.execute_capture(stmt);
+            let delta = delta.map_or(WriteDelta::Noop, |(_, delta)| delta);
+            by_delta.apply_delta(&delta).expect("delta applies");
+            let _ = by_statement.execute(stmt);
             let d = primary.digest();
             assert_eq!(d, by_delta.digest(), "delta replica diverged at {step}");
             assert_eq!(
@@ -252,7 +243,7 @@ struct Model {
     domain: Domain,
     /// Every statement the controller accepted, in log order — the
     /// oracle's input, independent of what the recovery log retains.
-    accepted: Vec<Arc<Statement>>,
+    accepted: Vec<Statement>,
 }
 
 impl Model {
@@ -288,32 +279,22 @@ impl Model {
     }
 
     fn write(&mut self, stmt: Statement) {
-        let stmt = Arc::new(stmt);
         let Some(primary) = self.ctrl.write_primary() else {
             return;
         };
-        let delta = match self.dbs.get_mut(&primary).unwrap().execute_capture(&stmt) {
-            Ok((_, delta)) => Some(Arc::new(delta)),
-            Err(_) => None,
-        };
+        // A write that fails on the primary mutated nothing: a Noop.
+        let delta = self.dbs.get_mut(&primary).unwrap().execute_capture(&stmt);
+        let delta = Arc::new(delta.map_or(WriteDelta::Noop, |(_, delta)| delta));
         let mut targets = Vec::new();
         let index = self
             .ctrl
-            .route_write_into(Arc::clone(&stmt), delta.clone(), &mut targets)
+            .route_delta_into(Arc::clone(&delta), &mut targets)
             .expect("primary exists, so actives exist");
         assert_eq!(index, self.accepted.len() as u64, "indices stay global");
-        self.accepted.push(Arc::clone(&stmt));
+        self.accepted.push(stmt);
         assert_eq!(targets[0], primary);
         for &b in &targets[1..] {
-            let db = self.dbs.get_mut(&b).unwrap();
-            match &delta {
-                Some(delta) => {
-                    let _ = db.apply_delta(delta);
-                }
-                None => {
-                    let _ = db.execute(&stmt);
-                }
-            }
+            self.dbs.get_mut(&b).unwrap().apply_delta(&delta).unwrap();
             self.ctrl.note_complete(b);
         }
         self.ctrl.note_complete(primary);
@@ -330,20 +311,13 @@ impl Model {
         if let Some((_, snapshot)) = &plan.snapshot {
             *db = Database::from_snapshot(snapshot);
         }
-        for entry in &plan.entries {
-            match &entry.delta {
-                Some(delta) => {
-                    let _ = db.apply_delta(delta);
-                }
-                None => {
-                    let _ = db.execute(&entry.statement);
-                }
-            }
+        for delta in &plan.entries {
+            db.apply_delta(delta).unwrap();
         }
         // A restored replica reads its indexes through the snapshot's
         // shared postings: hold them to a plain replay of the same prefix.
         if let Some((position, _)) = &plan.snapshot {
-            let reached = plan.entries.last().map_or(*position, |e| e.index + 1);
+            let reached = position + plan.entries.len() as u64;
             let oracle = self.replay(reached as usize);
             let what = format!("{id:?} restored at {position}, synced to {reached}");
             assert_same_index_scans(&self.dbs[&id], &oracle, self.domain, &what);

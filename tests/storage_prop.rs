@@ -27,7 +27,7 @@ mod naive_database;
 use jade_propcheck::{run, Gen};
 use jade_tiers::cjdbc::{CjdbcController, ReadPolicy};
 use jade_tiers::sql::{ColId, QueryResult, Schema, Statement, TableId, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use naive_database::{NaiveDatabase, NaiveQueryResult, NaiveRow};
 use std::sync::Arc;
@@ -173,9 +173,11 @@ fn interned_engine_matches_naive_reference() {
 }
 
 /// Recovery-log replay converges a late joiner on both engines: writes go
-/// through the controller to one active replica of each kind; a second
-/// pair of replicas then joins by replaying the logged statements, and all
-/// four digests must be equal.
+/// through the controller to one active replica of each kind, the
+/// interned one capturing the delta the log records (a `Noop` when the
+/// write fails); a second pair of replicas then joins, the interned one
+/// applying the logged deltas and the naive one executing the statements
+/// they stand for, and all four digests must be equal.
 #[test]
 fn recovery_replay_converges_on_both_engines() {
     run("recovery_replay_converges_on_both_engines", 128, |g| {
@@ -205,11 +207,11 @@ fn recovery_replay_converges_on_both_engines() {
         let mut interned = Database::new(Arc::clone(&schema));
         let mut naive = NaiveDatabase::new();
         for stmt in &writes {
-            let stmt = Arc::new(stmt.clone());
-            ctrl.route_write_into(Arc::clone(&stmt), None, &mut Vec::new())
+            let delta = interned.execute_capture(stmt);
+            let delta = delta.map_or(WriteDelta::Noop, |(_, delta)| delta);
+            ctrl.route_delta_into(Arc::new(delta), &mut Vec::new())
                 .unwrap();
-            let _ = interned.execute(&stmt);
-            let _ = naive.execute(&schema, &stmt);
+            let _ = naive.execute(&schema, stmt);
         }
 
         // A fresh pair of replicas joins by replaying the exact log suffix.
@@ -218,16 +220,21 @@ fn recovery_replay_converges_on_both_engines() {
         let mut late_interned = Database::new(Arc::clone(&schema));
         let mut late_naive = NaiveDatabase::new();
         let mut batch = ctrl.begin_enable(joiner).unwrap();
+        // No checkpoint is installed, so the batches are the whole log in
+        // order: entry `i` is `writes[i]`.
+        let mut logged = writes.iter();
         loop {
-            for entry in &batch.entries {
-                let _ = late_interned.execute(&entry.statement);
-                let _ = late_naive.execute(&schema, &entry.statement);
+            for delta in &batch.entries {
+                late_interned.apply_delta(delta).unwrap();
+                let stmt = logged.next().expect("one statement per entry");
+                let _ = late_naive.execute(&schema, stmt);
             }
             match ctrl.finish_replay(joiner).unwrap() {
                 Some(next) => batch = next,
                 None => break,
             }
         }
+        assert!(logged.next().is_none(), "the joiner replayed every write");
 
         let d = interned.digest();
         assert_eq!(d, naive.digest(), "engines diverged on the write stream");
