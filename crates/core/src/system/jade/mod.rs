@@ -21,7 +21,7 @@ use crate::config::SystemConfig;
 use crate::control::{AdaptiveThresholds, CpuAvgSensor, InhibitionWindow, ThresholdReactor};
 use jade_cluster::{ClusterError, NodeId};
 use jade_fractal::{ComponentId, InterfaceDecl, Registry};
-use jade_rubis::{dataset_statements, rubis_schema};
+use jade_rubis::load_dataset;
 use jade_sim::{SimDuration, SimTime};
 use jade_tiers::{LegacyEvent, LegacyLayer, ServerId, ServerWrapper};
 use std::collections::BTreeMap;
@@ -358,10 +358,9 @@ impl Jade {
                 .expect("initial deployment must fit the node pool")
                 .0
         };
-        // The base dump every MySQL replica restores.
+        // The base image every MySQL replica restores.
         let mut dump_rng = jade_sim::SimRng::seed_from_u64(cfg.seed ^ 0xDA7A);
-        let dump = dataset_statements(cfg.dataset, &mut dump_rng);
-        legacy.set_mysql_dump(rubis_schema(), dump);
+        legacy.set_mysql_base(load_dataset(cfg.dataset, &mut dump_rng));
 
         // C-JDBC controller.
         let cj_node = take(legacy, "cjdbc");

@@ -31,7 +31,8 @@ pub use interactions::{
 };
 pub use pool::{ClientPool, FRESH_BUCKET};
 pub use schema::{
-    dataset_statements, rubis_ids, rubis_schema, schema_statements, DatasetSpec, KeySpace, RubisIds,
+    dataset_statements, load_dataset, rubis_ids, rubis_schema, schema_statements, DatasetSpec,
+    KeySpace, RubisIds,
 };
 pub use stats::{InteractionStats, StatsCollector, WindowStats};
 pub use transitions::{StateId, TransitionMatrix};

@@ -7,6 +7,7 @@
 
 use jade_sim::SimRng;
 use jade_tiers::sql::{ColId, Schema, Statement, TableId, Value};
+use jade_tiers::storage::Database;
 use std::sync::{Arc, OnceLock};
 
 /// Table names of the RUBiS schema.
@@ -226,87 +227,84 @@ pub fn schema_statements() -> Vec<Statement> {
     TABLES.iter().map(|t| schema.create_table(t)).collect()
 }
 
-/// Statements that populate the initial dataset. Deterministic given the
-/// RNG seed, so every database replica and every run sees the same data.
-/// Rows are built in each table's fixed column layout — no name lookups.
+/// Statements that populate the initial dataset: the `CREATE TABLE`s,
+/// then one `INSERT` per row [`load_dataset`] loads.
 #[cold]
 pub fn dataset_statements(spec: DatasetSpec, rng: &mut SimRng) -> Vec<Statement> {
-    let ids = rubis_ids();
     let mut out = schema_statements();
+    dataset_rows(spec, rng, |table, row| {
+        out.push(Statement::Insert { table, row })
+    });
+    out
+}
+
+/// The initial dataset's database, its rows appended directly — the one
+/// executing [`dataset_statements`] builds, without the statements.
+#[cold]
+pub fn load_dataset(spec: DatasetSpec, rng: &mut SimRng) -> Database {
+    let mut db = Database::new(rubis_schema());
+    for stmt in schema_statements() {
+        db.execute(&stmt).expect("a RUBiS table is in the catalog");
+    }
+    dataset_rows(spec, rng, |table, row| {
+        db.load_row(table, row)
+            .expect("a dataset row fits its table");
+    });
+    db
+}
+
+/// Hands every row of the initial dataset to `sink`. Deterministic given
+/// the RNG seed, so every replica and every run sees the same data. Rows
+/// are built in each table's fixed column layout — no name lookups.
+#[cold]
+fn dataset_rows(spec: DatasetSpec, rng: &mut SimRng, mut sink: impl FnMut(TableId, Vec<Value>)) {
+    let ids = rubis_ids();
+    let mut int = |lo: u64, hi: u64| Value::Int(rng.range_u64(lo, hi) as i64);
     for i in 0..spec.regions {
-        out.push(Statement::Insert {
-            table: ids.regions,
-            row: vec![Value::Text(format!("region-{i}"))],
-        });
+        sink(ids.regions, vec![Value::Text(format!("region-{i}"))]);
     }
     for i in 0..spec.categories {
-        out.push(Statement::Insert {
-            table: ids.categories,
-            row: vec![Value::Text(format!("category-{i}"))],
-        });
+        sink(ids.categories, vec![Value::Text(format!("category-{i}"))]);
     }
     for i in 0..spec.users {
         // Layout: [nickname, region, rating].
-        out.push(Statement::Insert {
-            table: ids.users,
-            row: vec![
-                Value::Text(format!("user{i}")),
-                Value::Int(rng.range_u64(0, spec.regions - 1) as i64),
-                Value::Int(rng.range_u64(0, 100) as i64),
-            ],
-        });
+        let nickname = Value::Text(format!("user{i}"));
+        let row = vec![nickname, int(0, spec.regions - 1), int(0, 100)];
+        sink(ids.users, row);
     }
     for i in 0..spec.items {
         // Layout: [name, seller, category, price, quantity].
-        out.push(Statement::Insert {
-            table: ids.items,
-            row: vec![
-                Value::Text(format!("item{i}")),
-                Value::Int(rng.range_u64(0, spec.users - 1) as i64),
-                Value::Int(rng.range_u64(0, spec.categories - 1) as i64),
-                Value::Int(rng.range_u64(1, 1000) as i64),
-                Value::Int(rng.range_u64(1, 10) as i64),
-            ],
-        });
+        let name = Value::Text(format!("item{i}"));
+        let (seller, category) = (int(0, spec.users - 1), int(0, spec.categories - 1));
+        let row = vec![name, seller, category, int(1, 1000), int(1, 10)];
+        sink(ids.items, row);
     }
     for _ in 0..spec.bids {
         // Layout: [item, bidder, amount].
-        out.push(Statement::Insert {
-            table: ids.bids,
-            row: vec![
-                Value::Int(rng.range_u64(0, spec.items - 1) as i64),
-                Value::Int(rng.range_u64(0, spec.users - 1) as i64),
-                Value::Int(rng.range_u64(1, 2000) as i64),
-            ],
-        });
+        let (item, bidder) = (int(0, spec.items - 1), int(0, spec.users - 1));
+        sink(ids.bids, vec![item, bidder, int(1, 2000)]);
     }
     for _ in 0..spec.comments {
         // Layout: [item, author, text].
-        out.push(Statement::Insert {
-            table: ids.comments,
-            row: vec![
-                Value::Int(rng.range_u64(0, spec.items - 1) as i64),
-                Value::Int(rng.range_u64(0, spec.users - 1) as i64),
-                Value::Text("nice doing business".into()),
-            ],
-        });
+        let (item, author) = (int(0, spec.items - 1), int(0, spec.users - 1));
+        let text = Value::Text("nice doing business".into());
+        sink(ids.comments, vec![item, author, text]);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_tiers::storage::Database;
+
+    /// `spec` loaded row by row with the RNG seeded at `seed`.
+    fn loaded(spec: DatasetSpec, seed: u64) -> Database {
+        load_dataset(spec, &mut SimRng::seed_from_u64(seed))
+    }
 
     #[test]
     fn dataset_loads_and_matches_spec() {
         let spec = DatasetSpec::tiny();
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut db = Database::new(rubis_schema());
-        for s in dataset_statements(spec, &mut rng) {
-            db.execute(&s).unwrap();
-        }
+        let db = loaded(spec, 1);
         assert_eq!(db.get_table("users").unwrap().len() as u64, spec.users);
         assert_eq!(db.get_table("items").unwrap().len() as u64, spec.items);
         assert_eq!(db.get_table("bids").unwrap().len() as u64, spec.bids);
@@ -318,17 +316,28 @@ mod tests {
     #[test]
     fn dataset_is_deterministic() {
         let spec = DatasetSpec::tiny();
-        let mut db1 = Database::new(rubis_schema());
-        let mut db2 = Database::new(rubis_schema());
-        let mut r1 = SimRng::seed_from_u64(9);
-        let mut r2 = SimRng::seed_from_u64(9);
-        for s in dataset_statements(spec, &mut r1) {
-            db1.execute(&s).unwrap();
+        assert_eq!(loaded(spec, 9).digest(), loaded(spec, 9).digest());
+    }
+
+    /// The direct load and the statement dump are two sinks of one row
+    /// generator: they build equal databases, index postings included,
+    /// and leave the RNG at the same draw.
+    #[test]
+    fn load_dataset_equals_replaying_dataset_statements() {
+        for spec in [DatasetSpec::tiny(), DatasetSpec::small()] {
+            for seed in [1, 7] {
+                let mut rng = SimRng::seed_from_u64(seed);
+                let mut replayed = Database::new(rubis_schema());
+                for stmt in dataset_statements(spec, &mut rng) {
+                    replayed.execute(&stmt).unwrap();
+                }
+                let mut load_rng = SimRng::seed_from_u64(seed);
+                let direct = load_dataset(spec, &mut load_rng);
+                assert!(direct == replayed, "{spec:?} seed {seed}");
+                assert_eq!(direct.digest(), replayed.digest());
+                assert_eq!(load_rng.next_u64(), rng.next_u64());
+            }
         }
-        for s in dataset_statements(spec, &mut r2) {
-            db2.execute(&s).unwrap();
-        }
-        assert_eq!(db1.digest(), db2.digest());
     }
 
     #[test]

@@ -434,7 +434,7 @@ mod tests {
         Arc::new(WriteDelta::Insert {
             table: TableId(0),
             key: i as u64,
-            row: Arc::new(vec![Value::Int(i)]),
+            row: Arc::from([Value::Int(i)]),
         })
     }
 

@@ -255,19 +255,10 @@ impl LegacyLayer {
         }
     }
 
-    /// Sets the cluster schema and the base image restored into new MySQL
-    /// replicas by executing a statement dump into a fresh database. The
-    /// dump is consumed: its rows move into the image.
-    pub fn set_mysql_dump(
-        &mut self,
-        schema: Arc<crate::sql::Schema>,
-        dump: Vec<crate::sql::Statement>,
-    ) {
-        let mut db = crate::storage::Database::new(schema);
-        for stmt in dump {
-            let _ = db.execute_owned(stmt);
-        }
-        self.mysql_base = db;
+    /// Sets the base image restored into new MySQL replicas; its schema
+    /// is the cluster's.
+    pub fn set_mysql_base(&mut self, base: crate::storage::Database) {
+        self.mysql_base = base;
     }
 
     /// Re-snapshots the base image from a live replica's current state
@@ -865,7 +856,7 @@ mod tests {
     use crate::plan::{Operand, PlanStep, StepOp};
     use crate::request::DbQuery;
     use crate::sql::{Schema, TableId, Value};
-    use crate::storage::WriteDelta;
+    use crate::storage::{Database, WriteDelta};
     use jade_cluster::{NodeSpec, SoftwareRepository};
 
     fn test_schema() -> Arc<Schema> {
@@ -977,10 +968,17 @@ mod tests {
         targets
     }
 
+    /// A base image over `schema` holding the (empty) table `t`.
+    fn base_holding_t(schema: &Arc<Schema>) -> Database {
+        let mut db = Database::new(Arc::clone(schema));
+        db.execute(&schema.create_table("t")).unwrap();
+        db
+    }
+
     /// Deploys a C-JDBC with `n` active MySQL backends over a base image
     /// holding the (empty) table `t`.
     fn db_cluster(l: &mut LegacyLayer, n: usize) -> (ServerId, Vec<ServerId>) {
-        l.set_mysql_dump(test_schema(), vec![test_schema().create_table("t")]);
+        l.set_mysql_base(base_holding_t(&test_schema()));
         let cj = deploy_cjdbc(l);
         let backends = (1..=n).map(|i| join_mysql_replica(l, cj, i)).collect();
         (cj, backends)
@@ -1107,7 +1105,7 @@ mod tests {
             .build();
         let (t, u) = (schema.must_table("t"), schema.must_table("u"));
         let mut l = layer(6);
-        l.set_mysql_dump(Arc::clone(&schema), vec![schema.create_table("t")]);
+        l.set_mysql_base(base_holding_t(&schema));
         let cj = deploy_cjdbc(&mut l);
         let backends: Vec<ServerId> = (1..=3).map(|i| join_mysql_replica(&mut l, cj, i)).collect();
         let noop = [Arc::new(WriteDelta::Noop)];

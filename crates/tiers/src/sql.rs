@@ -92,8 +92,9 @@ pub struct TableId(pub u16);
 pub struct ColId(pub u16);
 
 /// A stored row: one value per declared column, shared between the table
-/// and any outstanding query results (copy-on-write on update).
-pub type SharedRow = Arc<Vec<Value>>;
+/// and any outstanding query results (copy-on-write on update). The
+/// reference counts and the values sit in one heap block.
+pub type SharedRow = Arc<[Value]>;
 
 /// Catalog entry of one table.
 #[derive(Debug, PartialEq)]

@@ -19,13 +19,15 @@
 //!   [`Database::apply_delta`], which installs that effect without
 //!   re-evaluating anything, so the whole cluster performs one row
 //!   allocation per write;
-//! * everything cold — DDL, dataset load, tests: [`Database::execute`] /
+//! * a base image's bulk load: [`Database::load_row`], a row appended
+//!   with no statement or delta in between;
+//! * everything else cold — DDL, tests: [`Database::execute`] /
 //!   [`Database::execute_capture`] over a [`Statement`].
 //!
 //! A write that fails returns its error before it mutates anything, so
 //! the replication layer logs and broadcasts it as [`WriteDelta::Noop`].
 //!
-//! All three write entry points only resolve their operands; the mutation
+//! Every write entry point only resolves its operands; the mutation
 //! itself lives once per operation in the private `insert_row`,
 //! `update_row` and `delete_row`.
 //!
@@ -35,7 +37,8 @@
 //!   lookup per request;
 //! * rows are dense: keys are assigned monotonically and never reused, so
 //!   a table is chunked `Option<SharedRow>` slots indexed by key — a key
-//!   read is one bounds check;
+//!   read is one bounds check. A row is one `Arc<[Value]>` block: its
+//!   reference counts and its values in a single allocation;
 //! * equality-filter columns declared in the [`crate::sql::Schema`] carry
 //!   secondary hash indexes with key-sorted postings, making a filtered
 //!   read O(matches) with a key-ordered, limit-truncated result. Every
@@ -93,8 +96,9 @@ impl Posting {
         matches!(self, Posting::Empty)
     }
 
-    /// Adds `key`, keeping the keys sorted (an inserted row has the
-    /// largest key yet, but an updated one can land below the maximum).
+    /// Adds `key`, keeping the keys sorted. An inserted row has the
+    /// largest key yet, so it appends without a search; an updated one
+    /// can land below the maximum.
     // jade-audit: allow(hot-alloc): a value's second row is the one
     // place its posting allocates (the key list and its `Arc`, once per
     // value); capacity 4 is what `push` would pick.
@@ -109,7 +113,9 @@ impl Posting {
                 }
             }
             Posting::Many(keys) => {
-                if let Err(pos) = keys.binary_search(&key) {
+                if keys.last() < Some(&key) {
+                    Arc::make_mut(keys).push(key);
+                } else if let Err(pos) = keys.binary_search(&key) {
                     Arc::make_mut(keys).insert(pos, key);
                 }
             }
@@ -252,10 +258,11 @@ impl Index {
     }
 }
 
-/// Rows per [`RowStore`] chunk. Small enough that unsharing one chunk
-/// after a snapshot is cheap, large enough that the per-chunk `Arc`
-/// overhead stays invisible next to the row allocations themselves.
-const ROW_CHUNK: usize = 256;
+/// Rows per [`RowStore`] chunk: 128 slots of 16-byte `Option<SharedRow>`
+/// fat pointers, 2 KiB. Small enough that unsharing one chunk after a
+/// snapshot is cheap, large enough that the per-chunk `Arc` overhead
+/// stays invisible next to the row allocations themselves.
+const ROW_CHUNK: usize = 128;
 
 /// Dense primary-key row storage in fixed-size `Arc`'d chunks.
 ///
@@ -525,9 +532,8 @@ impl Database {
     }
 
     /// Executes a statement, materializing a [`QueryResult`] (row contents
-    /// stay `Arc`-shared with the table) — the cold front-end: DDL, dataset
-    /// load and tests. Reads materialize here; an insert goes straight to
-    /// the insert mutator; other writes lower onto
+    /// stay `Arc`-shared with the table) — the cold front-end: DDL and
+    /// tests. Reads materialize here; writes lower onto
     /// [`Database::execute_capture`] and drop the delta.
     ///
     /// Key assignment is deterministic (per-table counter), so executing
@@ -576,7 +582,6 @@ impl Database {
             Statement::Count { table } => {
                 Ok(QueryResult::Count(self.table_ref(*table)?.live as u64))
             }
-            Statement::Insert { .. } => self.execute_owned(stmt.clone()),
             write => match self.execute_capture(write)?.0 {
                 ExecSummary::Ack {
                     inserted_key,
@@ -590,20 +595,11 @@ impl Database {
         }
     }
 
-    /// [`Database::execute`] of a statement the caller gives up. The bulk
-    /// of a dataset load is inserts: no delta is wanted, so the row moves
-    /// straight into the mutator — no copy of its values is made.
-    pub fn execute_owned(&mut self, stmt: Statement) -> Result<QueryResult, SqlError> {
-        match stmt {
-            Statement::Insert { table, row } => {
-                let key = self.insert_row(table, Arc::new(row))?;
-                Ok(QueryResult::Ack {
-                    inserted_key: Some(key),
-                    affected: 1,
-                })
-            }
-            other => self.execute(&other),
-        }
+    /// Appends `row` to `table` at its next key: the bulk load of a base
+    /// image, with no statement and no delta in between.
+    #[cold]
+    pub fn load_row(&mut self, table: TableId, row: Vec<Value>) -> Result<u64, SqlError> {
+        self.insert_row(table, Arc::from(row))
     }
 
     /// Executes a *write* statement once, capturing its physical effect
@@ -622,7 +618,7 @@ impl Database {
                     WriteDelta::CreateTable { table: *table },
                 ))
             }
-            Statement::Insert { table, row } => self.insert_captured(*table, Arc::new(row.clone())),
+            Statement::Insert { table, row } => self.insert_captured(*table, Arc::from(&row[..])),
             Statement::Update { table, key, set } => {
                 self.update_row(*table, *key, set.iter().map(|(col, v)| (*col, v)))
             }
@@ -643,9 +639,10 @@ impl Database {
     /// other replica runs [`Database::apply_delta`] on the result. The row
     /// image inside the delta is the same `Arc` installed in this
     /// database's slot.
-    // jade-audit: allow(hot-alloc): the Arc::new/collect is the one
-    // materialization of an inserted row, which the recovery log and
-    // every replica then share by reference.
+    // jade-audit: allow(hot-alloc): collecting the resolved operands into
+    // one `Arc<[Value]>` block is the one materialization of an inserted
+    // row, which the recovery log and every replica then share by
+    // reference.
     pub fn execute_step_capture(
         &mut self,
         step: &PlanStep,
@@ -654,7 +651,7 @@ impl Database {
         match &step.op {
             StepOp::Insert { table, row } => {
                 let row = row.iter().map(|o| o.resolve(params).clone()).collect();
-                self.insert_captured(*table, Arc::new(row))
+                self.insert_captured(*table, row)
             }
             StepOp::Update { table, key, set } => self.update_row(
                 *table,
@@ -1075,7 +1072,7 @@ mod tests {
             let got = db.read_step_summary(&step(read), &[]);
             assert_eq!(got, Err(missing.clone()));
         }
-        let row: SharedRow = Arc::new(row);
+        let row: SharedRow = Arc::from(row);
         for delta in [
             WriteDelta::CreateTable { table },
             WriteDelta::Insert {
@@ -1477,6 +1474,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<(i64, Posting)>(), 24);
     }
 
+    /// A row is one `Arc<[Value]>` fat pointer, so a chunk of `ROW_CHUNK`
+    /// slots is 2 KiB: the bytes a copy-on-write unshare copies.
+    #[test]
+    fn row_chunks_are_two_kib() {
+        assert_eq!(std::mem::size_of::<Option<SharedRow>>() * ROW_CHUNK, 2048);
+    }
+
     #[test]
     fn a_posting_goes_from_empty_to_one_to_many_and_back() {
         let mut posting = Posting::Empty;
@@ -1486,7 +1490,9 @@ mod tests {
         assert_eq!(posting, Posting::One(7), "a held key is not added twice");
         posting.add_row_key(3);
         assert!(matches!(posting, Posting::Many(_)));
-        for key in [9, 5] {
+        // 9 appends past the maximum, 5 lands inside, and a held maximum
+        // is not appended twice.
+        for key in [9, 5, 9] {
             posting.add_row_key(key);
         }
         assert_eq!(posting.row_keys(), &[3, 5, 7, 9]);
@@ -1668,7 +1674,7 @@ mod tests {
         db.apply_delta(&WriteDelta::Update {
             table: t,
             key: 99,
-            row: Arc::new(vec![Value::Int(2), Value::Null]),
+            row: Arc::from([Value::Int(2), Value::Null]),
             changed: vec![ColId(0)],
         })
         .unwrap();

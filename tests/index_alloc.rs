@@ -2,16 +2,16 @@
 //! peak-RSS limits.
 //!
 //! Inserting a row whose indexed value is new to its table allocates the
-//! row's shared image (one `Arc`) and nothing of its own on the index:
-//! a one-row posting is held inline in the posting map's entry. Map and
-//! row-chunk growth are amortized over the rows. An engine that gives
-//! every new posting its own `Arc<Vec>` block and buffer pays three
-//! allocations per row here and fails the bound.
+//! row's shared image (one `Arc<[Value]>` block) and nothing of its own
+//! on the index: a one-row posting is held inline in the posting map's
+//! entry. Map and row-chunk growth are amortized over the rows. An
+//! engine that gives every new posting its own `Arc<Vec>` block and
+//! buffer pays three allocations per row here and fails the bound.
 //!
 //! The counting allocator counts only the thread that switched it on, so
 //! the harness's own threads cannot disturb the count.
 
-use jade_tiers::sql::{QueryResult, Schema, Statement, Value};
+use jade_tiers::sql::{QueryResult, Schema, Value};
 use jade_tiers::storage::Database;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,12 +77,13 @@ fn a_new_indexed_value_allocates_nothing_beyond_its_row() {
     let schema = Schema::builder().table("t", &["a"]).index("t", "a").build();
     let mut db = Database::new(Arc::clone(&schema));
     db.execute(&schema.create_table("t")).unwrap();
-    let inserts: Vec<Statement> = (0..ROWS as i64)
-        .map(|v| schema.insert("t", &[("a", Value::Int(v * 7 - 3))]))
+    let t = schema.must_table("t");
+    let rows: Vec<Vec<Value>> = (0..ROWS as i64)
+        .map(|v| vec![Value::Int(v * 7 - 3)])
         .collect();
     let calls = allocations_during(|| {
-        for stmt in inserts {
-            db.execute_owned(stmt).unwrap();
+        for row in rows {
+            db.load_row(t, row).unwrap();
         }
     });
     // One row image per row, plus 5 % for the amortized growth of the
