@@ -56,7 +56,7 @@ impl std::error::Error for ClusterError {}
 /// window to `synced_to` and re-lists it as dirty before handing it out.
 /// Crashed nodes never become clean (a crashed node's window must not
 /// advance), and on a manager that is never probed every node stays dirty.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ClusterManager {
     nodes: Vec<Node>,
     free: BTreeSet<NodeId>,

@@ -43,7 +43,7 @@ pub enum NodeState {
 }
 
 /// A machine in the simulated cluster.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Node {
     id: NodeId,
     name: String,

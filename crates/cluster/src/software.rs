@@ -29,7 +29,7 @@ pub struct PackageDef {
 }
 
 /// Repository of packages known to the installation service.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SoftwareRepository {
     packages: BTreeMap<String, PackageDef>,
 }
@@ -82,7 +82,7 @@ impl SoftwareRepository {
 }
 
 /// Installs packages from a repository onto cluster nodes.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SoftwareInstallationService {
     repo: SoftwareRepository,
 }

@@ -92,7 +92,7 @@ pub enum SubmitOutcome {
 }
 
 /// The arbitration manager.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Arbitrator {
     queue: VecDeque<Request>,
     submitted: u64,

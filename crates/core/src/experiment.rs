@@ -21,6 +21,19 @@ pub struct ExperimentOutput {
 }
 
 impl ExperimentOutput {
+    /// The output of a run that ends at the engine's current instant.
+    pub fn from_engine(engine: Engine<J2eeApp>) -> Self {
+        let (horizon, events) = (engine.now(), engine.events_processed());
+        let (app, metrics, tracer) = engine.into_parts_with_trace();
+        ExperimentOutput {
+            app,
+            metrics,
+            tracer,
+            horizon,
+            events,
+        }
+    }
+
     /// `(t, value)` pairs of a recorded series, in seconds.
     pub fn series(&self, name: &str) -> Vec<(f64, f64)> {
         self.metrics
@@ -154,6 +167,15 @@ pub fn run_experiment(cfg: SystemConfig, duration: SimDuration) -> ExperimentOut
     run_experiment_with(cfg, duration, |_| {})
 }
 
+/// The engine of a run of `cfg` at t = 0: the system is built and
+/// [`Msg::Bootstrap`] is queued, nothing is delivered yet.
+pub fn bootstrapped(cfg: SystemConfig) -> Engine<J2eeApp> {
+    let seed = cfg.seed;
+    let mut engine = Engine::new(J2eeApp::new(cfg), seed);
+    engine.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    engine
+}
+
 /// Like [`run_experiment`], but lets the caller schedule extra events —
 /// e.g. failure injection (`Msg::CrashNode`) for self-recovery scenarios —
 /// before the run starts.
@@ -162,21 +184,10 @@ pub fn run_experiment_with(
     duration: SimDuration,
     setup: impl FnOnce(&mut Engine<J2eeApp>),
 ) -> ExperimentOutput {
-    let seed = cfg.seed;
-    let mut engine = Engine::new(J2eeApp::new(cfg), seed);
-    engine.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    let mut engine = bootstrapped(cfg);
     setup(&mut engine);
     engine.run_until(SimTime::ZERO + duration);
-    let horizon = engine.now();
-    let events = engine.events_processed();
-    let (app, metrics, tracer) = engine.into_parts_with_trace();
-    ExperimentOutput {
-        app,
-        metrics,
-        tracer,
-        horizon,
-        events,
-    }
+    ExperimentOutput::from_engine(engine)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use jade_tiers::ServerId;
 use std::collections::VecDeque;
 
 /// What is left of a rolling restart between its steps.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct RollingRestart {
     /// Tier being restarted.
     pub(crate) tier: ManagedTier,

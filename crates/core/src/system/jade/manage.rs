@@ -9,7 +9,7 @@ use crate::system::{JobOwner, Msg};
 use jade_cluster::{ClusterError, NodeId};
 use jade_fractal::{ComponentId, Registry};
 use jade_sim::{Addr, SimDuration};
-use jade_tiers::{LegacyEvent, LegacyLayer, ServerId, Tier};
+use jade_tiers::{LegacyEvent, LegacyLayer, ServerId, ServerWrapper, Tier};
 
 /// Extra installation latency for restoring the database dump onto a new
 /// MySQL replica.
@@ -376,7 +376,7 @@ impl Jade {
         comp: ComponentId,
         join: bool,
     ) -> bool {
-        let mut link = |registry: &mut Registry<LegacyLayer>, holder, itf, sig| {
+        let mut link = |registry: &mut Registry<LegacyLayer, ServerWrapper>, holder, itf, sig| {
             let linked = if join {
                 registry.bind(legacy, holder, itf, comp, sig)
             } else {

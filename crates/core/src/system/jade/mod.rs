@@ -31,7 +31,7 @@ const DAEMON: &str = "jade-daemon";
 
 /// One tier's self-optimization control loop (sensor + reactor; the
 /// actuator is the scale-up/down workflow of `manage`).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct TierManager {
     /// CPU sensor with the tier's smoothing window.
     sensor: CpuAvgSensor,
@@ -42,8 +42,9 @@ struct TierManager {
 }
 
 /// The management layer and its autonomic managers.
+#[derive(Clone)]
 pub struct Jade {
-    registry: Registry<LegacyLayer>,
+    registry: Registry<LegacyLayer, ServerWrapper>,
     /// Root composite of the managed architecture.
     root: ComponentId,
     /// Composite holding the (optional) static web tier.
@@ -154,7 +155,7 @@ impl Jade {
     /// The management layer of a not yet deployed system: the tier
     /// composites and Jade's own managers.
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
-        let mut registry: Registry<LegacyLayer> = Registry::new();
+        let mut registry: Registry<LegacyLayer, ServerWrapper> = Registry::new();
         let root = registry.new_composite(&cfg.description.name, vec![]);
         let web_tier = registry.new_composite("web-tier", vec![]);
         let app_tier = registry.new_composite("application-tier", vec![]);
@@ -178,11 +179,7 @@ impl Jade {
         .map(|(name, loop_cfg)| {
             let mgr_comp = registry.new_composite(name, vec![]);
             for part in ["sensor", "reactor", "actuator"] {
-                let c = registry.new_primitive(
-                    &format!("{name}.{part}"),
-                    vec![],
-                    Box::new(jade_fractal::NullWrapper),
-                );
+                let c = registry.new_primitive(&format!("{name}.{part}"), vec![], None);
                 registry.add_child(mgr_comp, c).expect("fresh manager part");
             }
             registry.add_child(jade_root, mgr_comp).expect("fresh");
@@ -230,7 +227,7 @@ impl Jade {
     // ------------------------------------------------------------------
 
     /// The component registry: the managed architecture and Jade's own.
-    pub fn registry(&self) -> &Registry<LegacyLayer> {
+    pub fn registry(&self) -> &Registry<LegacyLayer, ServerWrapper> {
         &self.registry
     }
 
@@ -332,7 +329,7 @@ impl Jade {
         };
         let comp = self
             .registry
-            .new_primitive(name, itfs, Box::new(ServerWrapper { server }));
+            .new_primitive(name, itfs, ServerWrapper { server });
         if let Some(front) = front {
             *front = Some((server, comp));
         }

@@ -38,6 +38,7 @@ use jade_tiers::{LegacyLayer, ServerId};
 use requests::Requests;
 
 /// The simulated managed system.
+#[derive(Clone)]
 pub struct J2eeApp {
     /// Experiment configuration.
     pub cfg: SystemConfig,

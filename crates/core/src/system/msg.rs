@@ -5,7 +5,7 @@ use jade_sim::{EventToken, JobId, SimTime};
 use jade_tiers::{InteractionPlan, LegacyEvent, RequestId, ServerId};
 
 /// Events routed through the discrete-event engine.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum Msg {
     /// Initial synchronous deployment + scheduling of periodic ticks.
     Bootstrap,
@@ -158,7 +158,7 @@ pub enum RequestPhase {
 }
 
 /// Per-request bookkeeping, stored in the in-flight slab.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RequestState {
     /// Issuing client.
     pub client: u32,
@@ -251,5 +251,18 @@ impl ManagedTier {
             ManagedTier::Application => "cpu.app.smoothed",
             ManagedTier::Database => "cpu.db.smoothed",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Msg;
+
+    /// Every queued event carries one `Msg` and a fork copies the whole
+    /// queue, so a payload that grows the message past two words costs
+    /// every event and every fork.
+    #[test]
+    fn msg_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Msg>(), 16);
     }
 }

@@ -21,7 +21,7 @@ const REQUEST_BYTES: u64 = 600;
 const ACCEPT_QUEUE_LIMIT: usize = 512;
 
 /// One emulated client and its scheduling state.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ClientSlot {
     client: EmulatedClient,
     /// Part of the current target population.
@@ -31,6 +31,7 @@ struct ClientSlot {
 }
 
 /// The clients and every request on its way through the tiers.
+#[derive(Clone)]
 pub(crate) struct Requests {
     clients: Vec<ClientSlot>,
     /// Aggregate-mode client population (`Some` iff `cfg.client_mode` is

@@ -2,7 +2,6 @@
 
 use crate::attr::AttrValue;
 use crate::interface::InterfaceDecl;
-use crate::wrapper::Wrapper;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -26,10 +25,11 @@ pub enum LifecycleState {
     Failed,
 }
 
-/// Primitive components encapsulate a wrapper; composites contain
-/// sub-components (content controller).
-pub(crate) enum Kind<E> {
-    Primitive(Option<Box<dyn Wrapper<E> + Send + Sync>>),
+/// Primitive components encapsulate a wrapper (or none); composites
+/// contain sub-components (content controller).
+#[derive(Clone)]
+pub(crate) enum Kind<W> {
+    Primitive(Option<W>),
     Composite(Vec<ComponentId>),
 }
 
@@ -49,10 +49,11 @@ pub struct Endpoint {
 
 /// Internal component record; accessed through the registry's controllers.
 /// Names and map keys are interned `Arc<str>`s shared with the journal.
-pub(crate) struct Component<E> {
+#[derive(Clone)]
+pub(crate) struct Component<W> {
     pub(crate) name: Arc<str>,
     pub(crate) parent: Option<ComponentId>,
-    pub(crate) kind: Kind<E>,
+    pub(crate) kind: Kind<W>,
     pub(crate) interfaces: Vec<InterfaceDecl>,
     /// client interface name -> bound server endpoints (len <= 1 unless the
     /// interface has collection cardinality).
@@ -61,7 +62,7 @@ pub(crate) struct Component<E> {
     pub(crate) state: LifecycleState,
 }
 
-impl<E> Component<E> {
+impl<W> Component<W> {
     pub(crate) fn interface(&self, name: &str) -> Option<&InterfaceDecl> {
         self.interfaces.iter().find(|i| i.name == name)
     }

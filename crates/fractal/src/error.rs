@@ -64,8 +64,6 @@ pub enum FractalError {
         /// Human-readable wrapper diagnostic.
         reason: String,
     },
-    /// The component's wrapper is momentarily unavailable (re-entrant call).
-    Reentrant(ComponentId),
 }
 
 impl fmt::Display for FractalError {
@@ -107,9 +105,6 @@ impl fmt::Display for FractalError {
                 write!(f, "component {id:?} is primitive, not composite")
             }
             FractalError::Wrapper { reason } => write!(f, "wrapper error: {reason}"),
-            FractalError::Reentrant(id) => {
-                write!(f, "re-entrant control operation on component {id:?}")
-            }
         }
     }
 }

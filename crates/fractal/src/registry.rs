@@ -19,8 +19,9 @@ use crate::attr::AttrValue;
 use crate::component::{Component, ComponentId, ComponentInfo, Endpoint, Kind, LifecycleState};
 use crate::error::{FractalError, Result};
 use crate::interface::{Cardinality, Contingency, InterfaceDecl, Role};
-use crate::wrapper::{ArchView, Wrapper};
+use crate::wrapper::{ArchView, NullWrapper, Wrapper};
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Checked narrowing of a component slot index into the `u32` id space.
@@ -63,25 +64,28 @@ pub enum JournalOp {
     Remove(ComponentId),
 }
 
-/// The management-layer architecture, generic over the legacy environment
-/// `E` that wrappers act upon.
-pub struct Registry<E> {
-    components: Vec<Option<Component<E>>>,
+/// The management-layer architecture over the legacy environment `E`, with
+/// one wrapper type `W` for its primitives. The default `W = NullWrapper`
+/// keeps the benchmark's `Registry<()>` compiling until ROADMAP 1a.
+#[derive(Clone)]
+pub struct Registry<E, W = NullWrapper> {
+    components: Vec<Option<Component<W>>>,
     journal: Vec<JournalOp>,
     /// Interned names (components, interfaces, attributes). Management
     /// vocabularies are tiny and highly repetitive ("port", "host",
     /// "workers", …), so the hot control operations reuse one allocation
     /// per distinct name for the lifetime of the registry.
     interner: BTreeSet<Arc<str>>,
+    env: PhantomData<fn(&mut E)>,
 }
 
-impl<E> Default for Registry<E> {
+impl<E, W: Wrapper<E>> Default for Registry<E, W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> ArchView for Registry<E> {
+impl<E, W: Wrapper<E>> ArchView for Registry<E, W> {
     fn attr_of(&self, id: ComponentId, name: &str) -> Option<AttrValue> {
         self.comp(id).ok()?.attrs.get(name).cloned()
     }
@@ -96,13 +100,14 @@ impl<E> ArchView for Registry<E> {
     }
 }
 
-impl<E> Registry<E> {
+impl<E, W: Wrapper<E>> Registry<E, W> {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Registry {
             components: Vec::new(),
             journal: Vec::new(),
             interner: BTreeSet::new(),
+            env: PhantomData,
         }
     }
 
@@ -117,14 +122,14 @@ impl<E> Registry<E> {
         arc
     }
 
-    fn comp(&self, id: ComponentId) -> Result<&Component<E>> {
+    fn comp(&self, id: ComponentId) -> Result<&Component<W>> {
         self.components
             .get(id.0 as usize)
             .and_then(Option::as_ref)
             .ok_or(FractalError::NoSuchComponent(id))
     }
 
-    fn comp_mut(&mut self, id: ComponentId) -> Result<&mut Component<E>> {
+    fn comp_mut(&mut self, id: ComponentId) -> Result<&mut Component<W>> {
         self.components
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
@@ -135,26 +140,26 @@ impl<E> Registry<E> {
     // Construction
     // ------------------------------------------------------------------
 
-    fn insert(&mut self, c: Component<E>) -> ComponentId {
+    fn insert(&mut self, c: Component<W>) -> ComponentId {
         let id = ComponentId(comp_idx(self.components.len()));
         self.journal.push(JournalOp::Create(id, c.name.clone()));
         self.components.push(Some(c));
         id
     }
 
-    /// Creates a primitive component around `wrapper`.
+    /// Creates a primitive component around `wrapper` (`None`: no effect).
     #[cold]
     pub fn new_primitive(
         &mut self,
         name: &str,
         interfaces: Vec<InterfaceDecl>,
-        wrapper: Box<dyn Wrapper<E> + Send + Sync>,
+        wrapper: impl Into<Option<W>>,
     ) -> ComponentId {
         let name = self.intern(name);
         self.insert(Component {
             name,
             parent: None,
-            kind: Kind::Primitive(Some(wrapper)),
+            kind: Kind::Primitive(wrapper.into()),
             interfaces,
             bindings: BTreeMap::new(),
             attrs: BTreeMap::new(),
@@ -287,8 +292,7 @@ impl<E> Registry<E> {
     ) -> Result<()> {
         let value = value.into();
         // Validation hook first (primitive components only).
-        if let Kind::Primitive(slot) = &self.comp(id)?.kind {
-            let w = slot.as_ref().ok_or(FractalError::Reentrant(id))?;
+        if let Kind::Primitive(Some(w)) = &self.comp(id)?.kind {
             w.validate_attr(name, &value)?;
         }
         let name_arc = self.intern(name);
@@ -297,9 +301,9 @@ impl<E> Registry<E> {
             .insert(name_arc.clone(), value.clone());
         self.journal
             .push(JournalOp::SetAttr(id, name_arc, value.clone()));
-        self.with_wrapper(id, |w, env, view| {
+        self.reflect(env, id, |w, env, view| {
             w.on_set_attr(env, view, id, name, &value)
-        })(env)
+        })
     }
 
     /// Reads an attribute.
@@ -391,9 +395,9 @@ impl<E> Registry<E> {
         }
         self.journal
             .push(JournalOp::Bind(id, client_arc, endpoint.clone()));
-        self.with_wrapper(id, |w, env, view| {
+        self.reflect(env, id, |w, env, view| {
             w.on_bind(env, view, id, client_itf, &endpoint)
-        })(env)
+        })
     }
 
     /// Removes the binding from `(id, client_itf)` to `target`; with a
@@ -440,9 +444,9 @@ impl<E> Registry<E> {
         let client_arc = self.intern(client_itf);
         self.journal
             .push(JournalOp::Unbind(id, client_arc, endpoint.clone()));
-        self.with_wrapper(id, |w, env, view| {
+        self.reflect(env, id, |w, env, view| {
             w.on_unbind(env, view, id, client_itf, &endpoint)
-        })(env)
+        })
     }
 
     /// Endpoints currently bound to `(id, client_itf)`.
@@ -507,7 +511,7 @@ impl<E> Registry<E> {
         for child in self.children(id) {
             self.start(env, child)?;
         }
-        self.with_wrapper(id, |w, env, view| w.on_start(env, view, id))(env)?;
+        self.reflect(env, id, |w, env, view| w.on_start(env, view, id))?;
         self.comp_mut(id)?.state = LifecycleState::Started;
         self.journal.push(JournalOp::Start(id));
         Ok(())
@@ -522,7 +526,7 @@ impl<E> Registry<E> {
         if state == LifecycleState::Stopped {
             return Ok(()); // idempotent
         }
-        self.with_wrapper(id, |w, env, view| w.on_stop(env, view, id))(env)?;
+        self.reflect(env, id, |w, env, view| w.on_stop(env, view, id))?;
         self.comp_mut(id)?.state = LifecycleState::Stopped;
         self.journal.push(JournalOp::Stop(id));
         for child in self.children(id).into_iter().rev() {
@@ -677,41 +681,20 @@ impl<E> Registry<E> {
     }
 
     // ------------------------------------------------------------------
-    // Wrapper delegation plumbing
+    // Wrapper delegation
     // ------------------------------------------------------------------
 
-    /// Temporarily removes the wrapper so it can be invoked with a view of
-    /// the (rest of the) registry, then restores it. Composites have no
-    /// wrapper: the operation is a validated no-op for them.
-    fn with_wrapper<'a, F>(
-        &'a mut self,
+    /// Hands the wrapper of `id` a view of the registry; for a composite or
+    /// a primitive without a wrapper the operation is a validated no-op.
+    fn reflect(
+        &self,
+        env: &mut E,
         id: ComponentId,
-        f: F,
-    ) -> impl FnOnce(&mut E) -> Result<()> + 'a
-    where
-        F: FnOnce(&mut (dyn Wrapper<E> + Send + Sync), &mut E, &dyn ArchView) -> Result<()> + 'a,
-    {
-        move |env: &mut E| {
-            let taken = match self.comp_mut(id) {
-                Ok(c) => match &mut c.kind {
-                    Kind::Primitive(slot) => match slot.take() {
-                        Some(w) => Some(w),
-                        None => return Err(FractalError::Reentrant(id)),
-                    },
-                    Kind::Composite(_) => None,
-                },
-                Err(e) => return Err(e),
-            };
-            let Some(mut w) = taken else {
-                return Ok(());
-            };
-            let result = f(w.as_mut(), env, &*self);
-            if let Ok(c) = self.comp_mut(id) {
-                if let Kind::Primitive(slot) = &mut c.kind {
-                    *slot = Some(w);
-                }
-            }
-            result
+        f: impl FnOnce(&W, &mut E, &dyn ArchView) -> Result<()>,
+    ) -> Result<()> {
+        match &self.comp(id)?.kind {
+            Kind::Primitive(Some(w)) => f(w, env, self),
+            _ => Ok(()),
         }
     }
 }
@@ -737,7 +720,7 @@ mod tests {
     #[test]
     fn create_and_introspect() {
         let mut reg = Reg::new();
-        let a = reg.new_primitive("apache", server_decl(), Box::new(NullWrapper));
+        let a = reg.new_primitive("apache", server_decl(), NullWrapper);
         let info = reg.info(a).unwrap();
         assert_eq!(info.name, "apache");
         assert!(!info.composite);
@@ -748,8 +731,8 @@ mod tests {
     #[test]
     fn bind_validates_roles_and_signatures() {
         let mut reg = Reg::new();
-        let front = reg.new_primitive("front", client_decl(), Box::new(NullWrapper));
-        let back = reg.new_primitive("back", server_decl(), Box::new(NullWrapper));
+        let front = reg.new_primitive("front", client_decl(), NullWrapper);
+        let back = reg.new_primitive("back", server_decl(), NullWrapper);
         let mut env = ();
         reg.bind(&mut env, front, "backend", back, "http").unwrap();
         assert_eq!(reg.bindings_of(front, "backend").len(), 1);
@@ -762,7 +745,7 @@ mod tests {
         let odd = reg.new_primitive(
             "odd",
             vec![InterfaceDecl::server("sql", "jdbc")],
-            Box::new(NullWrapper),
+            NullWrapper,
         );
         let err = reg
             .bind(&mut env, front, "backend", odd, "sql")
@@ -773,9 +756,9 @@ mod tests {
     #[test]
     fn single_cardinality_rejects_second_binding() {
         let mut reg = Reg::new();
-        let front = reg.new_primitive("front", client_decl(), Box::new(NullWrapper));
-        let b1 = reg.new_primitive("b1", server_decl(), Box::new(NullWrapper));
-        let b2 = reg.new_primitive("b2", server_decl(), Box::new(NullWrapper));
+        let front = reg.new_primitive("front", client_decl(), NullWrapper);
+        let b1 = reg.new_primitive("b1", server_decl(), NullWrapper);
+        let b2 = reg.new_primitive("b2", server_decl(), NullWrapper);
         let mut env = ();
         reg.bind(&mut env, front, "backend", b1, "http").unwrap();
         let err = reg
@@ -790,11 +773,11 @@ mod tests {
         let lb = reg.new_primitive(
             "lb",
             vec![InterfaceDecl::collection_client("workers", "http")],
-            Box::new(NullWrapper),
+            NullWrapper,
         );
         let mut env = ();
         for i in 0..3 {
-            let b = reg.new_primitive(&format!("b{i}"), server_decl(), Box::new(NullWrapper));
+            let b = reg.new_primitive(&format!("b{i}"), server_decl(), NullWrapper);
             reg.bind(&mut env, lb, "workers", b, "http").unwrap();
         }
         assert_eq!(reg.bindings_of(lb, "workers").len(), 3);
@@ -813,9 +796,9 @@ mod tests {
         let lb = reg.new_primitive(
             "lb",
             vec![InterfaceDecl::collection_client("workers", "http")],
-            Box::new(NullWrapper),
+            NullWrapper,
         );
-        let b = reg.new_primitive("b", server_decl(), Box::new(NullWrapper));
+        let b = reg.new_primitive("b", server_decl(), NullWrapper);
         let mut env = ();
         reg.bind(&mut env, lb, "workers", b, "http").unwrap();
         assert!(reg.bind(&mut env, lb, "workers", b, "http").is_err());
@@ -824,11 +807,11 @@ mod tests {
     #[test]
     fn start_requires_mandatory_bindings() {
         let mut reg = Reg::new();
-        let front = reg.new_primitive("front", client_decl(), Box::new(NullWrapper));
+        let front = reg.new_primitive("front", client_decl(), NullWrapper);
         let mut env = ();
         let err = reg.start(&mut env, front).unwrap_err();
         assert!(matches!(err, FractalError::UnboundMandatory { .. }));
-        let back = reg.new_primitive("back", server_decl(), Box::new(NullWrapper));
+        let back = reg.new_primitive("back", server_decl(), NullWrapper);
         reg.bind(&mut env, front, "backend", back, "http").unwrap();
         reg.start(&mut env, front).unwrap();
         assert_eq!(reg.state(front).unwrap(), LifecycleState::Started);
@@ -840,8 +823,8 @@ mod tests {
     fn composite_lifecycle_cascades() {
         let mut reg = Reg::new();
         let top = reg.new_composite("j2ee", vec![]);
-        let a = reg.new_primitive("apache", server_decl(), Box::new(NullWrapper));
-        let b = reg.new_primitive("tomcat", server_decl(), Box::new(NullWrapper));
+        let a = reg.new_primitive("apache", server_decl(), NullWrapper);
+        let b = reg.new_primitive("tomcat", server_decl(), NullWrapper);
         reg.add_child(top, a).unwrap();
         reg.add_child(top, b).unwrap();
         let mut env = ();
@@ -858,7 +841,7 @@ mod tests {
         let mut reg = Reg::new();
         let top = reg.new_composite("top", vec![]);
         let other = reg.new_composite("other", vec![]);
-        let p = reg.new_primitive("p", vec![], Box::new(NullWrapper));
+        let p = reg.new_primitive("p", vec![], NullWrapper);
         reg.add_child(top, p).unwrap();
         // Double containment rejected.
         assert!(reg.add_child(other, p).is_err());
@@ -878,7 +861,7 @@ mod tests {
     #[test]
     fn failed_components_must_be_repaired_before_start() {
         let mut reg = Reg::new();
-        let a = reg.new_primitive("a", vec![], Box::new(NullWrapper));
+        let a = reg.new_primitive("a", vec![], NullWrapper);
         let mut env = ();
         reg.start(&mut env, a).unwrap();
         reg.mark_failed(a).unwrap();
@@ -895,8 +878,8 @@ mod tests {
     #[test]
     fn remove_guards_against_dangling_references() {
         let mut reg = Reg::new();
-        let front = reg.new_primitive("front", client_decl(), Box::new(NullWrapper));
-        let back = reg.new_primitive("back", server_decl(), Box::new(NullWrapper));
+        let front = reg.new_primitive("front", client_decl(), NullWrapper);
+        let back = reg.new_primitive("back", server_decl(), NullWrapper);
         let mut env = ();
         reg.bind(&mut env, front, "backend", back, "http").unwrap();
         // back is referenced: removal fails.
@@ -910,7 +893,7 @@ mod tests {
     #[test]
     fn attributes_roundtrip_and_journal() {
         let mut reg = Reg::new();
-        let a = reg.new_primitive("apache", vec![], Box::new(NullWrapper));
+        let a = reg.new_primitive("apache", vec![], NullWrapper);
         let mut env = ();
         reg.set_attr(&mut env, a, "port", 80i64).unwrap();
         assert_eq!(reg.get_attr(a, "port").unwrap(), AttrValue::Int(80));
@@ -926,7 +909,7 @@ mod tests {
         let mut reg = Reg::new();
         let root = reg.new_composite("j2ee", vec![]);
         let web = reg.new_composite("web", vec![]);
-        let apache = reg.new_primitive("apache-0", vec![], Box::new(NullWrapper));
+        let apache = reg.new_primitive("apache-0", vec![], NullWrapper);
         reg.add_child(root, web).unwrap();
         reg.add_child(web, apache).unwrap();
         assert_eq!(reg.resolve_path(root, "web/apache-0").unwrap(), apache);
@@ -938,8 +921,8 @@ mod tests {
     fn render_tree_shows_bindings_and_states() {
         let mut reg = Reg::new();
         let root = reg.new_composite("j2ee", vec![]);
-        let front = reg.new_primitive("apache", client_decl(), Box::new(NullWrapper));
-        let back = reg.new_primitive("tomcat", server_decl(), Box::new(NullWrapper));
+        let front = reg.new_primitive("apache", client_decl(), NullWrapper);
+        let back = reg.new_primitive("tomcat", server_decl(), NullWrapper);
         reg.add_child(root, front).unwrap();
         reg.add_child(root, back).unwrap();
         let mut env = ();
@@ -950,12 +933,64 @@ mod tests {
         assert!(tree.contains("  tomcat"));
     }
 
+    /// A clone is a fork of the architecture: control operations on
+    /// either copy leave the other's journal, bindings, attributes and
+    /// states as they were.
+    #[test]
+    fn cloned_registry_is_independent() {
+        let mut reg = Reg::new();
+        let lb = reg.new_primitive(
+            "lb",
+            vec![InterfaceDecl::collection_client("workers", "http")],
+            NullWrapper,
+        );
+        let b1 = reg.new_primitive("b1", server_decl(), NullWrapper);
+        let b2 = reg.new_primitive("b2", server_decl(), NullWrapper);
+        let mut env = ();
+        reg.bind(&mut env, lb, "workers", b1, "http").unwrap();
+        reg.set_attr(&mut env, lb, "port", 80i64).unwrap();
+        let observe = |r: &Reg| {
+            (
+                r.journal().to_vec(),
+                r.bindings_of(lb, "workers"),
+                r.get_attr(lb, "port").unwrap(),
+                r.state(b1).unwrap(),
+            )
+        };
+        let mut fork = reg.clone();
+        let (before, forked) = (observe(&reg), observe(&fork));
+        assert_eq!(before, forked);
+
+        fork.bind(&mut env, lb, "workers", b2, "http").unwrap();
+        fork.unbind(&mut env, lb, "workers", Some(b1)).unwrap();
+        fork.set_attr(&mut env, lb, "port", 81i64).unwrap();
+        fork.mark_failed(b1).unwrap();
+        assert_eq!(
+            observe(&reg),
+            before,
+            "the fork wrote through to the original"
+        );
+        let after_fork = observe(&fork);
+        assert_ne!(after_fork, before);
+
+        reg.unbind(&mut env, lb, "workers", None).unwrap();
+        reg.set_attr(&mut env, lb, "port", 82i64).unwrap();
+        reg.mark_failed(b2).unwrap();
+        assert_eq!(
+            observe(&fork),
+            after_fork,
+            "the original wrote through to the fork"
+        );
+        assert_eq!(fork.state(b2).unwrap(), LifecycleState::Stopped);
+        assert_eq!(reg.state(b1).unwrap(), LifecycleState::Stopped);
+    }
+
     /// Wrapper that records control operations, verifying delegation order.
     #[derive(Default)]
     struct Recording;
     impl Wrapper<Vec<String>> for Recording {
         fn on_set_attr(
-            &mut self,
+            &self,
             env: &mut Vec<String>,
             _view: &dyn ArchView,
             _me: ComponentId,
@@ -966,7 +1001,7 @@ mod tests {
             Ok(())
         }
         fn on_bind(
-            &mut self,
+            &self,
             env: &mut Vec<String>,
             view: &dyn ArchView,
             _me: ComponentId,
@@ -978,7 +1013,7 @@ mod tests {
             Ok(())
         }
         fn on_start(
-            &mut self,
+            &self,
             env: &mut Vec<String>,
             _view: &dyn ArchView,
             _me: ComponentId,
@@ -987,7 +1022,7 @@ mod tests {
             Ok(())
         }
         fn on_stop(
-            &mut self,
+            &self,
             env: &mut Vec<String>,
             _view: &dyn ArchView,
             _me: ComponentId,
@@ -999,17 +1034,13 @@ mod tests {
 
     #[test]
     fn wrapper_sees_operations_and_can_introspect_targets() {
-        let mut reg: Registry<Vec<String>> = Registry::new();
+        let mut reg: Registry<Vec<String>, Recording> = Registry::new();
         let front = reg.new_primitive(
             "apache",
             vec![InterfaceDecl::optional_client("ajp-itf", "ajp")],
-            Box::new(Recording),
+            Recording,
         );
-        let back = reg.new_primitive(
-            "tomcat2",
-            vec![InterfaceDecl::server("ajp", "ajp")],
-            Box::new(NullWrapper),
-        );
+        let back = reg.new_primitive("tomcat2", vec![InterfaceDecl::server("ajp", "ajp")], None);
         let mut env: Vec<String> = Vec::new();
         reg.set_attr(&mut env, front, "port", 80i64).unwrap();
         reg.bind(&mut env, front, "ajp-itf", back, "ajp").unwrap();
@@ -1037,8 +1068,8 @@ mod tests {
 
     #[test]
     fn attribute_validation_rejects_bad_values() {
-        let mut reg = Reg::new();
-        let a = reg.new_primitive("a", vec![], Box::new(Picky));
+        let mut reg: Registry<(), Picky> = Registry::new();
+        let a = reg.new_primitive("a", vec![], Picky);
         let mut env = ();
         assert!(reg.set_attr(&mut env, a, "port", -1i64).is_err());
         assert!(

@@ -31,15 +31,14 @@ pub trait ArchView {
 
 /// The behaviour a primitive component delegates to.
 ///
-/// Every method has a default no-op success implementation so trivial
-/// management components (sensors, reactors with no legacy counterpart)
-/// only implement what they need.
+/// No method mutates the wrapper: what a control operation changes lives
+/// in `E`. Every method defaults to a no-op success.
 #[allow(unused_variables)]
 pub trait Wrapper<E> {
     /// Reflects an attribute write onto the legacy layer. The registry has
     /// already stored the value; wrappers only need side effects.
     fn on_set_attr(
-        &mut self,
+        &self,
         env: &mut E,
         view: &dyn ArchView,
         me: ComponentId,
@@ -58,7 +57,7 @@ pub trait Wrapper<E> {
     /// Reflects a new binding onto the legacy layer (e.g. add a worker
     /// entry to `worker.properties`).
     fn on_bind(
-        &mut self,
+        &self,
         env: &mut E,
         view: &dyn ArchView,
         me: ComponentId,
@@ -70,7 +69,7 @@ pub trait Wrapper<E> {
 
     /// Reflects a binding removal onto the legacy layer.
     fn on_unbind(
-        &mut self,
+        &self,
         env: &mut E,
         view: &dyn ArchView,
         me: ComponentId,
@@ -81,19 +80,26 @@ pub trait Wrapper<E> {
     }
 
     /// Starts the legacy entity (e.g. run the `httpd` script).
-    fn on_start(&mut self, env: &mut E, view: &dyn ArchView, me: ComponentId) -> Result<()> {
+    fn on_start(&self, env: &mut E, view: &dyn ArchView, me: ComponentId) -> Result<()> {
         Ok(())
     }
 
     /// Stops the legacy entity (e.g. run the shutdown script).
-    fn on_stop(&mut self, env: &mut E, view: &dyn ArchView, me: ComponentId) -> Result<()> {
+    fn on_stop(&self, env: &mut E, view: &dyn ArchView, me: ComponentId) -> Result<()> {
         Ok(())
     }
 }
 
-/// A wrapper with no legacy counterpart; used for pure management
-/// components and in tests.
+/// A wrapper with no legacy counterpart.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullWrapper;
 
 impl<E> Wrapper<E> for NullWrapper {}
+
+/// The boxed form the benchmark's management probe passes to
+/// `new_primitive`; ROADMAP 1a retires it.
+impl From<Box<NullWrapper>> for Option<NullWrapper> {
+    fn from(w: Box<NullWrapper>) -> Self {
+        Some(*w)
+    }
+}

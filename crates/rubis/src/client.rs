@@ -16,7 +16,7 @@ use jade_tiers::sql::Value;
 pub const DEFAULT_THINK_TIME: SimDuration = SimDuration::from_millis(6_500);
 
 /// One emulated client.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EmulatedClient {
     /// Client index (stable across the run).
     pub id: u32,

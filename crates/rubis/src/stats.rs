@@ -58,7 +58,7 @@ impl InteractionStats {
 }
 
 /// Collects client-side statistics over fixed windows.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StatsCollector {
     window: SimDuration,
     windows: Vec<WindowStats>,

@@ -125,7 +125,9 @@ pub enum RunOutcome {
     Stopped,
 }
 
-/// Discrete-event simulation engine.
+/// Discrete-event simulation engine. A clone is a fork: it continues from
+/// the same instant, queue and RNG state, independently of the original.
+#[derive(Clone)]
 pub struct Engine<A: App> {
     app: A,
     time: SimTime,

@@ -507,7 +507,7 @@ pub struct CounterId(u32);
 /// tick's worth of samples in a single call.
 ///
 /// [`record_series_batch`]: MetricsHub::record_series_batch
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsHub {
     series: Vec<(String, TimeSeries)>,
     series_index: DetHashMap<String, u32>,

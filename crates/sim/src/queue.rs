@@ -73,6 +73,7 @@ const UNARMED: u32 = u32::MAX;
 /// operation that can move the minimum either proves the new one in O(1)
 /// or rescans — O(armed), the cost to revisit if a topology ever keeps
 /// hundreds of keys armed.
+#[derive(Clone)]
 struct KeyedLane<T> {
     armed: Vec<HeapEntry>,
     payloads: Vec<T>,
@@ -157,6 +158,7 @@ impl<T> KeyedLane<T> {
 
 /// Deterministic pending-event set: a heap with lazy cancellation and a
 /// lane of keyed re-armable timers, merged by one `(time, seq)` order.
+#[derive(Clone)]
 pub struct EventQueue<T> {
     heap: PackedHeap,
     /// Payloads of the heap's entries.

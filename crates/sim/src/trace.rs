@@ -58,7 +58,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// Ring-buffer tracer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Tracer {
     enabled: bool,
     min_level: TraceLevel,

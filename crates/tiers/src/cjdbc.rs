@@ -87,7 +87,7 @@ impl std::fmt::Display for CjdbcError {
 impl std::error::Error for CjdbcError {}
 
 /// The C-JDBC controller state.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CjdbcController {
     backends: BTreeMap<ServerId, Backend>,
     log: RecoveryLog,

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One legacy server process of any tier.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum LegacyServer {
     /// Apache httpd.
     Apache(ApacheServer),
@@ -208,7 +208,7 @@ impl From<jade_cluster::ClusterError> for LegacyError {
 }
 
 /// The whole legacy world.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LegacyLayer {
     /// Node pool (Cluster Manager substrate).
     pub cluster: ClusterManager,

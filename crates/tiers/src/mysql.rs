@@ -9,7 +9,7 @@ use jade_cluster::NodeId;
 
 /// A MySQL process: process state plus an actual storage engine holding a
 /// full copy of the database (full mirroring, paper §4.1).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MysqlServer {
     /// Common process state.
     pub process: ServerProcess,

@@ -232,7 +232,7 @@ impl Wrapper<LegacyLayer> for ServerWrapper {
     }
 
     fn on_set_attr(
-        &mut self,
+        &self,
         env: &mut LegacyLayer,
         _view: &dyn ArchView,
         _me: ComponentId,
@@ -246,7 +246,7 @@ impl Wrapper<LegacyLayer> for ServerWrapper {
     }
 
     fn on_bind(
-        &mut self,
+        &self,
         env: &mut LegacyLayer,
         view: &dyn ArchView,
         me: ComponentId,
@@ -257,7 +257,7 @@ impl Wrapper<LegacyLayer> for ServerWrapper {
     }
 
     fn on_unbind(
-        &mut self,
+        &self,
         env: &mut LegacyLayer,
         view: &dyn ArchView,
         me: ComponentId,
@@ -268,7 +268,7 @@ impl Wrapper<LegacyLayer> for ServerWrapper {
     }
 
     fn on_start(
-        &mut self,
+        &self,
         env: &mut LegacyLayer,
         _view: &dyn ArchView,
         _me: ComponentId,
@@ -276,12 +276,7 @@ impl Wrapper<LegacyLayer> for ServerWrapper {
         env.start_server(self.server).map_err(wrap_err)
     }
 
-    fn on_stop(
-        &mut self,
-        env: &mut LegacyLayer,
-        _view: &dyn ArchView,
-        _me: ComponentId,
-    ) -> Result<()> {
+    fn on_stop(&self, env: &mut LegacyLayer, _view: &dyn ArchView, _me: ComponentId) -> Result<()> {
         env.stop_server(self.server).map_err(wrap_err)
     }
 }
@@ -319,24 +314,24 @@ mod tests {
         let tomcat1_s = legacy.create_tomcat("Tomcat1", NodeId(1));
         let tomcat2_s = legacy.create_tomcat("Tomcat2", NodeId(2));
 
-        let mut reg: Registry<LegacyLayer> = Registry::new();
+        let mut reg: Registry<LegacyLayer, ServerWrapper> = Registry::new();
         let apache = reg.new_primitive(
             "Apache1",
             vec![
                 InterfaceDecl::server("http", "http"),
                 InterfaceDecl::optional_client("ajp-itf", "ajp"),
             ],
-            Box::new(ServerWrapper { server: apache_s }),
+            ServerWrapper { server: apache_s },
         );
         let tomcat1 = reg.new_primitive(
             "Tomcat1",
             vec![InterfaceDecl::server("ajp", "ajp")],
-            Box::new(ServerWrapper { server: tomcat1_s }),
+            ServerWrapper { server: tomcat1_s },
         );
         let tomcat2 = reg.new_primitive(
             "Tomcat2",
             vec![InterfaceDecl::server("ajp", "ajp")],
-            Box::new(ServerWrapper { server: tomcat2_s }),
+            ServerWrapper { server: tomcat2_s },
         );
         reg.set_attr(&mut legacy, apache, "server-id", apache_s.0 as i64)
             .unwrap();
@@ -414,10 +409,10 @@ mod tests {
                 None,
             ),
         ];
-        let mut reg: Registry<LegacyLayer> = Registry::new();
+        let mut reg: Registry<LegacyLayer, ServerWrapper> = Registry::new();
         for (server, file) in cases {
             let name = legacy.server(server).unwrap().process().name.clone();
-            let comp = reg.new_primitive(&name, vec![], Box::new(ServerWrapper { server }));
+            let comp = reg.new_primitive(&name, vec![], ServerWrapper { server });
             reg.set_attr(&mut legacy, comp, "server-id", server.0 as i64)
                 .unwrap();
             let writes = legacy.configs.write_count();
@@ -452,23 +447,23 @@ mod tests {
         let plb_s = legacy.create_plb("PLB", NodeId(0), BalancePolicy::RoundRobin);
         let t1_s = legacy.create_tomcat("Tomcat1", NodeId(1));
         let t2_s = legacy.create_tomcat("Tomcat2", NodeId(2));
-        let mut reg: Registry<LegacyLayer> = Registry::new();
+        let mut reg: Registry<LegacyLayer, ServerWrapper> = Registry::new();
         let plb = reg.new_primitive(
             "PLB",
             vec![
                 InterfaceDecl::server("http", "http"),
                 InterfaceDecl::collection_client("workers", "ajp"),
             ],
-            Box::new(ServerWrapper { server: plb_s }),
+            ServerWrapper { server: plb_s },
         );
-        let mk = |reg: &mut Registry<LegacyLayer>,
+        let mk = |reg: &mut Registry<LegacyLayer, ServerWrapper>,
                   legacy: &mut LegacyLayer,
                   name: &str,
                   sid: ServerId| {
             let c = reg.new_primitive(
                 name,
                 vec![InterfaceDecl::server("ajp", "ajp")],
-                Box::new(ServerWrapper { server: sid }),
+                ServerWrapper { server: sid },
             );
             reg.set_attr(legacy, c, "server-id", sid.0 as i64).unwrap();
             c
@@ -499,19 +494,19 @@ mod tests {
         legacy.finish_boot(my_s).unwrap();
         legacy.drain_outbox();
 
-        let mut reg: Registry<LegacyLayer> = Registry::new();
+        let mut reg: Registry<LegacyLayer, ServerWrapper> = Registry::new();
         let cj = reg.new_primitive(
             "C-JDBC",
             vec![
                 InterfaceDecl::server("jdbc", "jdbc"),
                 InterfaceDecl::collection_client("backends", "mysql"),
             ],
-            Box::new(ServerWrapper { server: cj_s }),
+            ServerWrapper { server: cj_s },
         );
         let my = reg.new_primitive(
             "MySQL1",
             vec![InterfaceDecl::server("mysql", "mysql")],
-            Box::new(ServerWrapper { server: my_s }),
+            ServerWrapper { server: my_s },
         );
         reg.set_attr(&mut legacy, cj, "server-id", cj_s.0 as i64)
             .unwrap();

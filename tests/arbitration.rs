@@ -3,11 +3,11 @@
 //! optimization.
 
 use jade::config::SystemConfig;
-use jade::experiment::{run_experiment, run_experiment_with};
-use jade::system::{J2eeApp, ManagedTier, Msg};
+use jade::experiment::{bootstrapped, run_experiment, run_experiment_with};
+use jade::system::{ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
-use jade_sim::{Addr, Engine, SimDuration, SimTime};
+use jade_sim::{Addr, SimDuration, SimTime};
 
 fn arb_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_managed();
@@ -41,9 +41,7 @@ fn arbitrated_system_still_scales() {
 fn arbitration_runs_one_reconfiguration_at_a_time() {
     let mut cfg = arb_cfg();
     cfg.ramp = WorkloadRamp::constant(450);
-    let seed = cfg.seed;
-    let mut eng = Engine::new(J2eeApp::new(cfg), seed);
-    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    let mut eng = bootstrapped(cfg);
     let mut tiers_seen = Vec::new();
     for t in 1..=600 {
         eng.run_until(SimTime::from_secs(t));

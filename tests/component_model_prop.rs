@@ -41,7 +41,7 @@ fn build(n: usize) -> (Registry<()>, Vec<ComponentId>) {
                     InterfaceDecl::server("srv", "sig"),
                     InterfaceDecl::collection_client("out", "sig"),
                 ],
-                Box::new(NullWrapper),
+                NullWrapper,
             )
         })
         .collect();
@@ -149,14 +149,14 @@ fn cardinality_is_enforced() {
         let single = reg.new_primitive(
             "single",
             vec![InterfaceDecl::client("out", "sig")],
-            Box::new(NullWrapper),
+            NullWrapper,
         );
         let servers: Vec<ComponentId> = (0..4)
             .map(|i| {
                 reg.new_primitive(
                     &format!("s{i}"),
                     vec![InterfaceDecl::server("srv", "sig")],
-                    Box::new(NullWrapper),
+                    NullWrapper,
                 )
             })
             .collect();

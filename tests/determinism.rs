@@ -4,10 +4,13 @@
 //! execute sibling runs, or whether tracing was enabled.
 
 use jade::config::SystemConfig;
-use jade::experiment::{config_digest, run_experiment, run_experiment_with};
+use jade::experiment::ExperimentOutput;
+use jade::experiment::{bootstrapped, config_digest, run_experiment, run_experiment_with};
+use jade::system::{J2eeApp, Msg};
 use jade_bench::{Harness, RunSpec};
+use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
-use jade_sim::{SimDuration, TraceLevel, Tracer};
+use jade_sim::{Addr, Engine, SimDuration, SimTime, TraceLevel, Tracer};
 
 fn quick_cfg(clients: u32, seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_managed();
@@ -212,4 +215,64 @@ fn manifest_records_every_run() {
         assert!(json.contains(&format!("{:016x}", r.record.outcome_digest)));
         assert!(json.contains(&format!("{:016x}", r.record.config_digest)));
     }
+}
+
+/// The fork rule (DESIGN.md §5.2): a fault injected into a fork at `t` is
+/// delivered after every event the prefix delivered at or before `t` —
+/// `prefix.run_until(t)`, `clone()`, `schedule(t, ..)`. A node crashed in
+/// a fork of a running engine therefore digests like a never-cloned run
+/// that does the same at `t`, and the prefix, run on after all its forks,
+/// like a run that was never forked.
+#[test]
+fn forked_crashes_digest_like_straight_runs() {
+    // 450 clients scale the database tier up at once: MySQL2 deploys on
+    // node 5 from 1 s (the decision ties with that second's probe), boots
+    // from 30 s, replays the log from 35 s to 37 s and serves from then
+    // on. Its node crashes while it installs, boots and serves; at 36 s
+    // Tomcat1's node (3) crashes instead, so the replay in flight must
+    // survive the clone.
+    let mut cfg = SystemConfig::paper_managed();
+    cfg.ramp = WorkloadRamp::constant(450);
+    cfg.jade.self_repair = true;
+    let (mysql2, tomcat1) = (NodeId(4), NodeId(2));
+    let crashes = [
+        (1_000, mysql2),
+        (12_500, mysql2),
+        (33_000, mysql2),
+        (36_000, tomcat1),
+        (45_000, mysql2),
+    ];
+    let digest_at = |mut eng: Engine<J2eeApp>, t: SimTime| {
+        eng.run_until(t);
+        ExperimentOutput::from_engine(eng).outcome_digest()
+    };
+    let after = SimDuration::from_secs(60);
+    let mut prefix = bootstrapped(cfg.clone());
+    let mut horizon = SimTime::ZERO;
+    for (ms, node) in crashes {
+        let t = SimTime::from_millis(ms);
+        prefix.run_until(SimTime::from_micros(t.as_micros() - 1));
+        let before = prefix.events_processed();
+        prefix.run_until(t);
+        if ms % 1_000 == 0 {
+            // The probe tick runs on whole seconds: the crash follows it.
+            assert!(prefix.events_processed() > before, "no event ties with {t}");
+        }
+        horizon = t + after;
+        let mut fork = prefix.clone();
+        fork.schedule(t, Addr::ROOT, Msg::CrashNode(node));
+        let mut straight = bootstrapped(cfg.clone());
+        straight.run_until(t);
+        straight.schedule(t, Addr::ROOT, Msg::CrashNode(node));
+        assert_eq!(
+            digest_at(fork, horizon),
+            digest_at(straight, horizon),
+            "{node:?} crashed at {t}"
+        );
+    }
+    assert_eq!(
+        digest_at(prefix, horizon),
+        digest_at(bootstrapped(cfg), horizon),
+        "a fork wrote through to its prefix"
+    );
 }

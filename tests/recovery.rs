@@ -2,7 +2,7 @@
 //! consistency after recovery-log resynchronization.
 
 use jade::config::SystemConfig;
-use jade::experiment::run_experiment_with;
+use jade::experiment::{bootstrapped, run_experiment_with};
 use jade::system::{J2eeApp, ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
@@ -273,9 +273,7 @@ fn replica_joining_after_truncation_syncs_from_the_checkpoint() {
     let mut cfg = SystemConfig::paper_managed();
     cfg.ramp = WorkloadRamp::constant(450);
     cfg.jade.self_repair = true;
-    let seed = cfg.seed;
-    let mut eng = Engine::new(J2eeApp::new(cfg), seed);
-    eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+    let mut eng = bootstrapped(cfg);
     // The load scales the database tier to four replicas by 157 s, all
     // joined through the still-complete log; MySQL2 runs on NodeId(4).
     let crash_at = SimTime::from_secs(500);

@@ -2,11 +2,11 @@
 //! without interrupting the service.
 
 use jade::config::SystemConfig;
-use jade::experiment::run_experiment_with;
-use jade::system::{J2eeApp, ManagedTier, Msg};
+use jade::experiment::{bootstrapped, run_experiment_with};
+use jade::system::{ManagedTier, Msg};
 use jade_cluster::NodeId;
 use jade_rubis::WorkloadRamp;
-use jade_sim::{Addr, Engine, SimDuration, SimTime};
+use jade_sim::{Addr, SimDuration, SimTime};
 use jade_tiers::Tier;
 
 fn cfg(app: usize, db: usize) -> SystemConfig {
@@ -242,9 +242,7 @@ fn rolling_restart_racing_a_scale_down_keeps_a_replica_in_rotation() {
         let mut cfg = SystemConfig::paper_managed();
         cfg.ramp = WorkloadRamp::constant(60);
         cfg.description.application.replicas = 2;
-        let seed = cfg.seed;
-        let mut eng = Engine::new(J2eeApp::new(cfg), seed);
-        eng.schedule(SimTime::ZERO, Addr::ROOT, Msg::Bootstrap);
+        let mut eng = bootstrapped(cfg);
         eng.schedule(
             SimTime::from_secs(restart_s),
             Addr::ROOT,
