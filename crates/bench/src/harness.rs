@@ -1,8 +1,10 @@
 //! Shared experiment-orchestration layer.
 //!
-//! Every figure/table binary describes its scenarios as a list of
-//! [`RunSpec`]s and hands them to a [`Harness`], which
+//! Every figure describes its scenarios as a list of [`RunSpec`]s; the
+//! `figures` binary hands the union of them to a [`Harness`], which
 //!
+//! * simulates each distinct run once ([`Harness::plan`]) and shares its
+//!   output with every spec that asked for it,
 //! * executes the runs across a worker pool (`--jobs N`, one simulation
 //!   engine per thread — the engines themselves stay single-threaded and
 //!   deterministic),
@@ -24,12 +26,12 @@
 use jade::config::SystemConfig;
 use jade::experiment::{config_digest, run_experiment, ExperimentOutput};
 use jade_sim::{SimDuration, SimRng};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One scenario to simulate.
 #[derive(Debug, Clone)]
@@ -66,7 +68,7 @@ impl RunSpec {
 }
 
 /// The manifest row of one completed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Label copied from the spec.
     pub label: String,
@@ -93,11 +95,11 @@ pub struct RunRecord {
 pub struct RunResult {
     /// Manifest row.
     pub record: RunRecord,
-    /// Full experiment output.
-    pub out: ExperimentOutput,
+    /// Full experiment output, shared by every spec of the same run.
+    pub out: Arc<ExperimentOutput>,
 }
 
-/// Flag summary the figure binaries append to their `--help`/error text.
+/// Flag summary that ends the `figures` binary's `--help`/error text.
 pub const HARNESS_USAGE: &str = "\
 harness flags:
   --jobs N    worker threads (default: available parallelism)
@@ -117,17 +119,10 @@ pub struct Harness {
 }
 
 impl Default for Harness {
+    /// Available parallelism (serial if unknown), unrebased seeds.
     fn default() -> Self {
-        Self {
-            jobs: default_jobs(),
-            seed: None,
-        }
+        Self::with_jobs(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
-}
-
-/// Available parallelism, with a serial fallback.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl Harness {
@@ -140,9 +135,13 @@ impl Harness {
     }
 
     /// Parses `--jobs N` / `--seed N` (and `--help`) from an argument
-    /// list. Errors carry the message to print.
-    pub fn from_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Self, String> {
+    /// list, returning the other arguments (those not starting with `-`)
+    /// in order. Errors carry the message to print.
+    pub fn from_args<'a>(
+        args: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(Self, Vec<&'a str>), String> {
         let mut harness = Self::default();
+        let mut operands = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg {
@@ -164,22 +163,11 @@ impl Harness {
                     );
                 }
                 "--help" | "-h" => return Err(HARNESS_USAGE.to_owned()),
+                other if !other.starts_with('-') => operands.push(other),
                 other => return Err(format!("unknown flag '{other}'\n{HARNESS_USAGE}")),
             }
         }
-        Ok(harness)
-    }
-
-    /// Parses the process arguments, exiting with the message on error.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(args.iter().map(String::as_str)) {
-            Ok(h) => h,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        Ok((harness, operands))
     }
 
     /// The seed a spec will run with under this harness.
@@ -190,10 +178,35 @@ impl Harness {
         }
     }
 
-    /// Runs all specs across the worker pool. The result vector is in
-    /// spec order, and every run's outcome digest is independent of
-    /// `jobs`.
+    /// The run each spec shares under this harness: `plan(specs)[i]` is
+    /// the index of the first spec whose simulation is identical to spec
+    /// `i`'s, so spec `i` is simulated iff `plan(specs)[i] == i`. Two
+    /// specs are identical when their configurations after the seed rebase
+    /// render equally (the full rendering [`config_digest`] hashes, not the
+    /// digest) and their horizons are equal; label and stream do not
+    /// count, except that the rebase gives different streams different
+    /// seeds.
+    pub fn plan(&self, specs: &[RunSpec]) -> Vec<usize> {
+        let mut first: BTreeMap<(String, SimDuration), usize> = BTreeMap::new();
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let mut cfg = spec.cfg.clone();
+                cfg.seed = self.effective_seed(spec);
+                *first
+                    .entry((format!("{cfg:?}"), spec.duration))
+                    .or_insert(i)
+            })
+            .collect()
+    }
+
+    /// Runs all specs across the worker pool, simulating each distinct run
+    /// of [`Harness::plan`] once. The result vector is in spec order; specs
+    /// of the same run share its output and carry its record under their
+    /// own label. Every run's outcome digest is independent of `jobs`.
     pub fn run(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
+        let plan = self.plan(&specs);
         let specs: Vec<RunSpec> = specs
             .into_iter()
             .map(|mut s| {
@@ -201,45 +214,56 @@ impl Harness {
                 s
             })
             .collect();
-        let n = specs.len();
+        let distinct: Vec<usize> = (0..specs.len()).filter(|&i| plan[i] == i).collect();
+        let n = distinct.len();
         let workers = self.jobs.clamp(1, n.max(1));
         let next = AtomicUsize::new(0);
-        let cells: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let specs = &specs;
-        let cells_ref = &cells;
-        let next_ref = &next;
+        let cells: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+        let (specs_ref, distinct_ref, cells_ref, next_ref) = (&specs, &distinct, &cells, &next);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(move || {
+                    while let Some(&i) = distinct_ref.get(next_ref.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let spec = &specs_ref[i];
+                        let out = run_experiment(spec.cfg.clone(), spec.duration);
+                        let record = RunRecord {
+                            label: spec.label.clone(),
+                            seed: spec.cfg.seed,
+                            config_digest: config_digest(&spec.cfg),
+                            outcome_digest: out.outcome_digest(),
+                            events: out.events,
+                            completed: out.app.stats.total_completed(),
+                            failed: out.app.stats.total_failed(),
+                            mean_latency_ms: out.mean_latency_ms(),
+                            throughput: out.throughput(),
+                        };
+                        *cells_ref[i].lock().expect("result cell") = Some(RunResult {
+                            record,
+                            out: Arc::new(out),
+                        });
                     }
-                    let spec = &specs[i];
-                    let out = run_experiment(spec.cfg.clone(), spec.duration);
-                    let record = RunRecord {
-                        label: spec.label.clone(),
-                        seed: spec.cfg.seed,
-                        config_digest: config_digest(&spec.cfg),
-                        outcome_digest: out.outcome_digest(),
-                        events: out.events,
-                        completed: out.app.stats.total_completed(),
-                        failed: out.app.stats.total_failed(),
-                        mean_latency_ms: out.mean_latency_ms(),
-                        throughput: out.throughput(),
-                    };
-                    *cells_ref[i].lock().expect("result cell") = Some(RunResult { record, out });
                 });
             }
         });
-        cells
-            .into_iter()
-            .map(|c| {
-                c.into_inner()
-                    .expect("result cell")
-                    .expect("every claimed run completes")
-            })
-            .collect()
+        let mut results: Vec<RunResult> = Vec::with_capacity(specs.len());
+        for (i, cell) in cells.into_iter().enumerate() {
+            let result = match cell.into_inner().expect("result cell") {
+                Some(result) => result,
+                None => {
+                    let shared = &results[plan[i]];
+                    RunResult {
+                        record: RunRecord {
+                            label: specs[i].label.clone(),
+                            ..shared.record.clone()
+                        },
+                        out: Arc::clone(&shared.out),
+                    }
+                }
+            };
+            results.push(result);
+        }
+        results
     }
 
     /// Renders the manifest JSON for a set of results. Every field is a
@@ -250,8 +274,7 @@ impl Harness {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"name\": {},", json_str(name));
-        out.push_str("  \"schema\": 2,\n");
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
+        out.push_str("  \"schema\": 3,\n");
         let _ = writeln!(
             out,
             "  \"seed_rebase\": {},",
@@ -289,21 +312,6 @@ impl Harness {
         write_result(&format!("{name}.json"), &self.manifest_json(name, results));
     }
 
-    /// Writes the manifest under an explicit directory, creating it if
-    /// needed. Returns the path written.
-    pub fn write_manifest_under(
-        &self,
-        dir: &Path,
-        name: &str,
-        results: &[RunResult],
-    ) -> io::Result<PathBuf> {
-        write_file_under(
-            dir,
-            &format!("{name}.json"),
-            &self.manifest_json(name, results),
-        )
-    }
-
     /// One-line run summary including the digests (the harness version of
     /// [`crate::print_run_summary`]).
     pub fn print_record(rec: &RunRecord) {
@@ -322,27 +330,33 @@ impl Harness {
     }
 }
 
-/// Writes `contents` to `dir/file`, creating `dir` if needed.
-fn write_file_under(dir: &Path, file: &str, contents: &str) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(file);
-    fs::write(&path, contents)?;
-    Ok(path)
+/// Writes `contents` to `path`, creating its directory if needed, and
+/// prints the path. The error names the path and the cause.
+pub fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    let written = path
+        .parent()
+        .map_or(Ok(()), fs::create_dir_all)
+        .and_then(|()| fs::write(path, contents));
+    match written {
+        Ok(()) => {
+            println!("  wrote {}", path.display());
+            Ok(())
+        }
+        Err(e) => Err(format!("error: cannot write {}: {e}", path.display())),
+    }
 }
 
 /// Writes `file` into the repository root's `results/` (two levels above
-/// this crate's manifest, whatever the working directory) and prints its
-/// path. A failed write prints the path and the error and exits with
-/// status 1, so a figure binary that wrote nothing cannot pass for one
-/// that reproduced its committed output.
+/// this crate's manifest, whatever the working directory). A failed write
+/// prints the path and the error and exits with status 1, so a figure that
+/// wrote nothing cannot pass for one that reproduced its committed output.
 pub(crate) fn write_result(file: &str, contents: &str) {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    match write_file_under(&dir, file, contents) {
-        Ok(path) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", dir.join(file).display());
-            std::process::exit(1);
-        }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(file);
+    if let Err(msg) = write_file(&path, contents) {
+        eprintln!("{msg}");
+        std::process::exit(1);
     }
 }
 
@@ -383,9 +397,11 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let h = Harness::from_args(["--jobs", "3", "--seed", "99"]).unwrap();
+        let (h, names) =
+            Harness::from_args(["fig6", "--jobs", "3", "--seed", "99", "fig7"]).unwrap();
         assert_eq!(h.jobs, 3);
         assert_eq!(h.seed, Some(99));
+        assert_eq!(names, ["fig6", "fig7"]);
         assert!(Harness::from_args(["--jobs", "0"]).is_err());
         assert!(Harness::from_args(["--wat"]).is_err());
         assert!(Harness::from_args(["--help"])
@@ -413,6 +429,55 @@ mod tests {
     }
 
     #[test]
+    fn plan_merges_only_identical_runs() {
+        let d = SimDuration::from_secs(30);
+        let a = SystemConfig::paper_managed();
+        let specs = [
+            RunSpec::new("x", a.clone(), d),
+            RunSpec::new("y", a.clone(), d),
+            RunSpec::new("b", SystemConfig::paper_unmanaged(), d),
+            RunSpec::new("x on stream 1", a.clone(), d).on_stream(1),
+            RunSpec::new("x for longer", a, SimDuration::from_secs(60)),
+        ];
+        let distinct = |plan: &[usize]| plan.iter().enumerate().filter(|&(i, &p)| i == p).count();
+        // Without a rebase every spec keeps its config's seed, so the
+        // stream does not tell runs apart and A on stream 1 merges too.
+        let plain = Harness::with_jobs(1).plan(&specs);
+        assert_eq!(plain, [0, 0, 2, 0, 4]);
+        assert_eq!(distinct(&plain), 3);
+        // Under a rebase, stream 1 derives another seed: its own run.
+        let rebased = Harness {
+            jobs: 1,
+            seed: Some(7),
+        }
+        .plan(&specs);
+        assert_eq!(rebased, [0, 0, 2, 3, 4]);
+        assert_eq!(distinct(&rebased), 4);
+    }
+
+    #[test]
+    fn merged_specs_share_one_output_and_record() {
+        let mut cfg = SystemConfig::paper_managed();
+        cfg.ramp = jade_rubis::WorkloadRamp::constant(20);
+        let d = SimDuration::from_secs(30);
+        let results = Harness::with_jobs(2).run(vec![
+            RunSpec::new("x", cfg.clone(), d),
+            RunSpec::new("y", cfg.clone(), d).on_stream(1),
+            RunSpec::new("longer", cfg, SimDuration::from_secs(40)),
+        ]);
+        let (x, y, longer) = (&results[0], &results[1], &results[2]);
+        assert!(Arc::ptr_eq(&x.out, &y.out));
+        assert!(!Arc::ptr_eq(&x.out, &longer.out));
+        assert_eq!(y.record.label, "y");
+        let y_as_x = RunRecord {
+            label: "x".to_owned(),
+            ..y.record.clone()
+        };
+        assert_eq!(y_as_x, x.record);
+        assert_ne!(longer.record.events, x.record.events);
+    }
+
+    #[test]
     fn manifest_is_valid_shape() {
         let h = Harness::with_jobs(2);
         let mut cfg = SystemConfig::paper_managed();
@@ -426,7 +491,9 @@ mod tests {
         assert!(json.contains("\"name\": \"unit\""));
         assert!(json.contains("\"label\": \"tiny \\\"run\\\"\""));
         assert!(json.contains("\"outcome_digest\": \""));
-        assert!(json.contains("\"schema\": 2"));
+        assert!(json.contains("\"schema\": 3"));
+        // The worker count is no function of the scenario, so it stays out.
+        assert!(!json.contains("\"jobs\""));
         assert!(json.contains("\"events\": "));
         // Host timings stay out of the manifest: they would make every
         // regeneration a spurious diff.
@@ -440,8 +507,9 @@ mod tests {
         // the manifest's directory.
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
         assert!(dir.is_file());
-        let err = Harness::with_jobs(1).write_manifest_under(&dir, "unit", &[]);
-        assert!(err.is_err(), "{err:?}");
+        let path = dir.join("unit.json");
+        let err = write_file(&path, "{}").unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
     }
 
     #[test]

@@ -1,21 +1,13 @@
 //! # jade-bench — figure and table regeneration harness
 //!
-//! One binary per experiment of the paper's evaluation (§5):
+//! The paper's evaluation (§5) as four binaries:
 //!
-//! | Binary      | Reproduces |
-//! |-------------|------------|
-//! | `reconfig`  | §5.1 qualitative comparison (ops + config writes)   |
-//! | `fig5`      | Figure 5: replica counts under the client ramp      |
-//! | `fig5_1m`   | Figure 5 rescaled to a million aggregate clients    |
-//! | `fig6`      | Figure 6: database-tier CPU, managed vs unmanaged   |
-//! | `fig7`      | Figure 7: application-tier CPU, managed vs unmanaged|
-//! | `fig8`      | Figure 8: response time without Jade                |
-//! | `fig9`      | Figure 9: response time with Jade                   |
-//! | `table1`    | Table 1: intrusivity of the management layer        |
-//! | `calibrate` | The paper's threshold-calibration benchmarks        |
-//! | `ablations` | Design-choice ablations (DESIGN.md §5)              |
-//! | `rubis_report` | RUBiS's per-interaction statistics table         |
-//! | `run_experiment` | General experiment CLI (see `--help`)          |
+//! | Binary           | Reproduces |
+//! |------------------|------------|
+//! | `figures`        | Figures 5–9, Table 1, Figure 5 at a million clients, the threshold-calibration benchmarks and the design-choice ablations (DESIGN.md §5), as one plan: `figures [NAME ...]` |
+//! | `reconfig`       | §5.1 qualitative comparison (ops + config writes) |
+//! | `rubis_report`   | RUBiS's per-interaction statistics table |
+//! | `run_experiment` | General experiment CLI (see `--help`) |
 //!
 //! Everything here runs on virtual time and reads no clock; end-to-end
 //! and per-layer timings come from the `benchmark/` package alone.
@@ -114,7 +106,7 @@ pub fn print_replica_transitions(out: &ExperimentOutput) {
     }
 }
 
-/// Compact run summary shared by the figure binaries.
+/// Compact run summary printed by `run_experiment`.
 pub fn print_run_summary(label: &str, out: &ExperimentOutput) {
     println!(
         "{label}: {} requests completed, {} failed, mean latency {:.0} ms, throughput {:.1} req/s, \

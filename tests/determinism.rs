@@ -209,6 +209,8 @@ fn manifest_records_every_run() {
         RunSpec::new("b", quick_cfg(90, 4), HORIZON).on_stream(1),
     ]);
     let json = h.manifest_json("determinism-test", &results);
+    // The worker count is no function of the runs, so it is not recorded.
+    assert!(!json.contains("\"jobs\""));
     assert!(json.contains("\"label\": \"a\""));
     assert!(json.contains("\"label\": \"b\""));
     for r in &results {

@@ -9,7 +9,7 @@ use jade::system::ManagedTier;
 use jade_bench::{Harness, RunSpec};
 use jade_rubis::WorkloadRamp;
 use jade_sim::SimDuration;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn fast_ramp() -> WorkloadRamp {
     WorkloadRamp {
@@ -22,13 +22,13 @@ fn fast_ramp() -> WorkloadRamp {
     }
 }
 
-/// Runs `managed` and `unmanaged` side by side through the figure
-/// binaries' harness, returning their outputs in that order.
+/// Runs `managed` and `unmanaged` side by side through the figures'
+/// harness, returning their outputs in that order.
 fn run_shape_pair(
     managed: SystemConfig,
     unmanaged: SystemConfig,
     duration: SimDuration,
-) -> (ExperimentOutput, ExperimentOutput) {
+) -> (Arc<ExperimentOutput>, Arc<ExperimentOutput>) {
     let mut results = Harness::with_jobs(2).run(vec![
         RunSpec::new("managed", managed, duration),
         RunSpec::new("unmanaged", unmanaged, duration),
@@ -39,8 +39,8 @@ fn run_shape_pair(
 }
 
 /// One shared pair of runs for all shape assertions (they are read-only).
-fn runs() -> &'static (ExperimentOutput, ExperimentOutput) {
-    static RUNS: OnceLock<(ExperimentOutput, ExperimentOutput)> = OnceLock::new();
+fn runs() -> &'static (Arc<ExperimentOutput>, Arc<ExperimentOutput>) {
+    static RUNS: OnceLock<(Arc<ExperimentOutput>, Arc<ExperimentOutput>)> = OnceLock::new();
     RUNS.get_or_init(|| {
         let mut managed = SystemConfig::paper_managed();
         managed.ramp = fast_ramp();
